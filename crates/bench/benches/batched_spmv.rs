@@ -4,9 +4,9 @@
 //!
 //! Both paths reuse the same prepared plan; the comparison isolates what
 //! batching itself buys: the x vectors are padded once, the pre-decoded
-//! instance stream is streamed through the cache once per tile row for the
-//! whole batch, and (under the `parallel` feature) the fan-out spans
-//! (vector × tile-row) pairs instead of tile rows alone.
+//! instance stream is streamed through the cache once per (tile row ×
+//! lane block) instead of once per vector, and (under the `parallel`
+//! feature) the fan-out spans those pairs.
 //!
 //! All batched outputs are asserted bit-identical to the looped path
 //! before timing. Results are printed as a table and written to
@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_bench::timing::is_smoke;
-use spasm_hw::Dispatch;
 use spasm_workloads::Workload;
 
 const BATCH_SIZES: [usize; 3] = [2, 4, 8];
@@ -158,14 +157,19 @@ fn main() {
 
     // ---- Large-batch layout comparison (batch > 64) --------------------
     //
-    // Window-major: the per-instance dispatcher walks every window of one
-    // vector before moving to the next (`Dispatch::PerInstance`).
-    // Vector-blocked: the classed kernels fuse `LANE_BLOCK` vectors per
-    // instance walk (`Dispatch::Classed`), streaming the instance stream
-    // through the cache once per lane block instead of once per vector.
-    // Both are asserted bit-identical; the verdict records which layout
+    // Window-major: the scalar per-instance reference walks every window
+    // of one vector before moving to the next (`run_reference`).
+    // Vector-blocked: the executor's class kernels fuse `LANE_BLOCK`
+    // vectors per instance walk (`run_batch`), streaming the instance
+    // stream through the cache once per lane block instead of once per
+    // vector. Both are asserted bit-identical and timed on one worker
+    // (the reference never fans out); the verdict records which layout
     // wins at batch 128 on this host.
     let large_iters: u32 = if is_smoke() { 1 } else { 10 };
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-worker pool");
     let mut large_rows: Vec<(String, usize, f64, f64)> = Vec::new();
     for w in picks {
         let m = w.generate(scale);
@@ -187,35 +191,34 @@ fn main() {
             })
             .collect();
 
-        // Bit-identity gate between the two dispatchers.
+        // Bit-identity gate between the reference and the executor.
         let mut want = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        plan.run_batch(&xs, &mut want).expect("run_batch");
+        plan.run_reference(&xs, &mut want).expect("run_reference");
         let mut got = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::Classed);
         plan.run_batch(&xs, &mut got).expect("run_batch");
         for (j, (g, ww)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{w}: classed batch-{LARGE_BATCH} vector {j} diverged from per-instance"
+                "{w}: executor batch-{LARGE_BATCH} vector {j} diverged from the reference"
             );
         }
 
         let mut ys = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        let window_major_s = time_per_vector(large_iters, LARGE_BATCH, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
-        });
-        plan.set_dispatch(Dispatch::Classed);
-        let vector_blocked_s = time_per_vector(large_iters, LARGE_BATCH, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+        let (window_major_s, vector_blocked_s) = serial.install(|| {
+            let window_major_s = time_per_vector(large_iters, LARGE_BATCH, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_reference(&xs, &mut ys).expect("run_reference");
+            });
+            let vector_blocked_s = time_per_vector(large_iters, LARGE_BATCH, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_batch(&xs, &mut ys).expect("run_batch");
+            });
+            (window_major_s, vector_blocked_s)
         });
         println!(
             "{:<14} {:>9} nnz  batch {:>3}  window-major {:>9.1} us/vec  \

@@ -1,6 +1,7 @@
-//! Class-kernel benchmark: the class-bucketed data-parallel executor
-//! (`Dispatch::Classed`, the default) against the legacy per-instance
-//! enum dispatcher (`Dispatch::PerInstance`) on the same prepared plan.
+//! Class-kernel benchmark: the plan's class-bucketed data-parallel
+//! executor (`ExecutionPlan::run_batch`) against its scalar per-instance
+//! reference (`ExecutionPlan::run_reference`) on the same prepared plan,
+//! both timed on one worker so the comparison is kernel against kernel.
 //!
 //! The comparison isolates what the PR-7 hot-loop restructuring buys:
 //! branch-free per-class kernels over the SoA streams, contiguous 4-slot
@@ -10,7 +11,7 @@
 //! feature set was active so scalar and SIMD artifacts stay
 //! distinguishable.
 //!
-//! Both dispatchers are asserted bit-identical before timing — the
+//! Both paths are asserted bit-identical before timing — the
 //! classed executor stages per-instance outputs and scatters them in
 //! stream order, so it is the same computation, not an approximation.
 //! Results go to `BENCH_simd_spmv.json`.
@@ -24,7 +25,6 @@ use std::time::Instant;
 
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_bench::timing::is_smoke;
-use spasm_hw::Dispatch;
 use spasm_workloads::Workload;
 
 /// The serving batch width the acceptance floor is measured at.
@@ -71,6 +71,10 @@ fn main() {
         Workload::Cfd2,
     ];
     let iters: u32 = if is_smoke() { 1 } else { 50 };
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-worker pool");
 
     let mut rows: Vec<Row> = Vec::new();
     for w in picks {
@@ -97,33 +101,34 @@ fn main() {
         // Bit-identity gate: the classed (and, under `simd`, SSE2) path
         // must be the same computation as the per-instance reference.
         let mut want = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        plan.run_batch(&xs, &mut want).expect("run_batch");
+        plan.run_reference(&xs, &mut want).expect("run_reference");
         let mut got = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::Classed);
         plan.run_batch(&xs, &mut got).expect("run_batch");
         for (j, (g, ww)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{w}: classed dispatch vector {j} diverged from per-instance"
+                "{w}: classed executor vector {j} diverged from the reference"
             );
         }
 
+        // Both sides on one worker: the reference never fans out, so the
+        // executor must not either for a like-for-like comparison.
         let mut ys = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        let per_instance_s = time_batch(iters, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
-        });
-        plan.set_dispatch(Dispatch::Classed);
-        let classed_s = time_batch(iters, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+        let (per_instance_s, classed_s) = serial.install(|| {
+            let per_instance_s = time_batch(iters, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_reference(&xs, &mut ys).expect("run_reference");
+            });
+            let classed_s = time_batch(iters, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_batch(&xs, &mut ys).expect("run_batch");
+            });
+            (per_instance_s, classed_s)
         });
 
         let row = Row {
@@ -146,7 +151,7 @@ fn main() {
     let geomean = spasm_bench::geomean(rows.iter().map(Row::speedup));
     println!("geomean classed-kernel speedup at batch {BATCH}: {geomean:.2}x");
     // Opt-in floor (SPASM_BENCH_ASSERT=1): the restructured hot loop must
-    // beat per-instance enum dispatch by >= 1.15x geomean at batch 8.
+    // beat the per-instance reference by >= 1.15x geomean at batch 8.
     spasm_bench::maybe_assert_speedup("simd_spmv classed-kernel batch-8 speedup", geomean, 1.15);
 
     // Hand-rolled JSON (no serde in the build environment).

@@ -631,7 +631,17 @@ impl Prepared {
                 Ok(self.plan.report())
             }
             IntegrityMode::Sampled(_) | IntegrityMode::Full => {
-                let health = self.guarded_vector(x, y)?;
+                let (rows, cols) = (self.plan.rows() as usize, self.plan.cols() as usize);
+                for (len, expected, operand) in [(x.len(), cols, "x"), (y.len(), rows, "y")] {
+                    if len != expected {
+                        return Err(PipelineError::DimensionMismatch {
+                            expected,
+                            actual: len,
+                            operand,
+                        });
+                    }
+                }
+                let health = self.guarded(&[x], &mut [y])?;
                 self.plan.annotate_health(health);
                 Ok(self.plan.report())
             }
@@ -662,17 +672,19 @@ impl Prepared {
     ///
     /// With the default [`IntegrityPolicy::off`] the whole batch runs
     /// through [`ExecutionPlan::run_batch`]: the x vectors are padded once,
-    /// the pre-decoded instance stream is walked once per tile row across
-    /// the batch, and the parallel fan-out spans (vector × tile-row) pairs.
-    /// Each output is bit-identical to looped [`Prepared::execute_into`]
-    /// calls, for every batch size and thread count.
+    /// the pre-decoded instance stream is walked once per (tile row × lane
+    /// block) across the batch, and the parallel fan-out spans those
+    /// pairs. Each output is bit-identical to looped
+    /// [`Prepared::execute_into`] calls, for every batch size and thread
+    /// count.
     ///
-    /// Under a verifying [`IntegrityPolicy`] every vector runs the full
-    /// degradation ladder independently, and the golden CSR fallback is
-    /// taken *only for the vectors that fail* — one corrupted vector does
-    /// not degrade its batch siblings. Per-vector outcomes are available
-    /// from [`Prepared::batch_health`]; the report's health aggregates
-    /// them, and [`ExecReport::batch`] carries the amortised batch pricing.
+    /// Under a verifying [`IntegrityPolicy`] one deferred pass executes and
+    /// verifies the whole batch, then every vector finishes the
+    /// degradation ladder independently: the golden CSR fallback is taken
+    /// *only for the vectors that fail* — one corrupted vector does not
+    /// degrade its batch siblings. Per-vector outcomes are available from
+    /// [`Prepared::batch_health`]; the report's health aggregates them,
+    /// and [`ExecReport::batch`] carries the amortised batch pricing.
     ///
     /// # Errors
     ///
@@ -736,8 +748,8 @@ impl Prepared {
         }
     }
 
-    /// The verifying batch path: every vector runs the per-vector ladder,
-    /// outcomes are aggregated into the report's health.
+    /// The verifying batch path: the ladder over the whole batch, its
+    /// aggregate health and amortised pricing stamped on the report.
     fn execute_batch_guarded<X, Y>(
         &mut self,
         xs: &[X],
@@ -747,52 +759,35 @@ impl Prepared {
         X: AsRef<[f32]>,
         Y: AsMut<[f32]>,
     {
-        self.batch_health.clear();
-        let mut aggregate = HealthReport::default();
-        // `_j` targets the active fault lane; unused in production builds.
-        #[cfg_attr(
-            not(feature = "fault-injection"),
-            allow(clippy::unused_enumerate_index)
-        )]
-        for (_j, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-            #[cfg(feature = "fault-injection")]
-            self.plan.set_active_lane(_j);
-            let result = self.guarded_vector(x.as_ref(), y.as_mut());
-            #[cfg(feature = "fault-injection")]
-            self.plan.set_active_lane(0);
-            let health = result?;
-            self.batch_health.push(health);
-            aggregate = merge_health(aggregate, health);
-        }
-        self.plan.annotate_health(aggregate);
+        let health = self.guarded(xs, ys)?;
+        self.plan.annotate_health(health);
         self.plan.stamp_batch(xs.len());
         Ok(self.plan.report())
     }
 
     /// Per-vector health of the most recent batched execution, in batch
-    /// order. Empty before the first batch; all-zero entries when the
+    /// order (a verified single-vector execution counts as a batch of
+    /// one). Empty before the first batch; all-zero entries when the
     /// batch ran unverified ([`IntegrityMode::Off`]). `health[j].fallback`
     /// says vector `j` was recomputed on the golden CSR path.
     pub fn batch_health(&self) -> &[HealthReport] {
         &self.batch_health
     }
 
-    /// The verification ladder for one vector: deferred run + verify →
-    /// sampled cross-check → commit, per-vector golden fallback, or error.
-    /// Returns the vector's health; the caller decides how to fold it into
-    /// the report.
-    fn guarded_vector(&mut self, x: &[f32], y: &mut [f32]) -> Result<HealthReport, PipelineError> {
-        let rows = self.golden.get(&self.encoded).rows() as usize;
-        if y.len() != rows {
-            return Err(PipelineError::DimensionMismatch {
-                expected: rows,
-                actual: y.len(),
-                operand: "y",
-            });
-        }
-
+    /// The verification ladder over a batch of validated shapes: one
+    /// deferred run executes every vector and verifies its scoped tile
+    /// rows; then, vector by vector, the sampled cross-check → commit,
+    /// golden fallback, or error (vectors before the failing one are
+    /// already committed). Per-vector health lands in `batch_health`;
+    /// returns the aggregate.
+    fn guarded<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<HealthReport, PipelineError>
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
         // Resolve the verification scope. Sampling is deterministic in the
         // policy seed so a given policy checks the same rows every call.
+        let rows = self.plan.rows() as usize;
         self.sample_rows.clear();
         self.scope.clear();
         let scope = match self.integrity.mode {
@@ -820,47 +815,59 @@ impl Prepared {
 
         let parallelism = self.parallelism;
         let plan = &mut self.plan;
-        let mut health = with_parallelism(parallelism, || plan.run_deferred(x, scope))?;
+        let per_vector = with_parallelism(parallelism, move || plan.run_deferred(xs, scope))?;
+        self.batch_health.clear();
+        self.batch_health.extend_from_slice(per_vector);
 
-        // Residual cross-check: the sampled rows' SPASM contributions must
-        // agree with the golden CSR dot products to within the policy
-        // tolerance (the two datapaths accumulate in different orders).
-        if matches!(self.integrity.mode, IntegrityMode::Sampled(_)) {
-            for &r in &self.sample_rows {
-                let want = golden_row_dot(self.golden.get(&self.encoded), r, x);
-                let got = self.plan.contribution(r);
-                health.rows_cross_checked += 1;
-                if (got - want).abs() > self.integrity.tolerance * (1.0 + want.abs()) {
-                    health.rows_failed_cross_check += 1;
-                    if health.first_failed_tile_row.is_none() {
-                        health.first_failed_tile_row = self
-                            .plan
-                            .tile_row_index_containing(r)
-                            .and_then(|t| self.plan.tile_row_id(t));
+        let mut aggregate = HealthReport::default();
+        for (j, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
+            let (x, y) = (x.as_ref(), y.as_mut());
+            let mut health = self.batch_health[j];
+            // Residual cross-check: the sampled rows' SPASM contributions
+            // must agree with the golden CSR dot products to within the
+            // policy tolerance (the two datapaths accumulate in different
+            // orders).
+            if matches!(self.integrity.mode, IntegrityMode::Sampled(_)) {
+                for &r in &self.sample_rows {
+                    let want = golden_row_dot(self.golden.get(&self.encoded), r, x);
+                    let got = self.plan.contribution(j, r);
+                    health.rows_cross_checked += 1;
+                    if (got - want).abs() > self.integrity.tolerance * (1.0 + want.abs()) {
+                        health.rows_failed_cross_check += 1;
+                        if health.first_failed_tile_row.is_none() {
+                            health.first_failed_tile_row = self
+                                .plan
+                                .tile_row_index_containing(r)
+                                .and_then(|t| self.plan.tile_row_id(t));
+                        }
                     }
                 }
             }
-        }
 
-        if health.needs_fallback() {
-            if !self.integrity.fallback {
-                self.plan.annotate_health(health);
-                return Err(PipelineError::Integrity {
-                    tile_row: health.first_failed_tile_row.unwrap_or(0),
-                    check: IntegrityCheck::Residual,
-                });
+            if health.needs_fallback() {
+                if !self.integrity.fallback {
+                    self.batch_health.truncate(j);
+                    self.plan.annotate_health(health);
+                    return Err(PipelineError::Integrity {
+                        tile_row: health.first_failed_tile_row.unwrap_or(0),
+                        check: IntegrityCheck::Residual,
+                    });
+                }
+                // Last rung: the accelerator result is unrecoverable, so
+                // the whole product is recomputed on the bit-exact golden
+                // path.
+                health.fallback = true;
+                self.golden
+                    .get(&self.encoded)
+                    .spmv(x, y)
+                    .map_err(map_sparse)?;
+            } else {
+                self.plan.commit(j, y)?;
             }
-            // Last rung: the accelerator result is unrecoverable, so the
-            // whole product is recomputed on the bit-exact golden path.
-            health.fallback = true;
-            self.golden
-                .get(&self.encoded)
-                .spmv(x, y)
-                .map_err(map_sparse)?;
-        } else {
-            self.plan.commit(y)?;
+            self.batch_health[j] = health;
+            aggregate = merge_health(aggregate, health);
         }
-        Ok(health)
+        Ok(aggregate)
     }
 
     /// The cached report of the most recent execution (cycle/stall model,
@@ -1092,7 +1099,7 @@ impl Prepared {
 
     /// The drift fallback: re-run the whole pipeline on the mutated
     /// matrix with the original options, preserving the current integrity
-    /// policy and dispatch mode and keeping the version stamp monotonic.
+    /// policy and keeping the version stamp monotonic.
     fn reprepare(&mut self, delta: &MatrixDelta) -> Result<(), PipelineError> {
         let (rows, cols) = (self.encoded.rows(), self.encoded.cols());
         let mutated = {
@@ -1126,10 +1133,8 @@ impl Prepared {
         };
 
         let next_version = self.plan.version() + 1;
-        let dispatch = self.plan.dispatch();
         let integrity = self.integrity;
         let mut fresh = Pipeline::with_options(self.options.clone()).prepare(&mutated)?;
-        fresh.plan.set_dispatch(dispatch);
         fresh.plan.restamp_version(next_version);
         fresh.integrity = integrity;
         *self = fresh;

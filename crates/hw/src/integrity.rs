@@ -68,7 +68,7 @@ pub enum VerifyScope<'a> {
 ///
 /// A clean run (no faults, no quarantines, no fallback) is all zeros —
 /// the `Default`. The report is attached to [`crate::ExecReport::health`]
-/// by the framework front-end and also returned by
+/// by the framework front-end and also returned, one per vector, by
 /// [`crate::ExecutionPlan::run_deferred`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthReport {

@@ -29,9 +29,14 @@
 //! 3. **Batch-lane fusion.** The kernels take a lane count: one walk of an
 //!    instance's metadata (bucket index, x base, value quadruple, class
 //!    selectors) feeds up to [`LANE_BLOCK`] batch vectors before moving
-//!    on. [`crate::ExecutionPlan::run_batch`] processes vector lanes in
-//!    blocks of [`LANE_BLOCK`], which keeps the staging buffer L1-resident
-//!    (the vector-blocked layout the large-batch bench measures).
+//!    on. The plan's one executor — behind [`crate::ExecutionPlan::run`]
+//!    (a batch of one), [`crate::ExecutionPlan::run_batch`] and
+//!    [`crate::ExecutionPlan::run_deferred`] — walks (tile row × lane
+//!    block) pairs, which keeps the staging buffer L1-resident; the y
+//!    windows stay window-major, one contiguous window per (tile row,
+//!    vector). The per-instance walk remains only as the verification
+//!    oracle and [`crate::ExecutionPlan::run_reference`], the scalar
+//!    baseline the large-batch bench compares against.
 //!
 //! Under the `simd` cargo feature (x86_64) the class kernel's datapath is
 //! written with explicit SSE2 intrinsics — a 4-wide multiply, the two
@@ -108,8 +113,8 @@ impl ClassKernel {
 }
 
 /// Borrowed view of the plan's pre-decoded SoA instance stream, shared by
-/// every classed executor call (Copy so the parallel fan-out can move it
-/// into scoped workers).
+/// every kernel call (Copy so the parallel fan-out can move it into
+/// scoped workers).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SoaRef<'a> {
     pub x_base: &'a [u32],
@@ -185,13 +190,13 @@ pub(crate) fn build_buckets(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Bu
     (bucket_idx, class_runs, block_runs, row_blocks)
 }
 
-/// Executes tile row `r` for `lanes` batch vectors (`lanes == 1` is the
-/// single-vector path) through the class-bucketed two-pass kernel.
+/// Executes tile row `r` for `lanes` batch vectors through the
+/// class-bucketed two-pass kernel.
 ///
 /// * `xs` holds padded x vectors at stride `xstride`; the call reads lanes
 ///   `lane0..lane0 + lanes`.
 /// * `windows` holds the `lanes` y windows back to back, each `wlen` long
-///   (the packed batch layout; a single `run` passes its one window).
+///   (the packed batch layout).
 /// * `stage` must be at least [`STAGE_STRIDE`] floats; contents are
 ///   scratch, fully overwritten per block before being read.
 ///

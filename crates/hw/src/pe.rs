@@ -6,8 +6,6 @@
 //! portfolio; changing the LUT content is what makes the PE support
 //! flexible pattern portfolios.
 
-use spasm_format::TemplateInstance;
-
 use crate::valu::{OpcodeError, ValuOpcode};
 
 /// A processing element: the opcode LUT plus the VALU datapath.
@@ -49,28 +47,11 @@ impl Pe {
     pub fn opcode(&self, t_idx: u8) -> ValuOpcode {
         self.lut[t_idx as usize]
     }
-
-    /// Processes one template instance: decodes its opcode, runs the VALU
-    /// on the packed x segment of the instance's submatrix column, and
-    /// accumulates the 4-row result into the partial-sum window
-    /// `y_seg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance's `t_idx` is outside the loaded portfolio.
-    pub fn process_instance(&self, inst: &TemplateInstance, x_seg: [f32; 4], y_seg: &mut [f32; 4]) {
-        let op = self.opcode(inst.encoding.t_idx());
-        let out = op.execute(inst.values, x_seg);
-        for r in 0..4 {
-            y_seg[r] += out[r];
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spasm_format::PositionEncoding;
     use spasm_patterns::TemplateSet;
 
     fn pe() -> Pe {
@@ -84,22 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn instance_accumulates_into_y() {
-        let pe = pe();
-        // t_idx 0 is row 0 in set 0.
-        let inst = TemplateInstance {
-            encoding: PositionEncoding::new(0, 0, false, false, 0),
-            values: [1.0, 2.0, 3.0, 4.0],
-        };
-        let mut y = [10.0, 0.0, 0.0, 0.0];
-        pe.process_instance(&inst, [1.0, 1.0, 1.0, 1.0], &mut y);
-        assert_eq!(y, [20.0, 0.0, 0.0, 0.0]);
-        // Accumulation, not overwrite:
-        pe.process_instance(&inst, [1.0, 1.0, 1.0, 1.0], &mut y);
-        assert_eq!(y, [30.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn rejects_unrealizable_portfolio() {
         assert!(Pe::new(&[0b0111_0001]).is_err()); // 4 cells but 3 in one row
     }
@@ -108,11 +73,6 @@ mod tests {
     #[should_panic]
     fn out_of_range_t_idx_panics() {
         let pe = Pe::new(&[0b1111]).unwrap();
-        let inst = TemplateInstance {
-            encoding: PositionEncoding::new(0, 0, false, false, 5),
-            values: [0.0; 4],
-        };
-        let mut y = [0.0; 4];
-        pe.process_instance(&inst, [0.0; 4], &mut y);
+        let _ = pe.opcode(5);
     }
 }

@@ -14,10 +14,10 @@
 //!   never re-parses 32-bit position encodings or re-derives tile bases;
 //! * each tile row's instance span is cut into fixed-size blocks whose
 //!   indices are stably sorted by opcode class at prepare time, feeding
-//!   the branch-free class kernels of the default [`Dispatch::Classed`]
-//!   executor (see the `kernel` module) — bit-identical to the
-//!   per-instance reference walk, which [`Dispatch::PerInstance`] keeps
-//!   available for differential testing and baselining;
+//!   the branch-free class kernels of the executor (see the `kernel`
+//!   module) — bit-identical to the per-instance reference walk, which
+//!   survives only as the verification oracle and as
+//!   [`ExecutionPlan::run_reference`];
 //! * the tile-row layout (instance spans, disjoint y windows), per-tile
 //!   lane statistics, [`TileJob`]s, the LPT assignment, per-group cycles,
 //!   traffic and the full [`ExecReport`] are computed once — the report is
@@ -28,29 +28,25 @@
 //!   a steady-state [`ExecutionPlan::run`] performs no heap allocation
 //!   (asserted by the workspace's counting-allocator test).
 //!
-//! Thread fan-out across tile rows is gated on the `parallel` cargo
-//! feature and the ambient worker budget (`rayon::current_num_threads`
-//! from the vendored shim — the same budget `Parallelism` installs), with
-//! tile rows chunked contiguously and balanced by instance count. Tile
-//! rows own disjoint y windows and each row is processed in stream order,
-//! so the result is bit-identical for every thread count.
+//! # One executor
 //!
-//! # Batched serving
-//!
-//! [`ExecutionPlan::run_batch`] executes one prepared matrix against many
-//! x-vectors in a single call — the serving shape of iterative solvers
-//! with multiple right-hand sides and of SpMM-as-batched-SpMV inference.
-//! All vectors are padded once into a strided scratch, the pre-decoded SoA
-//! stream is walked once per tile row and applied to every vector while
-//! its instances are hot in cache, and the parallel fan-out chunks
-//! (vector × tile-row) *pairs* balanced by instance count — so small
-//! matrices with large batches still saturate threads. The per-vector
-//! output is bit-identical to looped [`ExecutionPlan::run`] calls for
-//! every batch size and thread count, and the cached report gains an
-//! amortised [`BatchReport`] (initialisation and the matrix stream are
-//! paid once per batch). The value stream itself is an `Arc<[f32]>` shared
-//! with the owning [`SpasmMatrix`], so preparing several plans — or
-//! cloning one per batch worker — does not duplicate the multi-GB buffer.
+//! Every forward execution — [`ExecutionPlan::run`] (a batch of one),
+//! [`ExecutionPlan::run_batch`] and [`ExecutionPlan::run_deferred`] — goes
+//! through one loop over (tile-row × lane-block) pairs: all x vectors are
+//! padded once into a strided scratch, and each pair applies one tile
+//! row's span of the SoA stream to up to [`ExecutionPlan::LANE_BLOCK`]
+//! vectors while its instances are hot in cache. Outputs land in a packed
+//! window-major scratch where every (tile row, vector) window is
+//! contiguous. Under the `parallel` feature the pairs are chunked
+//! contiguously, balanced by instance weight, one scoped worker per chunk
+//! (the ambient budget is `rayon::current_num_threads` from the vendored
+//! shim — the same budget `Parallelism` installs); at budget 1 the single
+//! chunk runs inline. Windows are disjoint and each accumulates in stream
+//! order whichever worker computes it, so the output is bit-identical for
+//! every batch size and thread count, and to looped single runs. The
+//! value stream itself is an `Arc<[f32]>` shared with the owning
+//! [`SpasmMatrix`], so preparing several plans — or cloning one per batch
+//! worker — does not duplicate the multi-GB buffer.
 //!
 //! # Integrity and fault tolerance
 //!
@@ -62,21 +58,24 @@
 //! streams fail `prepare` with [`SimError::Integrity`] instead of
 //! mis-executing.
 //!
-//! At run time, [`ExecutionPlan::run_deferred`] executes without touching
-//! `y`, re-verifies selected tile rows against a pristine re-computation
-//! of the stream, quarantines and re-executes rows that disagree, and
-//! returns a [`HealthReport`]; [`ExecutionPlan::commit`] then folds the
-//! (healed) result into `y`. Under the `fault-injection` cargo feature a
-//! seeded [`crate::fault::FaultPlan`] can be armed on the plan to strike
-//! the decode path deterministically; production builds carry none of
-//! that state.
+//! At run time, [`ExecutionPlan::run_deferred`] executes a batch without
+//! touching any `y`, re-verifies selected tile rows of every vector
+//! against the per-instance oracle, quarantines and re-executes windows
+//! that disagree, and returns one [`HealthReport`] per vector;
+//! [`ExecutionPlan::commit`] then folds a (healed) vector into its `y`.
+//! Under the `fault-injection` cargo feature a seeded
+//! [`crate::fault::FaultPlan`] can be armed on the plan: the executor's
+//! per-(row, lane) hook re-decodes struck lanes from the raw encoding
+//! words, deterministically and on one thread; production builds carry
+//! none of that state.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use spasm_format::SpasmMatrix;
 
 use crate::config::HwConfig;
-use crate::integrity::{HealthReport, IntegrityCheck, VerifyScope};
+use crate::integrity::{merge_health, HealthReport, IntegrityCheck, VerifyScope};
 use crate::kernel::{self, BucketRef, ClassKernel, ClassRun, SoaRef};
 use crate::pe::Pe;
 use crate::sim::{BatchReport, ExecReport, SimError, Traffic};
@@ -88,27 +87,6 @@ use crate::valu::ValuOpcode;
 use crate::fault::{Fault, FaultPlan};
 #[cfg(feature = "fault-injection")]
 use spasm_format::PositionEncoding;
-
-/// How [`ExecutionPlan`]'s functional pass walks the instance stream.
-///
-/// Both dispatchers produce bit-identical output for every matrix, batch
-/// size and thread count — the per-y-element accumulation order is the
-/// stream order in either case (see the `kernel` module docs for why the
-/// classed executor preserves it). [`Dispatch::Classed`] is the default;
-/// [`Dispatch::PerInstance`] is retained as the reference baseline for
-/// differential tests and scalar-vs-classed benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// The reference executor: one enum-dispatched
-    /// [`ValuOpcode::execute`] per instance, in stream order.
-    PerInstance,
-    /// Class-bucketed two-pass kernels: branch-free per-class compute
-    /// into a staging buffer, then a stream-order scatter — with batch
-    /// lanes fused so one instance walk feeds up to
-    /// [`ExecutionPlan::LANE_BLOCK`] vectors.
-    #[default]
-    Classed,
-}
 
 /// Everything derivable from `(matrix, config)` alone, plus reusable
 /// scratch — see the [module docs](self) for the full inventory.
@@ -175,58 +153,49 @@ pub struct ExecutionPlan {
     class_runs: Stream<ClassRun>,
     block_runs: Stream<u32>,
     row_blocks: Stream<u32>,
-    // Which executor the functional pass uses; `Dispatch::Classed` by
-    // default, the per-instance reference path kept for differential
-    // testing and baseline benchmarking.
-    dispatch: Dispatch,
-    // Per worked tile row: instance span in the stream, y window in `yp`,
-    // the tile-row id, a prefix sum of instance counts for balanced
-    // chunking, and a prefix sum of window lengths addressing the packed
-    // batch output scratch `yb`.
+    // Per worked tile row: instance span in the stream, y window in the
+    // padded output, the tile-row id, a prefix sum of instance counts for
+    // balanced chunking, and a prefix sum of window lengths addressing the
+    // packed output scratch `yb`.
     inst_ranges: Vec<(usize, usize)>,
     window_spans: Vec<(usize, usize)>,
     tile_row_ids: Vec<u32>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     cum_instances: Vec<usize>,
     window_prefix: Vec<usize>,
     // Scheduling state, for introspection and the cached report.
     assignment: Vec<Vec<TileJob>>,
     report: ExecReport,
-    // Reusable padded scratch: `xp` for the operand, `yp` for the disjoint
-    // tile-row windows, `chunks` for the fan-out's row boundaries, and
-    // `vp`/`vq` (sized to the largest tile-row window) for the pristine
-    // verification oracle and the quarantine re-execution.
-    xp: Vec<f32>,
-    yp: Vec<f32>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+    // Reusable scratch, sized for one vector at build and grown to the
+    // largest batch seen: `xb` holds the batch's padded x vectors at
+    // stride `xstride`; `yb` packs each (tile-row, vector) window
+    // contiguously, window-major (`window_prefix[r] * batch + j *
+    // window_len(r)`), so chunks of (tile-row × lane-block) pairs own
+    // contiguous ascending spans; `batch` is how many vectors they hold.
+    // `chunks` keeps the fan-out's pair boundaries, `vp`/`vq` (sized to
+    // the largest window) the verification oracle and the quarantine
+    // retry, `health` the per-vector outcome of the last deferred run.
+    xstride: usize,
+    xb: Vec<f32>,
+    yb: Vec<f32>,
+    batch: usize,
     chunks: Vec<usize>,
     vp: Vec<f32>,
     vq: Vec<f32>,
-    // Staging scratch for the class-bucketed kernels: one
-    // `kernel::STAGE_STRIDE` stripe per worker (grown before a parallel
-    // fan-out; the serial stripe is allocated at build so steady-state
-    // serial runs stay allocation-free).
+    health: Vec<HealthReport>,
+    // Staging scratch for the class kernels: one `kernel::STAGE_STRIDE`
+    // stripe per worker (grown before a parallel fan-out; the serial
+    // stripe is allocated at build so steady-state serial runs stay
+    // allocation-free).
     stage: Vec<f32>,
-    // Batched-run scratch, grown on first use and reused: `xb` holds every
-    // padded x vector at stride `xp.len()`; `yb` packs each (tile-row,
-    // vector) window contiguously in pair order (`window_prefix[r] * batch
-    // + j * window_len(r)`), so parallel chunks of pairs own contiguous
-    // ascending spans.
-    xb: Vec<f32>,
-    yb: Vec<f32>,
     // Fault-injection state: the raw encoding words and per-instance tile
-    // column bases let the faulted executor re-decode the stream (against
-    // the shared `lut`) as the hardware would after a bit flip.
+    // column bases let the executor's fault hook re-decode the stream
+    // (against the shared `lut`) as the hardware would after a bit flip.
     #[cfg(feature = "fault-injection")]
     enc_bits: Vec<u32>,
     #[cfg(feature = "fault-injection")]
     col_base: Vec<u32>,
     #[cfg(feature = "fault-injection")]
     armed: Option<ArmedFaults>,
-    // Which batch lane single-vector executions act on behalf of, so a
-    // fault plan armed for one vector of a batch strikes only that vector.
-    #[cfg(feature = "fault-injection")]
-    active_lane: usize,
 }
 
 /// Borrowed views of an [`ExecutionPlan`]'s immutable stream sections —
@@ -304,7 +273,7 @@ pub struct PlanParts {
     pub row_blocks: Stream<u32>,
     /// Raw 32-bit position-encoding words, one per instance. Required
     /// (`Some` with matching length) by builds with the `fault-injection`
-    /// feature, whose executors re-decode the raw stream; ignored
+    /// feature, whose fault hook re-decodes the raw stream; ignored
     /// otherwise.
     pub encodings: Option<Vec<u32>>,
 }
@@ -343,7 +312,6 @@ impl ExecutionPlan {
             y_base,
             op_idx,
             Stream::owned(matrix.shared_values().clone()),
-            Dispatch::default(),
         )
     }
 
@@ -363,7 +331,6 @@ impl ExecutionPlan {
         y_base: Vec<u32>,
         op_idx: Vec<u8>,
         values: Stream<f32>,
-        dispatch: Dispatch,
     ) -> Result<Self, SimError> {
         let tile_size = matrix.tile_size();
         let xp_len = (matrix.cols() as usize).div_ceil(4) * 4;
@@ -395,9 +362,9 @@ impl ExecutionPlan {
             });
         }
 
-        // Fault-injection builds carry the raw encoding words so the
-        // faulted executors can re-decode the stream. These always come
-        // from the (current) matrix — after a splice, CE/RE flags of
+        // Fault-injection builds carry the raw encoding words so the fault
+        // hook can re-decode the stream. These always come from the
+        // (current) matrix — after a splice, CE/RE flags of
         // untouched tiles may have changed, so spans cannot be reused.
         #[cfg(feature = "fault-injection")]
         let (enc_bits, col_bases) = {
@@ -515,7 +482,6 @@ impl ExecutionPlan {
             class_runs: Stream::from_vec(class_runs),
             block_runs: Stream::from_vec(block_runs),
             row_blocks: Stream::from_vec(row_blocks),
-            dispatch,
             inst_ranges,
             window_spans,
             tile_row_ids,
@@ -523,22 +489,21 @@ impl ExecutionPlan {
             window_prefix,
             assignment,
             report,
-            xp: vec![0.0; xp_len],
-            yp: vec![0.0; yp_len],
+            xstride: xp_len,
+            xb: vec![0.0; xp_len],
+            yb: vec![0.0; wsum],
+            batch: 0,
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
             vq: vec![0.0; max_window],
+            health: Vec::new(),
             stage: vec![0.0; kernel::STAGE_STRIDE],
-            xb: Vec::new(),
-            yb: Vec::new(),
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
             col_base: col_bases,
             #[cfg(feature = "fault-injection")]
             armed: None,
-            #[cfg(feature = "fault-injection")]
-            active_lane: 0,
             config,
         })
     }
@@ -594,7 +559,7 @@ impl ExecutionPlan {
     /// new stream. Derived state (buckets, schedule, pricing, scratch)
     /// is rebuilt exactly as a fresh prepare would, so the result is
     /// bit-identical to preparing the mutated matrix from scratch, with
-    /// the [`Dispatch`] setting preserved and the version bumped.
+    /// the version bumped.
     ///
     /// # Errors
     ///
@@ -662,21 +627,13 @@ impl ExecutionPlan {
 
         let values =
             Stream::owned(matrix.shared_values().clone()).with_version(self.values.version() + 1);
-        Self::assemble(
-            self.config.clone(),
-            matrix,
-            x_base,
-            y_base,
-            op_idx,
-            values,
-            self.dispatch,
-        )
+        Self::assemble(self.config.clone(), matrix, x_base, y_base, op_idx, values)
     }
 
     /// Reassembles an executable plan from frozen parts — the wire-v3
     /// load path. The streams may be owned or mapped; either way the
     /// resulting plan executes bit-identically to one built by
-    /// `prepare` from the same matrix, through the same dispatch paths.
+    /// `prepare` from the same matrix, through the same executor.
     ///
     /// Every structural invariant `build` establishes by construction is
     /// checked here instead, because the parts may come from a hostile or
@@ -980,7 +937,6 @@ impl ExecutionPlan {
             class_runs: parts.class_runs,
             block_runs: parts.block_runs,
             row_blocks: parts.row_blocks,
-            dispatch: Dispatch::default(),
             inst_ranges,
             window_spans,
             tile_row_ids,
@@ -988,22 +944,21 @@ impl ExecutionPlan {
             window_prefix,
             assignment,
             report,
-            xp: vec![0.0; xp_len],
-            yp: vec![0.0; yp_len],
+            xstride: xp_len,
+            xb: vec![0.0; xp_len],
+            yb: vec![0.0; wsum],
+            batch: 0,
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
             vq: vec![0.0; max_window],
+            health: Vec::new(),
             stage: vec![0.0; kernel::STAGE_STRIDE],
-            xb: Vec::new(),
-            yb: Vec::new(),
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
             col_base: col_bases,
             #[cfg(feature = "fault-injection")]
             armed: None,
-            #[cfg(feature = "fault-injection")]
-            active_lane: 0,
             config,
         })
     }
@@ -1029,10 +984,10 @@ impl ExecutionPlan {
     }
 
     /// Instances per execution block: the pattern-class bucketing (and
-    /// kernel staging) granule of the classed dispatcher.
+    /// kernel staging) granule of the executor.
     pub const EXEC_BLOCK: usize = kernel::EXEC_BLOCK;
 
-    /// Batch vectors fused per instance walk by the classed dispatcher.
+    /// Batch vectors fused per instance walk by the executor.
     pub const LANE_BLOCK: usize = kernel::LANE_BLOCK;
 
     /// Template instances in the pre-decoded stream.
@@ -1045,26 +1000,13 @@ impl ExecutionPlan {
         self.inst_ranges.len()
     }
 
-    /// Selects the executor for subsequent runs (default
-    /// [`Dispatch::Classed`]). Output bits are unaffected — both
-    /// dispatchers are bit-identical; this exists for differential
-    /// testing and baseline benchmarking.
-    pub fn set_dispatch(&mut self, dispatch: Dispatch) {
-        self.dispatch = dispatch;
-    }
-
-    /// The active executor (see [`ExecutionPlan::set_dispatch`]).
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
     /// The instance span of worked tile row `r` in the pre-decoded
     /// stream, if `r` is in range.
     pub fn instance_range(&self, r: usize) -> Option<(usize, usize)> {
         self.inst_ranges.get(r).copied()
     }
 
-    /// The classed dispatcher's execution order: instance indices,
+    /// The executor's instance order: instance indices,
     /// block-wise stably sorted by opcode class. Each
     /// [`ExecutionPlan::EXEC_BLOCK`]-aligned slice of a tile row's span
     /// is a permutation of the corresponding stream positions (the
@@ -1073,8 +1015,8 @@ impl ExecutionPlan {
         &self.bucket_idx
     }
 
-    /// Per-instance opcode class: the template LUT index driving both
-    /// dispatchers (1 byte per instance).
+    /// Per-instance opcode class: the template LUT index driving both the
+    /// class kernels and the per-instance reference (1 byte per instance).
     pub fn opcode_classes(&self) -> &[u8] {
         &self.op_idx
     }
@@ -1101,7 +1043,8 @@ impl ExecutionPlan {
     }
 
     /// Executes `y += A·x` against the prepared matrix, returning the
-    /// cached report.
+    /// cached report: a batch of one through the same executor as
+    /// [`ExecutionPlan::run_batch`], with the report's batch stamp cleared.
     ///
     /// Bit-identical to [`crate::Accelerator::run`] on the same matrix and
     /// configuration, for every thread budget. Performs no heap allocation
@@ -1119,10 +1062,8 @@ impl ExecutionPlan {
     pub fn run(&mut self, x: &[f32], y: &mut [f32]) -> Result<&ExecReport, SimError> {
         self.check_x(x)?;
         self.check_y(y)?;
-        self.load_and_execute(x);
-        self.report.health = self.armed_health();
+        self.forward(&[x], &mut [y]);
         self.report.batch = None;
-        self.add_into(y);
         Ok(&self.report)
     }
 
@@ -1131,25 +1072,24 @@ impl ExecutionPlan {
     /// SpMM-as-batched-SpMV inference.
     ///
     /// All x-vectors are padded once into a strided scratch; the
-    /// pre-decoded instance stream is then walked once per tile row and
-    /// applied to every vector while it is hot in cache, instead of being
-    /// re-streamed per vector. Under the `parallel` feature the fan-out
-    /// chunks (vector × tile-row) pairs balanced by instance count, so a
-    /// small matrix with a large batch still saturates threads. Each
-    /// output is bit-identical to a looped [`ExecutionPlan::run`] over the
-    /// same vectors, for every batch size and thread count, and the scratch
-    /// is reused: after the first call at a given batch size the steady
-    /// state performs no heap allocation (when running serially).
+    /// pre-decoded instance stream is then walked once per (tile row ×
+    /// lane block) and applied to up to [`ExecutionPlan::LANE_BLOCK`]
+    /// vectors while it is hot in cache, instead of being re-streamed per
+    /// vector. Under the `parallel` feature the fan-out chunks those pairs
+    /// balanced by instance weight, so a small matrix with a large batch
+    /// still saturates threads. Each output is bit-identical to a looped
+    /// [`ExecutionPlan::run`] over the same vectors, for every batch size
+    /// and thread count, and the scratch is reused: after the first call
+    /// at a given batch size the steady state performs no heap allocation
+    /// (when running serially).
     ///
     /// On success the cached report carries a [`BatchReport`] with the
     /// amortised batch pricing (initialisation and the matrix stream are
     /// paid once per batch).
     ///
     /// Armed faults (under the `fault-injection` feature) strike batched
-    /// execution too: the batch degrades to a deterministic vector-serial
-    /// pass so fault application order matches looped [`ExecutionPlan::run`]
-    /// calls, with plans armed via `arm_faults_for_vector` striking only
-    /// their target vector.
+    /// execution too, on one thread: plans armed via
+    /// `arm_faults_for_vector` strike only their target vector.
     ///
     /// # Errors
     ///
@@ -1163,53 +1103,49 @@ impl ExecutionPlan {
         X: AsRef<[f32]>,
         Y: AsMut<[f32]>,
     {
-        if xs.len() != ys.len() {
-            return Err(SimError::DimensionMismatch {
-                expected: xs.len(),
-                actual: ys.len(),
-                operand: "batch",
-            });
-        }
-        for (j, x) in xs.iter().enumerate() {
-            if x.as_ref().len() != self.cols as usize {
-                return Err(SimError::BatchDimensionMismatch {
-                    vector: j,
-                    expected: self.cols as usize,
-                    actual: x.as_ref().len(),
-                    operand: "x",
-                });
+        self.check_batch(xs, ys)?;
+        self.forward(xs, ys);
+        self.stamp_batch(xs.len());
+        Ok(&self.report)
+    }
+
+    /// The scalar reference: `ys[j] += A·xs[j]` computed serially, one
+    /// (tile row, vector) window at a time in window-major order, one
+    /// instance at a time through the portfolio LUT — the per-instance
+    /// walk the verification oracle uses. Bit-identical to
+    /// [`ExecutionPlan::run_batch`] (the differential suite asserts it);
+    /// kept as the baseline for tests and benchmarks. Never fans out and
+    /// ignores armed faults. Stamps the report like `run_batch`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecutionPlan::run_batch`].
+    pub fn run_reference<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<&ExecReport, SimError>
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
+        self.check_batch(xs, ys)?;
+        self.load_batch(xs);
+        let (exec, s) = self.split();
+        for r in 0..exec.window_spans.len() {
+            for j in 0..exec.batch {
+                process_span(&exec, r, j, &mut s.yb[exec.window(r, j)]);
             }
         }
         for (j, y) in ys.iter_mut().enumerate() {
-            if y.as_mut().len() != self.rows as usize {
-                return Err(SimError::BatchDimensionMismatch {
-                    vector: j,
-                    expected: self.rows as usize,
-                    actual: y.as_mut().len(),
-                    operand: "y",
-                });
-            }
+            self.add_into(j, y.as_mut());
         }
-
-        #[cfg(feature = "fault-injection")]
-        if self.armed.is_some() {
-            return self.run_batch_faulted(xs, ys);
-        }
-
-        let batch = xs.len();
-        self.load_batch(xs);
-        self.execute_batch_rows(batch);
-        self.add_into_batch(ys);
         self.report.health = HealthReport::default();
-        self.stamp_batch(batch);
+        self.stamp_batch(xs.len());
         Ok(&self.report)
     }
 
     /// Stamps the cached report with amortised pricing for a
     /// `vectors`-sized batch. [`ExecutionPlan::run_batch`] does this
-    /// itself; front-ends that drive a batch through the per-vector
-    /// verified ladder call it once at the end so the report they hand out
-    /// reflects the batch.
+    /// itself; front-ends that drive a batch through the verified ladder
+    /// ([`ExecutionPlan::run_deferred`] + [`ExecutionPlan::commit`]) call
+    /// it once at the end so the report they hand out reflects the batch.
     pub fn stamp_batch(&mut self, vectors: usize) {
         let cycles = timing::batch_cycles(self.report.cycles, vectors);
         let seconds = self.config.cycles_to_seconds(cycles);
@@ -1229,53 +1165,74 @@ impl ExecutionPlan {
         });
     }
 
-    /// Executes `A·x` into the plan's internal window buffer *without*
-    /// touching `y`, then re-verifies the tile rows selected by `scope`
-    /// against a pristine re-computation of the stream.
+    /// Executes `A·xs[j]` for every vector of the batch into the plan's
+    /// internal window buffer *without* touching any `y`, then
+    /// re-verifies the tile rows selected by `scope`, for every vector,
+    /// against the per-instance oracle.
     ///
-    /// Rows whose output disagrees are quarantined and re-executed once
-    /// from the pristine stream (persistent lane faults remain in effect);
-    /// the outcome is recorded in the returned [`HealthReport`]. Call
-    /// [`ExecutionPlan::commit`] afterwards to fold the (healed) result
-    /// into `y`, or discard it — e.g. to fall back to a golden path —
-    /// by simply not committing.
+    /// (Tile row, vector) windows that disagree are quarantined and
+    /// re-executed once from the pristine stream (persistent lane faults
+    /// remain in effect); the outcome is recorded per vector in the
+    /// returned [`HealthReport`]s, whose sum becomes the report's health.
+    /// Call [`ExecutionPlan::commit`] afterwards to fold a (healed) vector
+    /// into its `y`, or discard it — e.g. to fall back to a golden path —
+    /// by simply not committing it.
     ///
     /// # Errors
     ///
-    /// [`SimError::DimensionMismatch`] if `x` has the wrong length.
-    pub fn run_deferred(
+    /// [`SimError::BatchDimensionMismatch`] naming the first `x` with the
+    /// wrong length; nothing is executed.
+    pub fn run_deferred<X: AsRef<[f32]>>(
         &mut self,
-        x: &[f32],
+        xs: &[X],
         scope: VerifyScope<'_>,
-    ) -> Result<HealthReport, SimError> {
-        self.check_x(x)?;
-        self.load_and_execute(x);
-        let health = self.verify_and_heal(scope);
-        self.report.health = health;
+    ) -> Result<&[HealthReport], SimError> {
+        self.check_xs(xs)?;
+        self.load_batch(xs);
+        self.execute();
+        self.verify_and_heal(scope);
+        self.report.health = self
+            .health
+            .iter()
+            .copied()
+            .fold(HealthReport::default(), merge_health);
         self.report.batch = None;
-        Ok(health)
+        Ok(&self.health)
     }
 
-    /// Folds the result of the last [`ExecutionPlan::run_deferred`] into
-    /// `y` (`y += A·x`) and returns the cached report.
+    /// Folds vector `vector` of the last [`ExecutionPlan::run_deferred`]
+    /// batch into `y` (`y += A·x`) and returns the cached report.
     ///
     /// # Errors
     ///
-    /// [`SimError::DimensionMismatch`] if `y` has the wrong length.
-    pub fn commit(&mut self, y: &mut [f32]) -> Result<&ExecReport, SimError> {
+    /// [`SimError::DimensionMismatch`] if `y` has the wrong length;
+    /// [`SimError::Plan`] if `vector` is outside the last batch.
+    pub fn commit(&mut self, vector: usize, y: &mut [f32]) -> Result<&ExecReport, SimError> {
         self.check_y(y)?;
-        self.add_into(y);
+        if vector >= self.batch {
+            return Err(SimError::Plan(
+                "commit names a vector outside the last batch",
+            ));
+        }
+        self.add_into(vector, y);
         Ok(&self.report)
     }
 
-    /// The contribution `(A·x)[row]` computed by the last execution
-    /// (zero for rows outside the matrix or in unworked tile rows).
+    /// The contribution `(A·xs[vector])[row]` computed by the last
+    /// execution (zero for rows outside the matrix or in unworked tile
+    /// rows, and for vectors outside the last batch).
     ///
     /// Meaningful between [`ExecutionPlan::run_deferred`] and the next
     /// execution; used for sampled residual cross-checks against a golden
     /// reference before committing.
-    pub fn contribution(&self, row: usize) -> f32 {
-        self.yp.get(row).copied().unwrap_or(0.0)
+    pub fn contribution(&self, vector: usize, row: usize) -> f32 {
+        if vector >= self.batch || row >= self.rows as usize {
+            return 0.0;
+        }
+        self.tile_row_index_containing(row).map_or(0.0, |r| {
+            let (w0, w1) = self.window_spans[r];
+            self.yb[self.window_prefix[r] * self.batch + vector * (w1 - w0) + row - w0]
+        })
     }
 
     /// The index (into the plan's worked tile rows, as accepted by
@@ -1325,13 +1282,7 @@ impl ExecutionPlan {
                 std::mem::size_of_val(&**s)
             }
         }
-        let f32s = self.xp.len()
-            + self.yp.len()
-            + self.vp.len()
-            + self.vq.len()
-            + self.stage.len()
-            + self.xb.len()
-            + self.yb.len();
+        let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.vq.len() + self.stage.len();
         let bytes = size_of::<Self>()
             + f32s * size_of::<f32>()
             + owned(&self.values)
@@ -1350,6 +1301,7 @@ impl ExecutionPlan {
             + self.cum_instances.len() * size_of::<usize>()
             + self.window_prefix.len() * size_of::<usize>()
             + self.chunks.len() * size_of::<usize>()
+            + self.health.len() * size_of::<HealthReport>()
             + self
                 .assignment
                 .iter()
@@ -1424,323 +1376,204 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Loads `x` into the padded scratch and executes all tile rows into
-    /// the (zeroed) window buffer.
-    fn load_and_execute(&mut self, x: &[f32]) {
-        // The scratch tails beyond `x.len()` / the worked windows stay
-        // zero from construction, as the hardware's aligned buffers do.
-        self.xp[..x.len()].copy_from_slice(x);
-        self.yp.fill(0.0);
-        self.execute_tile_rows();
+    /// Validates every x of a batch, naming the first offender.
+    fn check_xs<X: AsRef<[f32]>>(&self, xs: &[X]) -> Result<(), SimError> {
+        for (j, x) in xs.iter().enumerate() {
+            if x.as_ref().len() != self.cols as usize {
+                return Err(SimError::BatchDimensionMismatch {
+                    vector: j,
+                    expected: self.cols as usize,
+                    actual: x.as_ref().len(),
+                    operand: "x",
+                });
+            }
+        }
+        Ok(())
     }
 
-    fn add_into(&mut self, y: &mut [f32]) {
-        for (dst, src) in y.iter_mut().zip(&self.yp) {
-            *dst += *src;
+    /// Validates a whole batch's shapes up front, so an error leaves every
+    /// output untouched.
+    fn check_batch<X, Y>(&self, xs: &[X], ys: &mut [Y]) -> Result<(), SimError>
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
+        if xs.len() != ys.len() {
+            return Err(SimError::DimensionMismatch {
+                expected: xs.len(),
+                actual: ys.len(),
+                operand: "batch",
+            });
         }
+        self.check_xs(xs)?;
+        for (j, y) in ys.iter_mut().enumerate() {
+            if y.as_mut().len() != self.rows as usize {
+                return Err(SimError::BatchDimensionMismatch {
+                    vector: j,
+                    expected: self.rows as usize,
+                    actual: y.as_mut().len(),
+                    operand: "y",
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Pads every x vector into the strided batch scratch and zeroes the
     /// active region of the packed window scratch. Both buffers grow on
-    /// first use and are reused afterwards; the pad lanes beyond each
-    /// vector's `cols` entries are written zero at growth and never
-    /// touched again (every accepted x has exactly `cols` entries).
+    /// first use beyond one vector and are reused afterwards; the pad
+    /// lanes beyond each vector's `cols` entries are written zero at
+    /// growth and never touched again (every accepted x has exactly `cols`
+    /// entries), as the hardware's aligned buffers are.
     fn load_batch<X: AsRef<[f32]>>(&mut self, xs: &[X]) {
-        let xstride = self.xp.len();
-        let need_x = xstride * xs.len();
+        let need_x = self.xstride * xs.len();
         if self.xb.len() < need_x {
             self.xb.resize(need_x, 0.0);
         }
         for (j, x) in xs.iter().enumerate() {
             let x = x.as_ref();
-            self.xb[j * xstride..j * xstride + x.len()].copy_from_slice(x);
+            self.xb[j * self.xstride..j * self.xstride + x.len()].copy_from_slice(x);
         }
         let need_y = self.window_prefix.last().copied().unwrap_or(0) * xs.len();
         if self.yb.len() < need_y {
             self.yb.resize(need_y, 0.0);
         }
         self.yb[..need_y].fill(0.0);
+        self.batch = xs.len();
     }
 
-    /// The batched functional pass: tile rows outermost, vectors innermost,
-    /// so each tile row's span of the SoA stream is applied to every
-    /// vector while it is hot in cache. Per vector, the accumulation order
-    /// within each window is exactly the single-run order, so the packed
-    /// windows are bitwise what `run` would have produced.
-    fn execute_batch_rows(&mut self, batch: usize) {
-        let n_rows = self.inst_ranges.len();
-        if n_rows == 0 || batch == 0 {
+    /// The unguarded batch execution behind `run` and `run_batch`:
+    /// `ys[j] += A·xs[j]` through the executor, with injection-level
+    /// health on the report. Shapes must already be validated.
+    fn forward<X, Y>(&mut self, xs: &[X], ys: &mut [Y])
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
+        self.load_batch(xs);
+        self.execute();
+        for (j, y) in ys.iter_mut().enumerate() {
+            self.add_into(j, y.as_mut());
+        }
+        self.report.health = (0..xs.len())
+            .map(|j| self.armed_health(j))
+            .fold(HealthReport::default(), merge_health);
+    }
+
+    /// The one forward pass over the loaded batch: every (tile-row ×
+    /// lane-block) pair, in pair order `p = r·lane_blocks + b`, chunked
+    /// contiguously by instance weight with one scoped worker per chunk —
+    /// or, at budget 1, one chunk run inline on the caller's thread. A
+    /// chunk's packed windows form one contiguous ascending span of `yb`
+    /// (that is what the window-major layout buys), handed out with
+    /// `split_at_mut`; every window accumulates in stream order whichever
+    /// chunk computes it, so the result is bit-identical for every budget.
+    /// Armed faults force budget 1.
+    fn execute(&mut self) {
+        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
+        let n_pairs = self.inst_ranges.len() * lane_blocks;
+        if n_pairs == 0 {
             return;
         }
-        #[cfg(feature = "parallel")]
-        {
-            let budget = worker_budget();
-            if budget >= 2 && n_rows * batch >= 2 {
-                self.execute_batch_parallel(batch, budget);
-                return;
-            }
+        #[cfg(feature = "fault-injection")]
+        let budget = if self.armed.is_some() {
+            1
+        } else {
+            worker_budget()
+        };
+        #[cfg(not(feature = "fault-injection"))]
+        let budget = worker_budget();
+        self.chunk_pairs(lane_blocks, n_pairs, budget.min(n_pairs));
+
+        // One staging stripe per chunk worker (grown once per budget, so
+        // the steady state at a fixed thread count does not allocate).
+        let n_chunks = self.chunks.len() - 1;
+        if self.stage.len() < n_chunks * kernel::STAGE_STRIDE {
+            self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
         }
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                let xstride = self.xp.len();
-                for r in 0..n_rows {
-                    let (i0, i1) = self.inst_ranges[r];
-                    let (w0, w1) = self.window_spans[r];
-                    let wlen = w1 - w0;
-                    let base = self.window_prefix[r] * batch;
-                    for j in 0..batch {
-                        process_span(
-                            &self.x_base,
-                            &self.y_base,
-                            &self.op_idx,
-                            &self.lut,
-                            &self.values,
-                            &self.xb[j * xstride..(j + 1) * xstride],
-                            &mut self.yb[base + j * wlen..base + (j + 1) * wlen],
-                            i0,
-                            i1,
-                        );
-                    }
-                }
-            }
-            // Batch-lane fusion: one instance walk feeds up to LANE_BLOCK
-            // vectors, and each vector's window still accumulates in
-            // stream order — the lane blocking only changes how often the
-            // instance metadata is re-read, not any per-window order.
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                for (r, &(w0, w1)) in v.window_spans.iter().enumerate() {
-                    let wlen = w1 - w0;
-                    let base = v.window_prefix[r] * batch;
-                    let mut lb = 0usize;
-                    while lb < batch {
-                        let lanes = kernel::LANE_BLOCK.min(batch - lb);
-                        kernel::execute_row_classed(
-                            v.soa,
-                            v.buckets,
-                            r,
-                            v.xb,
-                            xstride,
-                            lb,
-                            lanes,
-                            &mut v.yb[base + lb * wlen..base + (lb + lanes) * wlen],
-                            wlen,
-                            v.stage,
-                        );
-                        lb += lanes;
-                    }
-                }
-            }
+        let (exec, s) = self.split();
+        let ys = &mut s.yb[..exec.pair_offset(n_pairs)];
+        if n_chunks == 1 {
+            exec.run_pairs(0, n_pairs, ys, &mut s.stage[..kernel::STAGE_STRIDE]);
+            return;
         }
+        std::thread::scope(|scope| {
+            let mut rest = ys;
+            let mut stage_rest = &mut *s.stage;
+            for w in s.chunks.windows(2) {
+                let (p0, p1) = (w[0], w[1]);
+                let len = exec.pair_offset(p1) - exec.pair_offset(p0);
+                let (chunk_y, tail) = rest.split_at_mut(len);
+                rest = tail;
+                let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
+                stage_rest = s_tail;
+                scope.spawn(move || exec.run_pairs(p0, p1, chunk_y, chunk_stage));
+            }
+        });
     }
 
-    /// Parallel batched fan-out over (tile-row × vector) pairs, in pair
-    /// order `p = r·batch + j`: chunk boundaries are binary-searched on the
-    /// pairs' cumulative instance weight, and each chunk's packed windows
-    /// form one contiguous ascending span of `yb` (that is what the pair
-    /// ordering of `yb`'s layout buys), handed out with `split_at_mut`.
-    /// Workers process their pairs in order, so every window's accumulation
-    /// sequence is identical to the serial pass.
-    #[cfg(feature = "parallel")]
-    fn execute_batch_parallel(&mut self, batch: usize, budget: usize) {
-        let n_rows = self.inst_ranges.len();
-        let n_pairs = n_rows * batch;
-        let parts = budget.min(n_pairs);
-        let total = self.cum_instances.last().copied().unwrap_or(0) * batch;
+    /// Fills `chunks` with `parts` contiguous pair ranges of roughly equal
+    /// instance weight (a pair weighs its row's instances times its lanes):
+    /// each boundary is binary-searched on the pairs' cumulative weight,
+    /// clamped strictly increasing.
+    fn chunk_pairs(&mut self, lane_blocks: usize, n_pairs: usize, parts: usize) {
+        let (batch, cum) = (self.batch, &self.cum_instances);
+        // Cumulative weight of the pairs before pair `p`.
+        let weight = |p: usize| {
+            let (r, b) = (p / lane_blocks, p % lane_blocks);
+            batch * cum[r] + b * kernel::LANE_BLOCK * (cum[r + 1] - cum[r])
+        };
+        let total = batch * cum.last().copied().unwrap_or(0);
         self.chunks.clear();
         self.chunks.push(0);
-        let mut last_boundary = 0usize;
         for t in 1..parts {
             let target = total * t / parts;
-            // Smallest pair whose cumulative weight reaches this worker's
-            // share of the instance stream; clamped strictly increasing.
             let (mut lo, mut hi) = (0usize, n_pairs);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let (r, j) = (mid / batch, mid % batch);
-                let w = batch * self.cum_instances[r]
-                    + j * (self.cum_instances[r + 1] - self.cum_instances[r]);
-                if w < target {
+                if weight(mid) < target {
                     lo = mid + 1;
                 } else {
                     hi = mid;
                 }
             }
-            if lo > last_boundary && lo < n_pairs {
+            if self.chunks.last().is_some_and(|&last| lo > last) && lo < n_pairs {
                 self.chunks.push(lo);
-                last_boundary = lo;
             }
         }
         self.chunks.push(n_pairs);
-
-        // One staging stripe per chunk worker.
-        let n_chunks = self.chunks.len() - 1;
-        if self.dispatch == Dispatch::Classed && self.stage.len() < n_chunks * kernel::STAGE_STRIDE
-        {
-            self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
-        }
-        let dispatch = self.dispatch;
-        let v = self.kernel_views();
-        let (soa, buckets) = (v.soa, v.buckets);
-        let (op_idx, lut) = (v.op_idx, v.lut);
-        let (inst_ranges, window_spans) = (buckets.inst_ranges, v.window_spans);
-        let window_prefix = v.window_prefix;
-        let xb = v.xb;
-        let xstride = v.xp.len();
-        // Packed offset of pair `p`'s window; `p == n_pairs` is the end of
-        // the active region.
-        let offset = |p: usize| {
-            if p == n_pairs {
-                return window_prefix[n_rows] * batch;
-            }
-            let (r, j) = (p / batch, p % batch);
-            let (w0, w1) = window_spans[r];
-            window_prefix[r] * batch + j * (w1 - w0)
-        };
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = &mut v.yb[..window_prefix[n_rows] * batch];
-            let mut stage_rest: &mut [f32] = v.stage;
-            let mut consumed = 0usize;
-            for w in v.chunks.windows(2) {
-                let (p0, p1) = (w[0], w[1]);
-                let (start, end) = (offset(p0), offset(p1));
-                let (chunk_y, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                debug_assert_eq!(start, consumed);
-                consumed = end;
-                match dispatch {
-                    Dispatch::PerInstance => {
-                        scope.spawn(move || {
-                            for p in p0..p1 {
-                                let (r, j) = (p / batch, p % batch);
-                                let (i0, i1) = inst_ranges[r];
-                                let (w0, w1) = window_spans[r];
-                                let wlen = w1 - w0;
-                                let off = window_prefix[r] * batch + j * wlen - start;
-                                process_span(
-                                    soa.x_base,
-                                    soa.y_base,
-                                    op_idx,
-                                    lut,
-                                    soa.values,
-                                    &xb[j * xstride..(j + 1) * xstride],
-                                    &mut chunk_y[off..off + wlen],
-                                    i0,
-                                    i1,
-                                );
-                            }
-                        });
-                    }
-                    // A chunk's pairs are consecutive, so pairs sharing a
-                    // tile row form runs of consecutive vectors — each run
-                    // is lane-blocked through the fused kernel. Every
-                    // (row, vector) window is still produced in stream
-                    // order, so chunk boundaries cannot change any bits.
-                    Dispatch::Classed => {
-                        let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
-                        stage_rest = s_tail;
-                        scope.spawn(move || {
-                            let mut p = p0;
-                            while p < p1 {
-                                let r = p / batch;
-                                let (w0, w1) = window_spans[r];
-                                let wlen = w1 - w0;
-                                let row_end = ((r + 1) * batch).min(p1);
-                                let jend = row_end - r * batch;
-                                let mut j = p % batch;
-                                while j < jend {
-                                    let lanes = kernel::LANE_BLOCK.min(jend - j);
-                                    let off = window_prefix[r] * batch + j * wlen - start;
-                                    kernel::execute_row_classed(
-                                        soa,
-                                        buckets,
-                                        r,
-                                        xb,
-                                        xstride,
-                                        j,
-                                        lanes,
-                                        &mut chunk_y[off..off + lanes * wlen],
-                                        wlen,
-                                        chunk_stage,
-                                    );
-                                    j += lanes;
-                                }
-                                p = row_end;
-                            }
-                        });
-                    }
-                }
-            }
-        });
     }
 
-    /// Folds the packed batch windows into the output vectors,
-    /// reproducing single-run [`ExecutionPlan::add_into`] bit-for-bit —
-    /// including the `+= 0.0` it performs on rows outside every worked
-    /// window (which normalises a caller's `-0.0` to `+0.0`), so batched
-    /// and looped execution cannot be told apart even on signed zeros.
-    fn add_into_batch<Y: AsMut<[f32]>>(&mut self, ys: &mut [Y]) {
-        let batch = ys.len();
-        let rows = self.rows as usize;
-        for y in ys.iter_mut() {
-            let y = y.as_mut();
-            let mut cursor = 0usize;
-            for &(w0, w1) in &self.window_spans {
-                for dst in &mut y[cursor..w0.min(rows)] {
-                    *dst += 0.0;
-                }
-                cursor = cursor.max(w1.min(rows));
-            }
-            for dst in &mut y[cursor..] {
+    /// Folds vector `j`'s packed windows into `y`, including the
+    /// `+= 0.0` on rows outside every worked window (which normalises a
+    /// caller's `-0.0` to `+0.0`), so every execution path — and every
+    /// batch size — writes `y` identically, even on signed zeros.
+    fn add_into(&self, j: usize, y: &mut [f32]) {
+        let rows = y.len();
+        let mut cursor = 0usize;
+        for (r, &(w0, w1)) in self.window_spans.iter().enumerate() {
+            let (lo, hi) = (w0.min(rows), w1.min(rows));
+            for dst in &mut y[cursor..lo] {
                 *dst += 0.0;
             }
-        }
-        for (r, &(w0, w1)) in self.window_spans.iter().enumerate() {
-            let wlen = w1 - w0;
-            let base = self.window_prefix[r] * batch;
-            let hi = w1.min(rows);
-            for (j, y) in ys.iter_mut().enumerate() {
-                let y = y.as_mut();
-                let src = &self.yb[base + j * wlen..base + j * wlen + (hi - w0)];
-                for (dst, s) in y[w0..hi].iter_mut().zip(src) {
-                    *dst += *s;
-                }
+            let off = self.window_prefix[r] * self.batch + j * (w1 - w0);
+            for (dst, s) in y[lo..hi].iter_mut().zip(&self.yb[off..]) {
+                *dst += *s;
             }
+            cursor = hi;
+        }
+        for dst in &mut y[cursor..] {
+            *dst += 0.0;
         }
     }
 
-    /// The faulted batch path: vector-serial through the single-vector
-    /// machinery, so fault application order is identical to looped
-    /// [`ExecutionPlan::run`] calls with the matching active lane.
-    #[cfg(feature = "fault-injection")]
-    fn run_batch_faulted<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<&ExecReport, SimError>
-    where
-        X: AsRef<[f32]>,
-        Y: AsMut<[f32]>,
-    {
-        let prev = self.active_lane;
-        let mut health = HealthReport::default();
-        for (j, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-            self.active_lane = j;
-            self.load_and_execute(x.as_ref());
-            let h = self.armed_health();
-            health.faults_injected += h.faults_injected;
-            health.stall_cycles += h.stall_cycles;
-            self.add_into(y.as_mut());
-        }
-        self.active_lane = prev;
-        self.report.health = health;
-        self.stamp_batch(xs.len());
-        Ok(&self.report)
-    }
-
-    /// Injection-level health: what is armed on the plan *and striking the
-    /// active lane*, before any verification has looked at the output.
-    fn armed_health(&self) -> HealthReport {
+    /// Injection-level health of vector `lane`: what is armed on the plan
+    /// *and striking that lane*, before any verification has looked at
+    /// the output.
+    fn armed_health(&self, _lane: usize) -> HealthReport {
         #[cfg(feature = "fault-injection")]
         if let Some(af) = &self.armed {
-            if af.strikes_lane(self.active_lane) {
+            if af.strikes_lane(_lane) {
                 return HealthReport {
                     faults_injected: af.applied,
                     stall_cycles: af.stall_cycles,
@@ -1751,55 +1584,49 @@ impl ExecutionPlan {
         HealthReport::default()
     }
 
-    /// Re-verifies the selected tile rows against a pristine
-    /// re-computation, quarantining and re-executing rows that disagree.
-    fn verify_and_heal(&mut self, scope: VerifyScope<'_>) -> HealthReport {
-        let mut health = self.armed_health();
+    /// Re-verifies the selected tile rows of every loaded vector against
+    /// the oracle, quarantining and re-executing windows that disagree;
+    /// the per-vector outcomes land in `health`.
+    fn verify_and_heal(&mut self, scope: VerifyScope<'_>) {
+        self.health.clear();
+        for j in 0..self.batch {
+            let h = self.armed_health(j);
+            self.health.push(h);
+        }
+        let n_rows = self.inst_ranges.len();
+        let mut verify = |r: usize| {
+            if r < n_rows {
+                for j in 0..self.batch {
+                    self.verify_window(r, j);
+                }
+            }
+        };
         match scope {
             VerifyScope::None => {}
-            VerifyScope::All => {
-                for r in 0..self.inst_ranges.len() {
-                    self.verify_row(r, &mut health);
-                }
-            }
-            VerifyScope::TileRows(rows) => {
-                for &r in rows {
-                    if r < self.inst_ranges.len() {
-                        self.verify_row(r, &mut health);
-                    }
-                }
-            }
+            VerifyScope::All => (0..n_rows).for_each(verify),
+            VerifyScope::TileRows(rows) => rows.iter().for_each(|&r| verify(r)),
         }
-        health
     }
 
-    /// Verifies one tile row's window bit-for-bit against the pristine
-    /// oracle; on mismatch, quarantines it and re-executes it once from
-    /// the pristine stream (transient stream faults heal, persistent lane
-    /// faults do not).
-    fn verify_row(&mut self, r: usize, health: &mut HealthReport) {
-        let (w0, w1) = self.window_spans[r];
-        let (i0, i1) = self.inst_ranges[r];
-        let wlen = w1 - w0;
+    /// Verifies tile row `r` of vector `j` bit-for-bit against the
+    /// per-instance oracle — which doubles as a cross-check of the class
+    /// kernels on every verified window. On mismatch, quarantines the
+    /// window and re-executes it once from the pristine stream through
+    /// the executor (transient stream faults heal, persistent lane faults
+    /// do not).
+    fn verify_window(&mut self, r: usize, j: usize) {
+        let tile_row_id = self.tile_row_ids[r];
+        let (exec, s) = self.split();
+        let range = exec.window(r, j);
+        let wlen = range.len();
+        let health = &mut s.health[j];
         health.tile_rows_verified += 1;
 
-        let oracle = &mut self.vp[..wlen];
+        let oracle = &mut s.vp[..wlen];
         oracle.fill(0.0);
-        // The oracle is always the per-instance reference walk, whatever
-        // dispatcher produced the window — the two are bit-identical, so
-        // this doubles as a cross-dispatch check on every verified row.
-        process_span(
-            &self.x_base,
-            &self.y_base,
-            &self.op_idx,
-            &self.lut,
-            &self.values,
-            &self.xp,
-            oracle,
-            i0,
-            i1,
-        );
-        if bits_equal(&self.yp[w0..w1], &self.vp[..wlen]) {
+        process_span(&exec, r, j, oracle);
+        let window = &mut s.yb[range];
+        if bits_equal(window, oracle) {
             return;
         }
         health.tile_rows_quarantined += 1;
@@ -1807,154 +1634,31 @@ impl ExecutionPlan {
         // One-shot re-execution from the pristine stream. Transient faults
         // (in-flight bit flips) do not recur; persistent faults (a stuck
         // VALU lane) strike the retry too and stay uncorrected.
-        let retry = &mut self.vq[..wlen];
+        #[cfg(feature = "fault-injection")]
+        let exec = Exec {
+            faults: exec.faults.map(|hook| FaultHook {
+                stream_faults: false,
+                ..hook
+            }),
+            ..exec
+        };
+        let retry = &mut s.vq[..wlen];
         retry.fill(0.0);
-        self.reexecute_span(r, wlen);
-        self.yp[w0..w1].copy_from_slice(&self.vq[..wlen]);
-        if bits_equal(&self.yp[w0..w1], &self.vp[..wlen]) {
+        exec.row_lanes(r, j, 1, retry, &mut s.stage[..kernel::STAGE_STRIDE]);
+        window.copy_from_slice(retry);
+        if bits_equal(window, oracle) {
             health.tile_rows_corrected += 1;
         } else {
             health.tile_rows_uncorrected += 1;
-            if health.first_failed_tile_row.is_none() {
-                health.first_failed_tile_row = Some(self.tile_row_ids[r]);
-            }
+            health.first_failed_tile_row.get_or_insert(tile_row_id);
         }
     }
 
-    /// Re-executes tile row `r` from the pristine stream into
-    /// `vq[..wlen]`, keeping persistent (lane) faults in effect.
-    #[cfg(feature = "fault-injection")]
-    fn reexecute_span(&mut self, r: usize, wlen: usize) {
-        let (i0, i1) = self.inst_ranges[r];
-        match &self.armed {
-            Some(af) if af.strikes_lane(self.active_lane) => process_span_faulted(
-                af,
-                false,
-                &self.enc_bits,
-                &self.col_base,
-                &self.lut,
-                &self.values,
-                &self.xp,
-                &mut self.vq[..wlen],
-                i0,
-                i1,
-            ),
-            _ => self.reexecute_pristine(r, wlen),
-        }
-    }
-
-    /// Re-executes tile row `r` from the pristine stream into
-    /// `vq[..wlen]` (without fault injection compiled in, the pristine
-    /// stream is the only stream).
-    #[cfg(not(feature = "fault-injection"))]
-    fn reexecute_span(&mut self, r: usize, wlen: usize) {
-        self.reexecute_pristine(r, wlen);
-    }
-
-    /// The pristine retry, run through the *active* dispatcher — when the
-    /// plan executes classed, the quarantine re-execution replays the same
-    /// bucketed order (and the same staging/scatter passes) the original
-    /// execution used, so a healed window is exactly what a fault-free
-    /// run would have produced.
-    fn reexecute_pristine(&mut self, r: usize, wlen: usize) {
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                let (i0, i1) = self.inst_ranges[r];
-                process_span(
-                    &self.x_base,
-                    &self.y_base,
-                    &self.op_idx,
-                    &self.lut,
-                    &self.values,
-                    &self.xp,
-                    &mut self.vq[..wlen],
-                    i0,
-                    i1,
-                );
-            }
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                kernel::execute_row_classed(
-                    v.soa,
-                    v.buckets,
-                    r,
-                    v.xp,
-                    xstride,
-                    0,
-                    1,
-                    &mut v.vq[..wlen],
-                    wlen,
-                    v.stage,
-                );
-            }
-        }
-    }
-
-    /// Dispatches the functional pass over tile rows, fanning out only
-    /// when the `parallel` feature is on and the ambient budget allows.
-    fn execute_tile_rows(&mut self) {
-        #[cfg(feature = "fault-injection")]
-        if self
-            .armed
-            .as_ref()
-            .is_some_and(|af| af.strikes_lane(self.active_lane))
-        {
-            self.execute_tile_rows_faulted();
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let budget = worker_budget();
-            if budget >= 2 && self.inst_ranges.len() >= 2 {
-                self.execute_parallel(budget);
-                return;
-            }
-        }
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                for r in 0..self.inst_ranges.len() {
-                    let (w0, w1) = self.window_spans[r];
-                    let (i0, i1) = self.inst_ranges[r];
-                    process_span(
-                        &self.x_base,
-                        &self.y_base,
-                        &self.op_idx,
-                        &self.lut,
-                        &self.values,
-                        &self.xp,
-                        &mut self.yp[w0..w1],
-                        i0,
-                        i1,
-                    );
-                }
-            }
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                for (r, &(w0, w1)) in v.window_spans.iter().enumerate() {
-                    kernel::execute_row_classed(
-                        v.soa,
-                        v.buckets,
-                        r,
-                        v.xp,
-                        xstride,
-                        0,
-                        1,
-                        &mut v.yp[w0..w1],
-                        w1 - w0,
-                        v.stage,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Splits `self` into the disjoint borrows the classed executors
-    /// need: shared views of the SoA stream, portfolio tables and bucket
-    /// directory alongside mutable scratch — one destructure instead of
-    /// per-call-site field juggling.
-    fn kernel_views(&mut self) -> KernelViews<'_> {
+    /// Splits `self` into the disjoint borrows execution needs: a
+    /// shareable [`Exec`] view of the stream, portfolio, layout and loaded
+    /// x vectors alongside the mutable scratch — one destructure instead
+    /// of per-call-site field juggling.
+    fn split(&mut self) -> (Exec<'_>, Scratch<'_>) {
         let ExecutionPlan {
             x_base,
             y_base,
@@ -1969,16 +1673,24 @@ impl ExecutionPlan {
             inst_ranges,
             window_spans,
             window_prefix,
-            chunks,
-            xp,
+            xstride,
             xb,
-            yp,
             yb,
+            batch,
+            chunks,
+            vp,
             vq,
+            health,
             stage,
+            #[cfg(feature = "fault-injection")]
+            enc_bits,
+            #[cfg(feature = "fault-injection")]
+            col_base,
+            #[cfg(feature = "fault-injection")]
+            armed,
             ..
         } = self;
-        KernelViews {
+        let exec = Exec {
             soa: SoaRef {
                 x_base,
                 y_base,
@@ -1996,174 +1708,48 @@ impl ExecutionPlan {
             lut,
             window_spans,
             window_prefix,
-            chunks,
-            xp,
             xb,
-            yp,
+            xstride: *xstride,
+            batch: *batch,
+            #[cfg(feature = "fault-injection")]
+            faults: armed.as_ref().map(|armed| FaultHook {
+                armed,
+                enc_bits,
+                col_base,
+                stream_faults: true,
+            }),
+        };
+        let scratch = Scratch {
             yb,
+            chunks,
+            vp,
             vq,
+            health,
             stage,
-        }
-    }
-
-    /// The faulted functional pass: always serial (fault application is
-    /// deterministic in stream order), re-decoding each instance from its
-    /// raw — possibly struck — encoding word the way the hardware would.
-    #[cfg(feature = "fault-injection")]
-    fn execute_tile_rows_faulted(&mut self) {
-        let Some(af) = &self.armed else { return };
-        for r in 0..self.inst_ranges.len() {
-            let (w0, w1) = self.window_spans[r];
-            let (i0, i1) = self.inst_ranges[r];
-            process_span_faulted(
-                af,
-                true,
-                &self.enc_bits,
-                &self.col_base,
-                &self.lut,
-                &self.values,
-                &self.xp,
-                &mut self.yp[w0..w1],
-                i0,
-                i1,
-            );
-        }
-    }
-
-    /// Parallel fan-out: tile rows are chunked contiguously, balanced by
-    /// instance count, one scoped worker per chunk. Chunks own disjoint
-    /// ascending spans of `yp`, and each worker processes its rows in
-    /// stream order, so the accumulation order per y element is identical
-    /// to the serial pass.
-    #[cfg(feature = "parallel")]
-    fn execute_parallel(&mut self, budget: usize) {
-        let n_rows = self.inst_ranges.len();
-        let parts = budget.min(n_rows);
-        let total = self.cum_instances.last().copied().unwrap_or(0);
-        self.chunks.clear();
-        self.chunks.push(0);
-        let mut last_boundary = 0usize;
-        for t in 1..parts {
-            // First row boundary at or past this worker's share of the
-            // instance stream; clamped to stay strictly increasing.
-            let target = total * t / parts;
-            let b = self
-                .cum_instances
-                .partition_point(|&c| c < target)
-                .min(n_rows);
-            if b > last_boundary && b < n_rows {
-                self.chunks.push(b);
-                last_boundary = b;
-            }
-        }
-        self.chunks.push(n_rows);
-
-        // One staging stripe per chunk worker (grown once per budget, so
-        // the steady state at a fixed thread count does not allocate).
-        let n_chunks = self.chunks.len() - 1;
-        if self.dispatch == Dispatch::Classed && self.stage.len() < n_chunks * kernel::STAGE_STRIDE
-        {
-            self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
-        }
-        let dispatch = self.dispatch;
-        let v = self.kernel_views();
-        let (soa, buckets) = (v.soa, v.buckets);
-        let (op_idx, lut) = (v.op_idx, v.lut);
-        let (inst_ranges, window_spans) = (buckets.inst_ranges, v.window_spans);
-        let xp = v.xp;
-        let xstride = xp.len();
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = v.yp;
-            let mut stage_rest: &mut [f32] = v.stage;
-            let mut consumed = 0usize;
-            for w in v.chunks.windows(2) {
-                let (b0, b1) = (w[0], w[1]);
-                let start = window_spans[b0].0;
-                let end = window_spans[b1 - 1].1;
-                let (_skip, tail) = rest.split_at_mut(start - consumed);
-                let (chunk_y, tail) = tail.split_at_mut(end - start);
-                rest = tail;
-                consumed = end;
-                match dispatch {
-                    Dispatch::PerInstance => {
-                        scope.spawn(move || {
-                            for r in b0..b1 {
-                                let (i0, i1) = inst_ranges[r];
-                                let (w0, w1) = window_spans[r];
-                                process_span(
-                                    soa.x_base,
-                                    soa.y_base,
-                                    op_idx,
-                                    lut,
-                                    soa.values,
-                                    xp,
-                                    &mut chunk_y[w0 - start..w1 - start],
-                                    i0,
-                                    i1,
-                                );
-                            }
-                        });
-                    }
-                    Dispatch::Classed => {
-                        let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
-                        stage_rest = s_tail;
-                        scope.spawn(move || {
-                            for (r, &(w0, w1)) in window_spans.iter().enumerate().take(b1).skip(b0)
-                            {
-                                kernel::execute_row_classed(
-                                    soa,
-                                    buckets,
-                                    r,
-                                    xp,
-                                    xstride,
-                                    0,
-                                    1,
-                                    &mut chunk_y[w0 - start..w1 - start],
-                                    w1 - w0,
-                                    chunk_stage,
-                                );
-                            }
-                        });
-                    }
-                }
-            }
-        });
+        };
+        (exec, scratch)
     }
 }
 
 #[cfg(feature = "fault-injection")]
 impl ExecutionPlan {
     /// Arms a seeded fault plan: subsequent executions strike the decode
-    /// path with its faults (serially, deterministically). Replaces any
-    /// previously armed plan. Only available under the `fault-injection`
-    /// cargo feature.
+    /// path with its faults (on one thread, deterministically). Replaces
+    /// any previously armed plan. Only available under the
+    /// `fault-injection` cargo feature.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         self.armed = Some(ArmedFaults::from_plan(plan));
     }
 
-    /// Arms a seeded fault plan that strikes only executions on behalf of
-    /// batch vector `vector`: in [`ExecutionPlan::run_batch`] exactly that
-    /// vector of the batch is struck, the rest execute pristine. Front-ends
-    /// driving a batch through the per-vector verified ladder select the
-    /// vector with [`ExecutionPlan::set_active_lane`]. Replaces any
-    /// previously armed plan.
+    /// Arms a seeded fault plan that strikes only batch vector `vector`:
+    /// in every batched execution — [`ExecutionPlan::run_batch`] and
+    /// [`ExecutionPlan::run_deferred`] — exactly that vector is struck and
+    /// the rest execute pristine (single-vector runs are vector 0).
+    /// Replaces any previously armed plan.
     pub fn arm_faults_for_vector(&mut self, plan: FaultPlan, vector: usize) {
         let mut af = ArmedFaults::from_plan(plan);
         af.target = Some(vector);
         self.armed = Some(af);
-    }
-
-    /// Selects which batch lane subsequent single-vector executions act on
-    /// behalf of, so faults armed with
-    /// [`ExecutionPlan::arm_faults_for_vector`] strike only their vector.
-    /// Lane 0 outside batched execution.
-    pub fn set_active_lane(&mut self, lane: usize) {
-        self.active_lane = lane;
-    }
-
-    /// The active batch lane (see [`ExecutionPlan::set_active_lane`]).
-    pub fn active_lane(&self) -> usize {
-        self.active_lane
     }
 
     /// Disarms fault injection; subsequent executions are pristine.
@@ -2263,27 +1849,119 @@ impl ArmedFaults {
     }
 }
 
-/// Disjoint borrows of one [`ExecutionPlan`], split in a single
-/// destructure (see [`ExecutionPlan::kernel_views`]): shared views of the
-/// pre-decoded stream, portfolio tables, bucket directory and layout,
-/// alongside the mutable scratch the executors write.
-struct KernelViews<'a> {
+/// Shared, read-only view of one [`ExecutionPlan`] for the executor (see
+/// [`ExecutionPlan::split`]): the pre-decoded stream, portfolio tables,
+/// bucket directory, window layout and the loaded x vectors. `Copy`, so
+/// the fan-out hands one to every scoped worker.
+#[derive(Clone, Copy)]
+struct Exec<'a> {
     soa: SoaRef<'a>,
     buckets: BucketRef<'a>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     op_idx: &'a [u8],
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     lut: &'a [ValuOpcode],
     window_spans: &'a [(usize, usize)],
     window_prefix: &'a [usize],
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    chunks: &'a [usize],
-    xp: &'a [f32],
     xb: &'a [f32],
-    yp: &'a mut [f32],
+    xstride: usize,
+    batch: usize,
+    #[cfg(feature = "fault-injection")]
+    faults: Option<FaultHook<'a>>,
+}
+
+/// The plan's mutable scratch, borrowed alongside an [`Exec`].
+struct Scratch<'a> {
     yb: &'a mut [f32],
+    chunks: &'a [usize],
+    vp: &'a mut [f32],
     vq: &'a mut [f32],
+    health: &'a mut [HealthReport],
     stage: &'a mut [f32],
+}
+
+/// An armed fault plan plus what the faulted decoder re-reads: the raw
+/// encoding words and per-instance tile column bases. `stream_faults` is
+/// cleared for the quarantine retry, which re-reads the pristine stream,
+/// so only persistent lane faults strike it.
+#[cfg(feature = "fault-injection")]
+#[derive(Clone, Copy)]
+struct FaultHook<'a> {
+    armed: &'a ArmedFaults,
+    enc_bits: &'a [u32],
+    col_base: &'a [u32],
+    stream_faults: bool,
+}
+
+impl Exec<'_> {
+    /// The packed `yb` range of (tile row `r`, vector `j`)'s window.
+    fn window(&self, r: usize, j: usize) -> Range<usize> {
+        let (w0, w1) = self.window_spans[r];
+        let start = self.window_prefix[r] * self.batch + j * (w1 - w0);
+        start..start + (w1 - w0)
+    }
+
+    /// Where pair `p`'s windows start in `yb`; the pair count maps to the
+    /// end of the active region.
+    fn pair_offset(&self, p: usize) -> usize {
+        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
+        let r = p / lane_blocks;
+        if r == self.window_spans.len() {
+            return self.window_prefix[r] * self.batch;
+        }
+        self.window(r, p % lane_blocks * kernel::LANE_BLOCK).start
+    }
+
+    /// Vector `j`'s padded x.
+    fn x(&self, j: usize) -> &[f32] {
+        &self.xb[j * self.xstride..(j + 1) * self.xstride]
+    }
+
+    /// Runs pairs `p0..p1` into `ys`, their contiguous span of `yb`.
+    fn run_pairs(&self, p0: usize, p1: usize, ys: &mut [f32], stage: &mut [f32]) {
+        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
+        let (mut r, mut lane0) = (p0 / lane_blocks, p0 % lane_blocks * kernel::LANE_BLOCK);
+        let mut rest = ys;
+        for _ in p0..p1 {
+            let lanes = kernel::LANE_BLOCK.min(self.batch - lane0);
+            let (w0, w1) = self.window_spans[r];
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(lanes * (w1 - w0));
+            rest = tail;
+            self.row_lanes(r, lane0, lanes, out, stage);
+            lane0 += lanes;
+            if lane0 == self.batch {
+                (r, lane0) = (r + 1, 0);
+            }
+        }
+    }
+
+    /// Tile row `r` for batch lanes `lane0..lane0 + lanes` into their
+    /// packed, zeroed windows `out` — the executor's one call into the
+    /// class kernels. Under `fault-injection` this is also the per-(row,
+    /// lane) fault hook: lanes an armed plan strikes are recomputed
+    /// through the faulted decoder.
+    fn row_lanes(&self, r: usize, lane0: usize, lanes: usize, out: &mut [f32], stage: &mut [f32]) {
+        let (w0, w1) = self.window_spans[r];
+        kernel::execute_row_classed(
+            self.soa,
+            self.buckets,
+            r,
+            self.xb,
+            self.xstride,
+            lane0,
+            lanes,
+            out,
+            w1 - w0,
+            stage,
+        );
+        #[cfg(feature = "fault-injection")]
+        if let Some(hook) = &self.faults {
+            for (l, window) in out.chunks_exact_mut(w1 - w0).enumerate() {
+                if hook.armed.strikes_lane(lane0 + l) {
+                    window.fill(0.0);
+                    process_span_faulted(self, hook, r, lane0 + l, window);
+                }
+            }
+        }
+    }
 }
 
 /// The worker budget the fan-out may use (always 1 in serial builds).
@@ -2369,35 +2047,27 @@ fn validate_stream(
     Ok(())
 }
 
-/// The per-instance reference loop: instances `[i0, i1)` of one tile row,
-/// accumulated into the row's y window in stream order. Pure SoA reads —
-/// the 1-byte class index selects the opcode from the portfolio LUT.
-/// [`Dispatch::PerInstance`] runs this; [`Dispatch::Classed`] runs the
-/// bucketed kernels in `crate::kernel`, bit-identically.
-#[allow(clippy::too_many_arguments)]
-fn process_span(
-    x_base: &[u32],
-    y_base: &[u32],
-    op_idx: &[u8],
-    lut: &[ValuOpcode],
-    values: &[f32],
-    xp: &[f32],
-    window: &mut [f32],
-    i0: usize,
-    i1: usize,
-) {
+/// The per-instance reference walk: tile row `r`'s instances applied to
+/// vector `lane` and accumulated into `window` in stream order, each
+/// through its opcode in the portfolio LUT (selected by the 1-byte class
+/// index). The verification oracle and [`ExecutionPlan::run_reference`]
+/// run this; the executor runs the bucketed class kernels in
+/// `crate::kernel`, bit-identically.
+fn process_span(v: &Exec<'_>, r: usize, lane: usize, window: &mut [f32]) {
+    let (i0, i1) = v.buckets.inst_ranges[r];
+    let (x_base, y_base, values) = (v.soa.x_base, v.soa.y_base, v.soa.values);
+    let xp = v.x(lane);
     for i in i0..i1 {
         let c0 = x_base[i] as usize;
         let x_seg = [xp[c0], xp[c0 + 1], xp[c0 + 2], xp[c0 + 3]];
-        let v = [
+        let vals = [
             values[4 * i],
             values[4 * i + 1],
             values[4 * i + 2],
             values[4 * i + 3],
         ];
-        let out = lut[op_idx[i] as usize].execute(v, x_seg);
+        let out = v.lut[v.op_idx[i] as usize].execute(vals, x_seg);
         let r0 = y_base[i] as usize;
-        // Same accumulation order as `Pe::process_instance`.
         window[r0] += out[0];
         window[r0 + 1] += out[1];
         window[r0 + 2] += out[2];
@@ -2405,49 +2075,46 @@ fn process_span(
     }
 }
 
-/// The faulted hot loop: re-decodes each instance from its raw encoding
-/// word (xor-struck when `stream_faults` is set), clamps all accesses the
-/// way the hardware's address decoders would — out-of-range x reads load
-/// zero, out-of-window y writes are dropped, out-of-portfolio template
-/// ids wrap the LUT — applies value-slot flips and stuck-at-zero lanes.
+/// The faulted walk of tile row `r` for vector `lane`: re-decodes each
+/// instance from its raw encoding word (xor-struck when the hook's
+/// `stream_faults` is set), clamps all accesses the way the hardware's
+/// address decoders would — out-of-range x reads load zero,
+/// out-of-window y writes are dropped, out-of-portfolio template ids wrap
+/// the LUT — and applies value-slot flips and stuck-at-zero lanes.
 #[cfg(feature = "fault-injection")]
-#[allow(clippy::too_many_arguments)]
 fn process_span_faulted(
-    af: &ArmedFaults,
-    stream_faults: bool,
-    enc_bits: &[u32],
-    col_base: &[u32],
-    lut: &[ValuOpcode],
-    values: &[f32],
-    xp: &[f32],
+    v: &Exec<'_>,
+    hook: &FaultHook<'_>,
+    r: usize,
+    lane: usize,
     window: &mut [f32],
-    i0: usize,
-    i1: usize,
 ) {
+    let (lut, values, xp, af) = (v.lut, v.soa.values, v.x(lane), hook.armed);
     if lut.is_empty() {
         return;
     }
+    let (i0, i1) = v.buckets.inst_ranges[r];
     for i in i0..i1 {
-        let bits = if stream_faults {
-            enc_bits[i] ^ af.enc_xor(i)
+        let bits = if hook.stream_faults {
+            hook.enc_bits[i] ^ af.enc_xor(i)
         } else {
-            enc_bits[i]
+            hook.enc_bits[i]
         };
         let e = PositionEncoding::from_bits(bits);
-        let c0 = col_base[i] as usize + e.c_idx() as usize * 4;
+        let c0 = hook.col_base[i] as usize + e.c_idx() as usize * 4;
         let x_at = |k: usize| xp.get(k).copied().unwrap_or(0.0);
         let x_seg = [x_at(c0), x_at(c0 + 1), x_at(c0 + 2), x_at(c0 + 3)];
-        let mut v = [
+        let mut vals = [
             values[4 * i],
             values[4 * i + 1],
             values[4 * i + 2],
             values[4 * i + 3],
         ];
-        if stream_faults {
-            af.apply_value_faults(i, &mut v);
+        if hook.stream_faults {
+            af.apply_value_faults(i, &mut vals);
         }
         let op = lut[e.t_idx() as usize % lut.len()];
-        let mut out = op.execute(v, x_seg);
+        let mut out = op.execute(vals, x_seg);
         for (lane, stuck) in af.lane_zero.iter().enumerate() {
             if *stuck {
                 out[lane] = 0.0;
@@ -2835,7 +2502,6 @@ mod tests {
             bits(&clean[1]),
             "all-lane fault on the target must corrupt it"
         );
-        assert_eq!(plan.active_lane(), 0, "lane restored after the batch");
     }
 
     #[test]
@@ -2884,27 +2550,50 @@ mod tests {
         let coo = sample(100);
         let m = encode(&coo, 32);
         let acc = Accelerator::new(HwConfig::spasm_4_1());
-        let x: Vec<f32> = (0..100).map(|i| (i as f32) * 0.25 - 10.0).collect();
+        let xs: Vec<Vec<f32>> = (0..3)
+            .map(|j| {
+                (0..100)
+                    .map(|i| (i as f32) * 0.25 - 10.0 * j as f32)
+                    .collect()
+            })
+            .collect();
 
         let mut plan = acc.prepare(&m).unwrap();
-        let mut want = vec![0.5f32; 100];
-        plan.run(&x, &mut want).unwrap();
+        let mut want = vec![vec![0.5f32; 100]; 3];
+        for (x, y) in xs.iter().zip(want.iter_mut()) {
+            plan.run(x, y).unwrap();
+        }
 
         for scope in [VerifyScope::None, VerifyScope::All] {
-            let mut got = vec![0.5f32; 100];
-            let health = plan.run_deferred(&x, scope).unwrap();
-            assert!(health.is_clean());
-            assert_eq!(health.tile_rows_quarantined, 0);
-            plan.commit(&mut got).unwrap();
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            let health = plan.run_deferred(&xs, scope).unwrap().to_vec();
+            assert_eq!(health.len(), 3);
+            assert!(health.iter().all(|h| h.is_clean()));
+            // Commit out of order: each vector folds only its own windows.
+            for j in [2, 0, 1] {
+                let mut got = vec![0.5f32; 100];
+                plan.commit(j, &mut got).unwrap();
+                assert_eq!(bits(&got), bits(&want[j]), "vector {j}");
+            }
         }
-        // Pristine executions verify all rows, quarantine none.
-        let h = plan.run_deferred(&x, VerifyScope::All).unwrap();
-        assert_eq!(h.tile_rows_verified as usize, plan.n_tile_rows());
-        assert_eq!(plan.report().health, h);
+        // Pristine executions verify all rows of every vector, quarantine
+        // none; the report sums the per-vector health.
+        let h = plan.run_deferred(&xs, VerifyScope::All).unwrap().to_vec();
+        for hj in &h {
+            assert_eq!(hj.tile_rows_verified as usize, plan.n_tile_rows());
+        }
+        assert_eq!(
+            plan.report().health.tile_rows_verified as usize,
+            3 * plan.n_tile_rows()
+        );
+        assert!(plan.report().batch.is_none());
+        assert!(matches!(
+            plan.commit(3, &mut [0.0f32; 100]),
+            Err(SimError::Plan(_))
+        ));
+        assert!(matches!(
+            plan.run_deferred(&[vec![1.0f32; 100], vec![1.0f32; 7]], VerifyScope::All),
+            Err(SimError::BatchDimensionMismatch { vector: 1, .. })
+        ));
     }
 
     #[test]
@@ -2912,14 +2601,17 @@ mod tests {
         let coo = sample(64);
         let m = encode(&coo, 16);
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
-        let x = vec![1.0f32; 64];
-        let mut want = vec![0.0f32; 64];
-        plan.run(&x, &mut want).unwrap();
-        plan.run_deferred(&x, VerifyScope::None).unwrap();
-        for (r, w) in want.iter().enumerate() {
-            assert_eq!(plan.contribution(r).to_bits(), w.to_bits());
+        let xs = [vec![1.0f32; 64], vec![-0.5f32; 64]];
+        let mut want = vec![vec![0.0f32; 64]; 2];
+        plan.run_batch(&xs, &mut want).unwrap();
+        plan.run_deferred(&xs, VerifyScope::None).unwrap();
+        for (j, w) in want.iter().enumerate() {
+            for (r, w) in w.iter().enumerate() {
+                assert_eq!(plan.contribution(j, r).to_bits(), w.to_bits());
+            }
         }
-        assert_eq!(plan.contribution(10_000), 0.0);
+        assert_eq!(plan.contribution(0, 10_000), 0.0);
+        assert_eq!(plan.contribution(2, 0), 0.0);
     }
 
     #[test]
@@ -2957,7 +2649,7 @@ mod tests {
         };
         for seed in 0..16u64 {
             plan.arm_faults(FaultPlan::seeded(seed, &spec, plan.n_instances()));
-            let h = plan.run_deferred(&x, VerifyScope::All).unwrap();
+            let h = plan.run_deferred(&[&x], VerifyScope::All).unwrap()[0];
             assert_eq!(h.faults_injected, 6, "seed {seed}");
             // Transient faults always heal: the retry reads the pristine
             // stream. (A fault may have no observable effect — e.g. a
@@ -2965,7 +2657,7 @@ mod tests {
             assert_eq!(h.tile_rows_uncorrected, 0, "seed {seed}");
             assert_eq!(h.tile_rows_corrected, h.tile_rows_quarantined);
             let mut y = vec![0.0f32; 128];
-            plan.commit(&mut y).unwrap();
+            plan.commit(0, &mut y).unwrap();
             assert_eq!(
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -2989,7 +2681,7 @@ mod tests {
             ..FaultSpec::default()
         };
         plan.arm_faults(FaultPlan::seeded(9, &spec, plan.n_instances()));
-        let h = plan.run_deferred(&x, VerifyScope::All).unwrap();
+        let h = plan.run_deferred(&[&x], VerifyScope::All).unwrap()[0];
         assert!(h.tile_rows_quarantined > 0);
         assert_eq!(h.tile_rows_corrected, 0);
         assert_eq!(h.tile_rows_uncorrected, h.tile_rows_quarantined);
@@ -3025,8 +2717,8 @@ mod tests {
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
         let x = vec![1.0f32; 100];
         let h = plan
-            .run_deferred(&x, VerifyScope::TileRows(&[0, 2, 99]))
-            .unwrap();
+            .run_deferred(&[&x], VerifyScope::TileRows(&[0, 2, 99]))
+            .unwrap()[0];
         // Row 99 is out of range and ignored; 0 and 2 verify clean.
         assert_eq!(h.tile_rows_verified, 2);
         assert!(h.is_clean());

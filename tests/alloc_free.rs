@@ -3,63 +3,18 @@
 //! allocations per call — the scratch buffers, report and schedule are all
 //! owned by the plan.
 //!
-//! A counting global allocator is armed only around the measured window,
-//! so the (allocation-heavy) build phase does not pollute the count. The
-//! window runs under a serial worker budget: spawning OS threads
-//! inherently allocates, and the contract is about per-call *work*, not
-//! about the fan-out machinery.
+//! A counting global allocator (`tests/support`) is armed only around the
+//! measured window, and only for the measuring thread, so neither the
+//! (allocation-heavy) build phase nor concurrently running sibling tests
+//! pollute the count. The window runs under a serial worker budget:
+//! spawning OS threads inherently allocates, and the contract is about
+//! per-call *work*, not about the fan-out machinery.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod support;
 
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_sparse::SpMv;
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Counts heap allocations performed while `f` runs.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    count_allocs_and_bytes(f).0
-}
-
-/// Counts heap allocations and the total bytes requested while `f` runs.
-fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
-}
+use support::count_allocs;
 
 #[test]
 fn plan_run_is_allocation_free_at_steady_state() {
@@ -92,7 +47,7 @@ fn plan_run_is_allocation_free_at_steady_state() {
         for _ in 0..3 {
             plan.run(&x, &mut y).unwrap();
         }
-        let allocs = count_allocs(|| {
+        let (allocs, _, ()) = count_allocs(|| {
             for _ in 0..50 {
                 plan.run(&x, &mut y).unwrap();
             }
@@ -151,7 +106,7 @@ fn run_batch_is_allocation_free_at_steady_state() {
         for _ in 0..3 {
             plan.run_batch(&xs, &mut ys).unwrap();
         }
-        let allocs = count_allocs(|| {
+        let (allocs, _, ()) = count_allocs(|| {
             for _ in 0..50 {
                 plan.run_batch(&xs, &mut ys).unwrap();
             }
@@ -165,7 +120,7 @@ fn run_batch_is_allocation_free_at_steady_state() {
         let xs_small = &xs[..3];
         let mut ys_small = vec![vec![0.0f32; 192]; 3];
         plan.run_batch(xs_small, &mut ys_small).unwrap();
-        let allocs = count_allocs(|| {
+        let (allocs, _, ()) = count_allocs(|| {
             for _ in 0..20 {
                 plan.run_batch(xs_small, &mut ys_small).unwrap();
             }
@@ -213,7 +168,7 @@ fn values_only_delta_apply_is_allocation_bounded() {
         .build()
         .unwrap();
     pool.install(|| {
-        let (_, apply_bytes) = count_allocs_and_bytes(|| {
+        let (_, apply_bytes, ()) = count_allocs(|| {
             prepared.apply_delta(&delta).unwrap();
         });
         assert!(
@@ -223,8 +178,8 @@ fn values_only_delta_apply_is_allocation_bounded() {
         );
 
         // For scale: a from-scratch prepare of the same matrix.
-        let (_, rebuild_bytes) =
-            count_allocs_and_bytes(|| drop(Pipeline::with_options(opts.clone()).prepare(&a)));
+        let (_, rebuild_bytes, ()) =
+            count_allocs(|| drop(Pipeline::with_options(opts.clone()).prepare(&a)));
         assert!(
             apply_bytes < rebuild_bytes / 4,
             "values-only apply ({apply_bytes} bytes) is not meaningfully cheaper than a \
@@ -283,12 +238,18 @@ fn prepared_plans_share_the_value_stream_without_copying() {
     // second copy of the 4-slot value stream: cloning the matrix (which
     // shares values by refcount) must cost far less than the value bytes.
     let value_bytes = (m.n_instances() * 4 * std::mem::size_of::<f32>()) as u64;
-    let (_, clone_bytes) = count_allocs_and_bytes(|| {
-        let cloned = m.clone();
-        assert!(std::sync::Arc::ptr_eq(
-            cloned.shared_values(),
-            m.shared_values()
-        ));
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let (_, clone_bytes, ()) = pool.install(|| {
+        count_allocs(|| {
+            let cloned = m.clone();
+            assert!(std::sync::Arc::ptr_eq(
+                cloned.shared_values(),
+                m.shared_values()
+            ));
+        })
     });
     assert!(
         clone_bytes < value_bytes,

@@ -265,7 +265,7 @@ fn pipeline_execute_is_thread_count_invariant() {
 
 #[test]
 fn plan_run_batch_is_thread_count_invariant() {
-    // The batched fan-out spans (vector × tile-row) pairs; the chunk
+    // The batched fan-out spans (tile-row × lane-block) pairs; the chunk
     // boundaries move with the budget but the bits must not. Serial looped
     // plan.run is the oracle.
     let m = random_coo(0xDE7_000B, 180, 140, 1_500);

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spasm::{IntegrityPolicy, Pipeline, PipelineOptions};
 use spasm_format::SpasmMatrix;
-use spasm_hw::{Accelerator, Dispatch};
+use spasm_hw::Accelerator;
 use spasm_sparse::{Bsr, Coo, Csc, Csr, Dia, Ell, SpMv};
 
 /// Batch sizes every batched-equivalence assertion sweeps.
@@ -323,9 +323,10 @@ fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .install(f)
 }
 
-/// The matrix zoo for the dispatcher differential: one representative of
-/// each adversarial structure the suite above exercises individually.
-fn dispatch_zoo() -> Vec<Coo> {
+/// The matrix zoo for the executor-vs-reference differential: one
+/// representative of each adversarial structure the suite above exercises
+/// individually.
+fn kernel_zoo() -> Vec<Coo> {
     let mut rng = SmallRng::seed_from_u64(0xD1FF_0009);
     let mut zoo = vec![
         random_coo(&mut rng, 96, 64, 420),
@@ -359,38 +360,31 @@ fn dispatch_zoo() -> Vec<Coo> {
 
 #[test]
 fn classed_dispatch_is_bit_identical_to_per_instance() {
-    // The class-bucketed kernels must reproduce the per-instance enum walk
-    // bit for bit, for every batch size and thread budget. The
-    // per-instance dispatcher is always scalar, so building this suite
-    // with `--features simd` turns it into the SIMD-vs-scalar
-    // differential; CI runs it both ways.
-    for m in dispatch_zoo() {
+    // The executor's class-bucketed kernels must reproduce the scalar
+    // per-instance reference (`run_reference`) bit for bit, for every
+    // batch size and thread budget. The reference is always scalar, so
+    // building this suite with `--features simd` turns it into the
+    // SIMD-vs-scalar differential; CI runs it both ways.
+    for m in kernel_zoo() {
         let n_rows = m.rows() as usize;
         let prepared = Pipeline::new().prepare(&m).unwrap();
         let acc = prepared.accelerator();
         for batch in [1usize, 2, 8, 64] {
             let xs = probe_batch(m.cols(), batch);
 
-            // Scalar per-instance oracle, single worker.
             let mut oracle = acc.prepare(&prepared.encoded).unwrap();
-            oracle.set_dispatch(Dispatch::PerInstance);
             let mut want = vec![vec![0.25f32; n_rows]; batch];
-            with_budget(1, || oracle.run_batch(&xs, &mut want).map(|_| ())).unwrap();
+            oracle.run_reference(&xs, &mut want).unwrap();
 
             for budget in [1usize, 2, 7] {
                 let mut plan = acc.prepare(&prepared.encoded).unwrap();
-                assert_eq!(
-                    plan.dispatch(),
-                    Dispatch::Classed,
-                    "classed dispatch must be the default"
-                );
                 let mut got = vec![vec![0.25f32; n_rows]; batch];
                 with_budget(budget, || plan.run_batch(&xs, &mut got).map(|_| ())).unwrap();
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         bits(g),
                         bits(w),
-                        "classed vector {j}/{batch} at {budget} threads vs per-instance \
+                        "executor vector {j}/{batch} at {budget} threads vs reference \
                          on {}x{} nnz {}",
                         m.rows(),
                         m.cols(),
@@ -405,17 +399,40 @@ fn classed_dispatch_is_bit_identical_to_per_instance() {
 #[cfg(feature = "fault-injection")]
 #[test]
 fn batched_fault_degrades_exactly_one_vector_to_csr() {
+    // (batch, target) pairs: a small batch, and a target in the second
+    // lane block of a 9-vector batch (crossing `LANE_BLOCK`).
+    let cases = [(3usize, 1usize), (9, 8)];
+    let policies = [
+        IntegrityPolicy::full(),
+        IntegrityPolicy::sampled(24, 0x5A3D),
+    ];
+    for (batch, target) in cases {
+        for policy in policies {
+            for budget in [1usize, 2] {
+                with_budget(budget, || {
+                    assert_one_vector_degrades(batch, target, policy);
+                });
+            }
+        }
+    }
+}
+
+/// Faults targeted at batch vector `target`: under a verifying `policy`
+/// with fallback enabled, only `target` may be struck or fall back, and
+/// its siblings stay bit-identical to pristine plan output. Under the full
+/// policy the target is repaired or recomputed on the golden CSR path;
+/// under a sampled one a strike outside the sampled rows may go unseen,
+/// so only a fallback's bits are pinned.
+#[cfg(feature = "fault-injection")]
+fn assert_one_vector_degrades(batch: usize, target: usize, policy: IntegrityPolicy) {
     use spasm_hw::fault::{FaultPlan, FaultSpec};
 
-    // Faults targeted at batch vector 1: under a verifying policy with
-    // fallback enabled, vector 1 must come back on the golden CSR path
-    // while its siblings stay bit-identical to pristine plan output.
+    let label = format!("batch {batch}, target {target}, {:?}", policy.mode);
     let mut rng = SmallRng::seed_from_u64(0xD1FF_0008);
     let m = random_coo(&mut rng, 96, 96, 420);
-    let opts = PipelineOptions::default().integrity(IntegrityPolicy::full());
+    let opts = PipelineOptions::default().integrity(policy);
     let mut prepared = Pipeline::with_options(opts).prepare(&m).unwrap();
 
-    let batch = 3usize;
     let xs = probe_batch(m.cols(), batch);
 
     // Pristine reference: looped guarded execution without faults.
@@ -424,7 +441,7 @@ fn batched_fault_degrades_exactly_one_vector_to_csr() {
         prepared.execute_into(xj, yj).unwrap();
     }
 
-    // The golden CSR products, which the degraded vector must match.
+    // The golden CSR products, which a degraded vector must match.
     let mut golden = vec![vec![0.0f32; 96]; batch];
     for (xj, yj) in xs.iter().zip(golden.iter_mut()) {
         prepared.golden().spmv(xj, yj).unwrap();
@@ -438,36 +455,47 @@ fn batched_fault_degrades_exactly_one_vector_to_csr() {
     let n_inst = prepared.plan.n_instances();
     prepared
         .plan
-        .arm_faults_for_vector(FaultPlan::seeded(0xBAD_CAFE, &spec, n_inst), 1);
+        .arm_faults_for_vector(FaultPlan::seeded(0xBAD_CAFE, &spec, n_inst), target);
 
     let mut ys = vec![vec![0.0f32; 96]; batch];
     prepared.execute_batch_into(&xs, &mut ys).unwrap();
 
     let health = prepared.batch_health().to_vec();
-    assert_eq!(health.len(), batch);
+    assert_eq!(health.len(), batch, "{label}");
     assert!(
-        health[1].faults_injected > 0,
-        "the targeted vector must have been struck"
+        health[target].faults_injected > 0,
+        "{label}: the targeted vector must have been struck"
     );
     for (j, h) in health.iter().enumerate() {
-        if j == 1 {
+        if j == target {
             continue;
         }
-        assert_eq!(h.faults_injected, 0, "vector {j} must run pristine");
-        assert!(!h.fallback, "vector {j} must not fall back");
-        assert_eq!(bits(&ys[j]), bits(&pristine[j]), "vector {j} bits");
+        assert_eq!(
+            h.faults_injected, 0,
+            "{label}: vector {j} must run pristine"
+        );
+        assert!(!h.fallback, "{label}: vector {j} must not fall back");
+        assert_eq!(bits(&ys[j]), bits(&pristine[j]), "{label}: vector {j} bits");
     }
-    if health[1].fallback {
-        // Unrepairable corruption: vector 1 was recomputed on the golden
+    if health[target].fallback {
+        // Unrepairable corruption: the target was recomputed on the golden
         // CSR path, bit-identical to Csr::spmv.
-        assert_eq!(bits(&ys[1]), bits(&golden[1]), "fallback vector bits");
-    } else {
+        assert_eq!(
+            bits(&ys[target]),
+            bits(&golden[target]),
+            "{label}: fallback vector bits"
+        );
+    } else if matches!(policy.mode, spasm::IntegrityMode::Full) {
         // The ladder repaired every strike from the pristine stream.
-        assert!(health[1].tile_rows_quarantined > 0);
-        assert_eq!(bits(&ys[1]), bits(&pristine[1]), "repaired vector bits");
+        assert!(health[target].tile_rows_quarantined > 0, "{label}");
+        assert_eq!(
+            bits(&ys[target]),
+            bits(&pristine[target]),
+            "{label}: repaired vector bits"
+        );
     }
     assert!(
         prepared.report().health.faults_injected > 0,
-        "aggregate health must record the strikes"
+        "{label}: aggregate health must record the strikes"
     );
 }

@@ -1,63 +1,19 @@
 //! The zero-copy contract of `spasm-store`: thawing a wire-v3 container
 //! into an `ExecutionPlan` must not copy any of the mapped stream
 //! sections — the plan's frozen SoA streams *borrow* the container
-//! buffer. A counting global allocator bounds the bytes moved while
-//! `FrozenPlan::into_plan` runs, and the steady-state run loop stays
-//! allocation-free exactly as it does for freshly prepared plans.
+//! buffer. A counting global allocator (`tests/support`, armed per
+//! thread) bounds the bytes moved while `FrozenPlan::into_plan` runs, and
+//! the steady-state run loop stays allocation-free exactly as it does for
+//! freshly prepared plans.
 //!
 //! Registered in `crates/store` (`[[test]] name = "store_zero_copy"`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod support;
 
 use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions, Prepared};
 use spasm_sparse::Coo;
 use spasm_store::{save_v3, FrozenPlan, PlanBuffer, PlanStore};
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Counts heap allocations and total bytes requested while `f` runs.
-fn count_allocs_and_bytes<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        ALLOCS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-        out,
-    )
-}
+use support::count_allocs;
 
 /// A scattered square matrix big enough that its instance streams dwarf
 /// any bookkeeping allocations.
@@ -98,7 +54,11 @@ fn thawing_copies_no_stream_bytes() {
     // borrowing, not copying, the stream sections. The only allocations
     // allowed are bookkeeping (tiles, class runs, scratch vectors), all
     // far smaller than the instance streams themselves.
-    let (_, thaw_bytes, plan) = count_allocs_and_bytes(|| frozen.into_plan());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool");
+    let (_, thaw_bytes, plan) = pool.install(|| count_allocs(|| frozen.into_plan()));
     let plan = plan.expect("into_plan");
 
     // Under fault-injection the golden per-instance encodings are decoded
@@ -159,7 +119,7 @@ fn mapped_plan_run_is_allocation_free_and_exact() {
         }
         // `execute_into` rather than `execute`: the latter clones the
         // report out per call, which is an allocation by design.
-        let (allocs, _, ()) = count_allocs_and_bytes(|| {
+        let (allocs, _, ()) = count_allocs(|| {
             for _ in 0..50 {
                 thawed.execute_into(&x, &mut got).expect("steady state");
             }

@@ -5,9 +5,10 @@
 //! Every matrix value and probe entry is a small multiple of 0.25, so all
 //! partial sums are exactly representable in `f32` and "indistinguishable"
 //! means **bit for bit**: identical output bits across batch sizes
-//! {1, 8}, worker budgets {1, 2, 7} and both dispatch modes (building
-//! with `--features simd` turns the sweep into the SIMD-vs-scalar
-//! differential; CI runs both rows), identical execution reports, and —
+//! {1, 8}, worker budgets {1, 2, 7} and both the executor and the scalar
+//! per-instance reference (building with `--features simd` turns the
+//! sweep into the SIMD-vs-scalar differential; CI runs both rows),
+//! identical execution reports, and —
 //! under a pinned schedule — identical `memory_bytes` repricing.
 //!
 //! The suite covers all three update paths: values-only copy-on-write
@@ -21,7 +22,7 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spasm::{DeltaOutcome, IntegrityPolicy, Pipeline, PipelineError, PipelineOptions, Prepared};
-use spasm_hw::{Dispatch, HwConfig};
+use spasm_hw::{ExecReport, HwConfig};
 use spasm_patterns::TemplateSet;
 use spasm_sparse::{Coo, Csr, DeltaOp, MatrixDelta, SpMv};
 use spasm_workloads::{changesets, ChangesetConfig};
@@ -127,10 +128,21 @@ fn mutated_coo(base: &Coo, seq: &[(u64, MatrixDelta)]) -> Coo {
     Coo::from_triplets(base.rows(), base.cols(), triplets).unwrap()
 }
 
+/// One input of the equivalence sweep: the plan's executor
+/// (`run_batch`) or its scalar per-instance reference (`run_reference`).
+fn execute(p: &mut Prepared, reference: bool, xs: &[Vec<f32>], ys: &mut [Vec<f32>]) -> ExecReport {
+    let report = if reference {
+        p.plan.run_reference(xs, ys)
+    } else {
+        p.plan.run_batch(xs, ys)
+    };
+    report.unwrap().clone()
+}
+
 /// The full equivalence sweep: live (delta-updated) vs fresh (prepared
 /// from scratch on the mutated matrix), bit for bit, across batch sizes ×
-/// worker budgets × both dispatch modes, with identical execution reports
-/// and identical memory repricing.
+/// worker budgets × {executor, reference}, with identical execution
+/// reports and identical memory repricing.
 fn assert_update_equivalence(live: &mut Prepared, fresh: &mut Prepared, label: &str) {
     let (rows, cols) = (live.plan.rows(), live.plan.cols());
     assert_eq!(
@@ -152,35 +164,31 @@ fn assert_update_equivalence(live: &mut Prepared, fresh: &mut Prepared, label: &
     fresh.golden().spmv(x, &mut y_fresh).unwrap();
     assert_eq!(bits(&y_live), bits(&y_fresh), "{label}: golden CSR");
 
-    for dispatch in [Dispatch::Classed, Dispatch::PerInstance] {
-        live.plan.set_dispatch(dispatch);
-        fresh.plan.set_dispatch(dispatch);
+    for reference in [false, true] {
         for batch in BATCHES {
             let xs = probe_batch(cols, batch);
             for budget in BUDGETS {
                 let mut got = vec![vec![0.25f32; rows as usize]; batch];
                 let mut want = vec![vec![0.25f32; rows as usize]; batch];
                 let (r_live, r_fresh) = with_budget(budget, || {
-                    let r_live = live.plan.run_batch(&xs, &mut got).unwrap().clone();
-                    let r_fresh = fresh.plan.run_batch(&xs, &mut want).unwrap().clone();
+                    let r_live = execute(live, reference, &xs, &mut got);
+                    let r_fresh = execute(fresh, reference, &xs, &mut want);
                     (r_live, r_fresh)
                 });
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         bits(g),
                         bits(w),
-                        "{label}: vector {j}/{batch} at {budget} workers, {dispatch:?}"
+                        "{label}: vector {j}/{batch} at {budget} workers, reference {reference}"
                     );
                 }
                 assert_eq!(
                     r_live, r_fresh,
-                    "{label}: ExecReport at batch {batch}, {budget} workers, {dispatch:?}"
+                    "{label}: ExecReport at batch {batch}, {budget} workers, reference {reference}"
                 );
             }
         }
     }
-    live.plan.set_dispatch(Dispatch::Classed);
-    fresh.plan.set_dispatch(Dispatch::Classed);
 }
 
 #[test]
