@@ -25,9 +25,9 @@ use spasm_workloads::Workload;
 
 const BATCH_SIZES: [usize; 3] = [2, 4, 8];
 
-/// Batch width for the large-batch layout comparison: big enough that the
-/// per-vector window walk no longer fits comfortably in L1/L2 alongside
-/// the instance stream, which is where the two layouts diverge.
+/// Batch width for the large-batch comparison: big enough that the
+/// reference's per-vector walk re-streams the instance stream many times
+/// over, where fusing `LANE_BLOCK` vectors per walk pays off most.
 const LARGE_BATCH: usize = 128;
 
 /// Per-vector wall-clock of `iters` timed repetitions, in seconds.
@@ -155,16 +155,14 @@ fn main() {
     // per vector must beat the prepared single-vector loop.
     spasm_bench::maybe_assert_speedup("batched_spmv batch-8 amortization", batch8, 1.05);
 
-    // ---- Large-batch layout comparison (batch > 64) --------------------
+    // ---- Large batch (batch > 64): executor vs reference ---------------
     //
-    // Window-major: the scalar per-instance reference walks every window
-    // of one vector before moving to the next (`run_reference`).
-    // Vector-blocked: the executor's class kernels fuse `LANE_BLOCK`
-    // vectors per instance walk (`run_batch`), streaming the instance
-    // stream through the cache once per lane block instead of once per
-    // vector. Both are asserted bit-identical and timed on one worker
-    // (the reference never fans out); the verdict records which layout
-    // wins at batch 128 on this host.
+    // The scalar per-instance reference (`run_reference`) walks the
+    // instance stream once per (tile row, vector) window; the executor
+    // (`run_batch`) walks it once per (tile row, lane block) and applies
+    // each instance to up to `LANE_BLOCK` vectors at once. Both are
+    // asserted bit-identical and timed on one worker (the reference never
+    // fans out).
     let large_iters: u32 = if is_smoke() { 1 } else { 10 };
     let serial = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -205,44 +203,39 @@ fn main() {
         }
 
         let mut ys = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        let (window_major_s, vector_blocked_s) = serial.install(|| {
-            let window_major_s = time_per_vector(large_iters, LARGE_BATCH, || {
+        let (reference_s, executor_s) = serial.install(|| {
+            let reference_s = time_per_vector(large_iters, LARGE_BATCH, || {
                 for y in ys.iter_mut() {
                     y.fill(0.0);
                 }
                 plan.run_reference(&xs, &mut ys).expect("run_reference");
             });
-            let vector_blocked_s = time_per_vector(large_iters, LARGE_BATCH, || {
+            let executor_s = time_per_vector(large_iters, LARGE_BATCH, || {
                 for y in ys.iter_mut() {
                     y.fill(0.0);
                 }
                 plan.run_batch(&xs, &mut ys).expect("run_batch");
             });
-            (window_major_s, vector_blocked_s)
+            (reference_s, executor_s)
         });
         println!(
-            "{:<14} {:>9} nnz  batch {:>3}  window-major {:>9.1} us/vec  \
-             vector-blocked {:>9.1} us/vec  {:>6.2}x",
+            "{:<14} {:>9} nnz  batch {:>3}  reference {:>9.1} us/vec  \
+             executor {:>9.1} us/vec  {:>6.2}x",
             w.to_string(),
             m.nnz(),
             LARGE_BATCH,
-            window_major_s * 1e6,
-            vector_blocked_s * 1e6,
-            window_major_s / vector_blocked_s.max(1e-12),
+            reference_s * 1e6,
+            executor_s * 1e6,
+            reference_s / executor_s.max(1e-12),
         );
-        large_rows.push((w.to_string(), m.nnz(), window_major_s, vector_blocked_s));
+        large_rows.push((w.to_string(), m.nnz(), reference_s, executor_s));
     }
-    let large_geo =
-        spasm_bench::geomean(large_rows.iter().map(|(_, _, wm, vb)| wm / vb.max(1e-12)));
-    let verdict = if large_geo >= 1.0 {
-        "vector-blocked"
-    } else {
-        "window-major"
-    };
-    println!(
-        "batch-{LARGE_BATCH} layout verdict: {verdict} \
-         (vector-blocked {large_geo:.2}x vs window-major, geomean)"
+    let large_geo = spasm_bench::geomean(
+        large_rows
+            .iter()
+            .map(|(_, _, reference, executor)| reference / executor.max(1e-12)),
     );
+    println!("batch-{LARGE_BATCH} executor speedup over the reference: {large_geo:.2}x geomean");
 
     // Hand-rolled JSON (no serde in the build environment).
     let mut json = String::from("{\n  \"bench\": \"batched_spmv\",\n");
@@ -271,17 +264,16 @@ fn main() {
     json.push_str("  \"large_batch\": {\n");
     let _ = writeln!(json, "    \"batch\": {LARGE_BATCH},");
     let _ = writeln!(json, "    \"iters\": {large_iters},");
-    let _ = writeln!(json, "    \"geomean_vector_blocked_speedup\": {large_geo},");
-    let _ = writeln!(json, "    \"verdict\": \"{verdict}\",");
+    let _ = writeln!(json, "    \"geomean_executor_speedup\": {large_geo},");
     json.push_str("    \"workloads\": [\n");
-    for (i, (name, nnz, wm, vb)) in large_rows.iter().enumerate() {
+    for (i, (name, nnz, reference, executor)) in large_rows.iter().enumerate() {
         let _ = write!(
             json,
             "      {{\"workload\": \"{name}\", \"nnz\": {nnz}, \
-             \"window_major_per_vector_s\": {wm}, \
-             \"vector_blocked_per_vector_s\": {vb}, \
-             \"vector_blocked_speedup\": {}}}",
-            wm / vb.max(1e-12)
+             \"reference_per_vector_s\": {reference}, \
+             \"executor_per_vector_s\": {executor}, \
+             \"executor_speedup\": {}}}",
+            reference / executor.max(1e-12)
         );
         json.push_str(if i + 1 < large_rows.len() {
             ",\n"

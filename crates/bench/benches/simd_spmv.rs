@@ -1,24 +1,22 @@
-//! Class-kernel benchmark: the plan's class-bucketed data-parallel
-//! executor (`ExecutionPlan::run_batch`) against its scalar per-instance
-//! reference (`ExecutionPlan::run_reference`) on the same prepared plan,
-//! both timed on one worker so the comparison is kernel against kernel.
+//! Lane-kernel benchmark: the plan's executor (`ExecutionPlan::run_batch`)
+//! against its scalar per-instance reference
+//! (`ExecutionPlan::run_reference`) on the same prepared plan, both timed
+//! on one worker so the comparison is kernel against kernel.
 //!
-//! The comparison isolates what the PR-7 hot-loop restructuring buys:
-//! branch-free per-class kernels over the SoA streams, contiguous 4-slot
-//! value loads, hoisted x-gather selectors, and `LANE_BLOCK` batch-lane
-//! fusion. Built with `--features simd` the classed path additionally
-//! runs the explicit SSE2 kernels; the emitted JSON records which
-//! feature set was active so scalar and SIMD artifacts stay
-//! distinguishable.
+//! The comparison isolates what the executor's hot loop buys: the
+//! vector-blocked batch scratch, where one instance's x segment and
+//! output rows are contiguous across the `LANE_BLOCK` vectors of a lane
+//! block, and the branch-free lane kernel monomorphised per lane count,
+//! whose lane loops compile to packed SIMD arithmetic (the SIMD in the
+//! bench's name).
 //!
-//! Both paths are asserted bit-identical before timing — the
-//! classed executor stages per-instance outputs and scatters them in
-//! stream order, so it is the same computation, not an approximation.
-//! Results go to `BENCH_simd_spmv.json`.
+//! Both paths are asserted bit-identical before timing — the executor
+//! accumulates every lane in stream order, so it is the same computation,
+//! not an approximation. Results go to `BENCH_simd_spmv.json` (keys
+//! `per_instance_*` for the reference, `classed_*` for the executor).
 //!
-//! Run with `cargo bench -p spasm-bench --bench simd_spmv` (add
-//! `--features simd` for the SSE2 kernels; `--smoke` for CI liveness).
-//! `SPASM_BENCH_ASSERT=1` arms the batch-8 speedup floor.
+//! Run with `cargo bench -p spasm-bench --bench simd_spmv` (`--smoke` for
+//! CI liveness). `SPASM_BENCH_ASSERT=1` arms the batch-8 speedup floor.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,10 +55,9 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "classed-kernel SpMV | scale: {} | parallel: {} | simd: {}",
+        "lane-kernel SpMV | scale: {} | parallel: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd")
+        cfg!(feature = "parallel")
     );
 
     // Same structural cross-section as the other serving benches.
@@ -98,8 +95,8 @@ fn main() {
             })
             .collect();
 
-        // Bit-identity gate: the classed (and, under `simd`, SSE2) path
-        // must be the same computation as the per-instance reference.
+        // Bit-identity gate: the executor must be the same computation as
+        // the per-instance reference.
         let mut want = vec![vec![0.0f32; n_rows]; BATCH];
         plan.run_reference(&xs, &mut want).expect("run_reference");
         let mut got = vec![vec![0.0f32; n_rows]; BATCH];
@@ -108,7 +105,7 @@ fn main() {
             assert_eq!(
                 g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{w}: classed executor vector {j} diverged from the reference"
+                "{w}: executor vector {j} diverged from the reference"
             );
         }
 
@@ -138,7 +135,7 @@ fn main() {
             classed_s,
         };
         println!(
-            "{:<14} {:>9} nnz  per-instance {:>10.1} us/batch  classed {:>10.1} us/batch  {:>6.2}x",
+            "{:<14} {:>9} nnz  per-instance {:>10.1} us/batch  executor {:>10.1} us/batch  {:>6.2}x",
             row.workload,
             row.nnz,
             row.per_instance_s * 1e6,
@@ -149,10 +146,10 @@ fn main() {
     }
 
     let geomean = spasm_bench::geomean(rows.iter().map(Row::speedup));
-    println!("geomean classed-kernel speedup at batch {BATCH}: {geomean:.2}x");
+    println!("geomean executor speedup at batch {BATCH}: {geomean:.2}x");
     // Opt-in floor (SPASM_BENCH_ASSERT=1): the restructured hot loop must
     // beat the per-instance reference by >= 1.15x geomean at batch 8.
-    spasm_bench::maybe_assert_speedup("simd_spmv classed-kernel batch-8 speedup", geomean, 1.15);
+    spasm_bench::maybe_assert_speedup("simd_spmv executor batch-8 speedup", geomean, 1.15);
 
     // Hand-rolled JSON (no serde in the build environment).
     let mut json = String::from("{\n  \"bench\": \"simd_spmv\",\n");

@@ -85,14 +85,13 @@ pub fn host_cores() -> usize {
 
 /// JSON fragment recording the active cargo feature set and the host core
 /// count — spliced into every bench artifact so JSONs produced by
-/// different CI configurations (serial vs parallel, scalar vs simd,
-/// laptop vs runner) are distinguishable after the fact. The fragment is
-/// two complete `"key": value,` lines, indented for a top-level object.
+/// different CI configurations (serial vs parallel, laptop vs runner) are
+/// distinguishable after the fact. The fragment is two complete
+/// `"key": value,` lines, indented for a top-level object.
 pub fn metadata_json() -> String {
     format!(
-        "  \"features\": {{\"parallel\": {}, \"simd\": {}}},\n  \"cores\": {},\n",
+        "  \"features\": {{\"parallel\": {}}},\n  \"cores\": {},\n",
         cfg!(feature = "parallel"),
-        cfg!(feature = "simd"),
         host_cores()
     )
 }
@@ -238,7 +237,6 @@ mod tests {
         let md = metadata_json();
         assert!(md.contains("\"features\""));
         assert!(md.contains(&format!("\"parallel\": {}", cfg!(feature = "parallel"))));
-        assert!(md.contains(&format!("\"simd\": {}", cfg!(feature = "simd"))));
         assert!(md.contains(&format!("\"cores\": {}", host_cores())));
     }
 }

@@ -1,68 +1,74 @@
-//! Class-bucketed, data-parallel instance kernels — the SIMD-width hot
-//! loop behind [`crate::ExecutionPlan`].
+//! The executor's lane kernel — the hot loop behind [`crate::ExecutionPlan`].
 //!
-//! The per-instance reference loop (`process_span` in `plan.rs`) simulates
-//! the 4-lane VALU with scalar software: every instance re-dispatches
-//! through its [`ValuOpcode`]'s output-mux enum, so the compiler sees an
-//! opaque, branchy body and the branch predictor sees an
-//! instance-dependent template mix. This module restructures the loop so
-//! the work is data-parallel without changing a single output bit:
+//! A SPASM PE walks its instance stream in order: for each instance it
+//! loads the opcode from the portfolio LUT by template index and runs the
+//! 4-multiplier, 3-adder VALU on it. [`execute_row`] does the same in
+//! software for one tile row, over up to [`LANE_BLOCK`] right-hand sides
+//! at once:
 //!
-//! 1. **Pattern-class bucketing (prepare time).** Each tile row's instance
-//!    range is cut into fixed [`EXEC_BLOCK`]-instance blocks, and every
-//!    block's indices are stably sorted by opcode class (the `u8` template
-//!    LUT index). Within one class run the whole VALU configuration —
-//!    x-mux selectors and output-node routing — is loop-invariant, so the
-//!    kernel body is branch-free and autovectorizable.
+//! 1. **Vector-blocked operands.** Inside a lane block of `L` vectors the
+//!    padded x is interleaved — column `c`'s `L` values sit contiguously
+//!    at `c·L + l` — and so is the y window: row `k`'s lanes sit at
+//!    `k·L + l`. An instance's 4-wide x segment is then `4·L` contiguous
+//!    floats and its 4 output rows another `4·L`, so the instance's
+//!    metadata (x base, y base, opcode class, value quadruple) is read
+//!    once and applied to every lane with contiguous loads and stores.
 //!
-//! 2. **Compute/scatter split (run time).** A class run computes each
-//!    instance's 4-lane output into a block-local staging buffer (indexed
-//!    by the instance's *original* stream position); a second pass then
-//!    folds the staged outputs into the y window in original stream
-//!    order. Each instance's output is a pure function of its operands —
-//!    identical bits in any execution order — and the scatter replays the
-//!    exact accumulation sequence of the reference loop, so the window is
-//!    **bit-identical** to per-instance dispatch, including signed zeros
-//!    and NaN payloads. No FMA contraction is used anywhere (`a*b` and
-//!    `+` stay separate IEEE ops), so no ULP bound is needed.
+//! 2. **Stream order, no staging.** Instances run in stream order and
+//!    each one's outputs are added straight into its 4 window rows. Every
+//!    lane sees exactly the IEEE operation sequence of the per-instance
+//!    reference (`process_span` in `plan.rs`): four products, `p0+p1`,
+//!    `p2+p3`, their sum, and one `+=` per output row in stream order.
+//!    No FMA contraction is used anywhere (`a*b` and `+` stay separate
+//!    ops), so the window is **bit-identical** to the reference, signed
+//!    zeros and NaN payloads included; no ULP bound is needed.
 //!
-//! 3. **Batch-lane fusion.** The kernels take a lane count: one walk of an
-//!    instance's metadata (bucket index, x base, value quadruple, class
-//!    selectors) feeds up to [`LANE_BLOCK`] batch vectors before moving
-//!    on. The plan's one executor — behind [`crate::ExecutionPlan::run`]
-//!    (a batch of one), [`crate::ExecutionPlan::run_batch`] and
-//!    [`crate::ExecutionPlan::run_deferred`] — walks (tile row × lane
-//!    block) pairs, which keeps the staging buffer L1-resident; the y
-//!    windows stay window-major, one contiguous window per (tile row,
-//!    vector). The per-instance walk remains only as the verification
-//!    oracle and [`crate::ExecutionPlan::run_reference`], the scalar
-//!    baseline the large-batch bench compares against.
+//! 3. **Monomorphised lane loops.** The body is generic over the lane
+//!    count `L` in `1..=LANE_BLOCK`, so every lane loop has a
+//!    compile-time trip count, and the opcode is predigested into a
+//!    [`ClassKernel`] of mux indices, so the body is branch-free. At
+//!    `L = 8` the lane loops compile to packed `mulps`/`addps` at the
+//!    x86_64 SSE2 baseline: the lane loop is the SIMD datapath, with no
+//!    intrinsics and no `unsafe`.
 //!
-//! Under the `simd` cargo feature (x86_64) the class kernel's datapath is
-//! written with explicit SSE2 intrinsics — a 4-wide multiply, the two
-//! pair adders and the total adder as shuffles+adds, mirroring the
-//! hardware's 4 multipliers + 3 adders. Lane-wise `mulps`/`addps` round
-//! exactly like their scalar counterparts and the pair/total nodes are
-//! read from lanes whose operand order matches the scalar tree, so the
-//! `simd` path is bit-identical too (asserted across the differential
-//! zoo). On other architectures the feature falls back to the scalar
-//! class kernel.
+//! The prepare-time pattern-class bucketing ([`build_buckets`]: each tile
+//! row's span cut into [`EXEC_BLOCK`]-instance blocks whose indices are
+//! stably sorted by opcode class) does not feed the executor. Its tables
+//! are kept only because wire v3 and [`crate::PlanStreams`] carry them.
+
+use std::ops::Range;
 
 use crate::valu::{OutNode, ValuOpcode};
 
-/// Instances per execution block: the bucketing (and the staging buffer)
-/// granule. 256 instances × 4 lanes × [`LANE_BLOCK`] vectors × 4 bytes =
-/// 32 KiB of staging per worker — L1-resident on anything current.
+/// Instances per bucketing block: the granule of the prepare-time
+/// pattern-class bucketing that wire v3 stores.
 pub const EXEC_BLOCK: usize = 256;
 
-/// Batch vectors fused per instance walk. Bounds the staging footprint;
-/// larger batches are processed in lane blocks of this size.
+/// Batch vectors fused per instance walk: the width of one lane block.
+/// Larger batches run in lane blocks of this size (the last may be
+/// narrower).
 pub const LANE_BLOCK: usize = 8;
 
-/// Staging floats one worker needs for any (block × lane-block) tile.
-pub(crate) const STAGE_STRIDE: usize = 4 * EXEC_BLOCK * LANE_BLOCK;
+/// Calls `$f::<L>(..)` for the runtime lane count `$lanes`: one
+/// monomorphised body per lane-block width `1..=LANE_BLOCK`.
+macro_rules! with_lanes {
+    ($lanes:expr, $f:ident($($arg:expr),*)) => {
+        match $lanes {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            n => unreachable!("lane count {n} outside 1..=LANE_BLOCK"),
+        }
+    };
+}
+const _: () = assert!(LANE_BLOCK == 8, "with_lanes! covers 1..=8");
 
-/// One class-sorted run inside an execution block: instances
+/// One class-sorted run inside a bucketing block: instances
 /// `bucket_idx[start..end]` all dispatch through opcode class `class`.
 ///
 /// `#[repr(C)]` with u32 fields only (12 bytes, no padding) so the runs
@@ -79,7 +85,7 @@ pub struct ClassRun {
     pub class: u32,
 }
 
-/// A [`ValuOpcode`] predigested for the branch-free class kernels: the
+/// A [`ValuOpcode`] predigested for the branch-free lane kernel: the
 /// x-mux selectors as `usize` offsets and the output muxes as indices
 /// into the 8-entry node array `[p0, p1, p2, p3, p0+p1, p2+p3, Σp, 0]`.
 #[derive(Debug, Clone, Copy)]
@@ -119,29 +125,15 @@ impl ClassKernel {
 pub(crate) struct SoaRef<'a> {
     pub x_base: &'a [u32],
     pub y_base: &'a [u32],
+    pub op_idx: &'a [u8],
     pub values: &'a [f32],
     pub kernels: &'a [ClassKernel],
 }
 
-/// Borrowed view of the prepare-time bucketing: block-wise class-sorted
-/// instance indices plus the run/block/row directory over them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BucketRef<'a> {
-    /// Instance indices, block-wise stably sorted by class.
-    pub bucket_idx: &'a [u32],
-    /// Class-sorted runs into `bucket_idx`, in block order.
-    pub class_runs: &'a [ClassRun],
-    /// Per block: prefix of run counts into `class_runs` (len blocks+1).
-    pub block_runs: &'a [u32],
-    /// Per tile row: prefix of block counts (len rows+1).
-    pub row_blocks: &'a [u32],
-    /// Per tile row: instance span in the stream.
-    pub inst_ranges: &'a [(usize, usize)],
-}
-
-/// The owned bucketing tables `build_buckets` produces:
-/// `(bucket_idx, class_runs, block_runs, row_blocks)` as described on
-/// [`BucketRef`].
+/// The owned bucketing tables `build_buckets` produces: `(bucket_idx,
+/// class_runs, block_runs, row_blocks)` — instance indices block-wise
+/// stably sorted by class, the class runs into them in block order, and
+/// the per-block run and per-tile-row block prefixes.
 pub(crate) type Buckets = (Vec<u32>, Vec<ClassRun>, Vec<u32>, Vec<u32>);
 
 /// The prepare-time bucketing pass: cuts each tile row's instance span
@@ -162,9 +154,7 @@ pub(crate) fn build_buckets(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Bu
             let b1 = (b0 + EXEC_BLOCK).min(i1);
             scratch.clear();
             scratch.extend((b0..b1).map(|i| i as u32));
-            // Stable: equal classes keep their stream order, so the
-            // scatter pass (which walks the original order) and this pass
-            // agree on which instance is which.
+            // Stable: equal classes keep their stream order.
             scratch.sort_by_key(|&i| op_idx[i as usize]);
             let base = bucket_idx.len() as u32;
             let mut run_start = 0usize;
@@ -190,208 +180,98 @@ pub(crate) fn build_buckets(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Bu
     (bucket_idx, class_runs, block_runs, row_blocks)
 }
 
-/// Executes tile row `r` for `lanes` batch vectors through the
-/// class-bucketed two-pass kernel.
+/// Executes the instance span `span` (one tile row) for the `lanes`
+/// vectors of one lane block, accumulating into their zeroed window.
 ///
-/// * `xs` holds padded x vectors at stride `xstride`; the call reads lanes
-///   `lane0..lane0 + lanes`.
-/// * `windows` holds the `lanes` y windows back to back, each `wlen` long
-///   (the packed batch layout).
-/// * `stage` must be at least [`STAGE_STRIDE`] floats; contents are
-///   scratch, fully overwritten per block before being read.
+/// * `xs` is the block's interleaved padded x: column `c` of lane `l` at
+///   `c·lanes + l`.
+/// * `window` is the block's row-major window: row `k` of lane `l` at
+///   `k·lanes + l`.
 ///
-/// The per-lane accumulation order into every y element is original
-/// stream order — bit-identical to the per-instance reference loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_row_classed(
+/// Each lane's accumulation into every y element is stream order —
+/// bit-identical to the per-instance reference loop.
+pub(crate) fn execute_row(
     soa: SoaRef<'_>,
-    buckets: BucketRef<'_>,
-    r: usize,
+    span: (usize, usize),
     xs: &[f32],
-    xstride: usize,
-    lane0: usize,
     lanes: usize,
-    windows: &mut [f32],
-    wlen: usize,
-    stage: &mut [f32],
+    window: &mut [f32],
 ) {
-    debug_assert!((1..=LANE_BLOCK).contains(&lanes));
-    debug_assert!(stage.len() >= STAGE_STRIDE);
-    debug_assert!(windows.len() >= lanes * wlen);
-    let (i0, i1) = buckets.inst_ranges[r];
-    let b_lo = buckets.row_blocks[r] as usize;
-    let b_hi = buckets.row_blocks[r + 1] as usize;
-    let mut blk_i0 = i0;
-    for b in b_lo..b_hi {
-        let blk_i1 = (blk_i0 + EXEC_BLOCK).min(i1);
-        for run in buckets.block_runs[b] as usize..buckets.block_runs[b + 1] as usize {
-            let ClassRun {
-                start: s,
-                end: e,
-                class,
-            } = buckets.class_runs[run];
-            let kern = soa.kernels[class as usize];
-            let idx = &buckets.bucket_idx[s as usize..e as usize];
-            compute_run(kern, idx, soa, xs, xstride, lane0, lanes, blk_i0, stage);
+    with_lanes!(lanes, row(soa, span, xs, window))
+}
+
+/// [`execute_row`] at a compile-time lane count. The x-mux and output-mux
+/// indices are masked to their ranges (a no-op on valid kernels) so the
+/// lane loops carry no bounds checks.
+fn row<const L: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
+    let (xcols, _) = xs.as_chunks::<L>();
+    let (rows, _) = window.as_chunks_mut::<L>();
+    // Node 7 is the VALU's zero output and is never written.
+    let mut nodes = [[0.0f32; L]; 8];
+    for i in i0..i1 {
+        let ClassKernel { col, sel } = soa.kernels[usize::from(soa.op_idx[i])];
+        let c = soa.x_base[i] as usize;
+        let x = &xcols[c..c + 4];
+        let [x0, x1, x2, x3] = col.map(|c| &x[c & 3]);
+        let v = &soa.values[4 * i..4 * i + 4];
+        let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+        for l in 0..L {
+            let p0 = v0 * x0[l];
+            let p1 = v1 * x1[l];
+            let p2 = v2 * x2[l];
+            let p3 = v3 * x3[l];
+            let pair01 = p0 + p1;
+            let pair23 = p2 + p3;
+            nodes[0][l] = p0;
+            nodes[1][l] = p1;
+            nodes[2][l] = p2;
+            nodes[3][l] = p3;
+            nodes[4][l] = pair01;
+            nodes[5][l] = pair23;
+            nodes[6][l] = pair01 + pair23;
         }
-        scatter_block(soa.y_base, blk_i0, blk_i1, lanes, stage, windows, wlen);
-        blk_i0 = blk_i1;
-    }
-}
-
-/// Pass 2: folds the staged per-instance outputs into the y windows in
-/// original stream order — the accumulation sequence the reference loop
-/// uses, replayed exactly.
-fn scatter_block(
-    y_base: &[u32],
-    blk_i0: usize,
-    blk_i1: usize,
-    lanes: usize,
-    stage: &[f32],
-    windows: &mut [f32],
-    wlen: usize,
-) {
-    for (k, &yb) in y_base[blk_i0..blk_i1].iter().enumerate() {
-        let r0 = yb as usize;
-        let sbase = k * lanes * 4;
-        for l in 0..lanes {
-            let s = &stage[sbase + 4 * l..sbase + 4 * l + 4];
-            let w = &mut windows[l * wlen + r0..l * wlen + r0 + 4];
-            w[0] += s[0];
-            w[1] += s[1];
-            w[2] += s[2];
-            w[3] += s[3];
-        }
-    }
-}
-
-/// Pass 1 (scalar): one class run, branch-free. All selector state is
-/// loop-invariant, every access pattern is affine in the bucket index, and
-/// the 8-node mux is an indexed load from a stack array — no enum
-/// dispatch in the body, so the compiler is free to unroll and
-/// autovectorize.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[allow(clippy::too_many_arguments)]
-fn compute_run(
-    kern: ClassKernel,
-    idx: &[u32],
-    soa: SoaRef<'_>,
-    xs: &[f32],
-    xstride: usize,
-    lane0: usize,
-    lanes: usize,
-    blk_i0: usize,
-    stage: &mut [f32],
-) {
-    compute_run_scalar(kern, idx, soa, xs, xstride, lane0, lanes, blk_i0, stage);
-}
-
-/// Pass 1 (`simd` feature, x86_64): the same class run with the VALU
-/// datapath as explicit SSE2 — `mulps` for the 4 multipliers, two
-/// shuffle+`addps` stages for the pair and total adders. Only lanes whose
-/// operand order matches the scalar tree are read back (lane 0 of the
-/// pair vector is `p0+p1`, lane 2 is `p2+p3`, lane 0 of the total is
-/// `(p0+p1)+(p2+p3)`), so the result is bit-identical to the scalar
-/// kernel, NaN payloads included.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-fn compute_run(
-    kern: ClassKernel,
-    idx: &[u32],
-    soa: SoaRef<'_>,
-    xs: &[f32],
-    xstride: usize,
-    lane0: usize,
-    lanes: usize,
-    blk_i0: usize,
-    stage: &mut [f32],
-) {
-    #[allow(unsafe_code)]
-    // SAFETY: every index is validated at prepare time (`validate_stream`):
-    // `x_base[i] + 4 <= xstride` for all instances, `4 * i + 4 <=
-    // values.len()`, and the caller sizes `xs` to at least `(lane0 +
-    // lanes) * xstride` and `stage` to `STAGE_STRIDE` (debug-asserted
-    // here and in `execute_row_classed`). SSE2 is baseline on x86_64.
-    unsafe {
-        use core::arch::x86_64::*;
-        debug_assert!(xs.len() >= (lane0 + lanes) * xstride);
-        let [c0, c1, c2, c3] = kern.col;
-        let [s0, s1, s2, s3] = kern.sel;
-        for &ii in idx {
-            let i = ii as usize;
-            debug_assert!(4 * i + 4 <= soa.values.len());
-            let v = _mm_loadu_ps(soa.values.as_ptr().add(4 * i));
-            let cb = soa.x_base[i] as usize;
-            debug_assert!(cb + 4 <= xstride);
-            let sbase = (i - blk_i0) * lanes * 4;
-            for l in 0..lanes {
-                let xp = xs.as_ptr().add((lane0 + l) * xstride + cb);
-                // The 4-to-1 x muxes: a gather of the selected x element
-                // per multiplier (selectors are loop-invariant).
-                let xseg = _mm_set_ps(*xp.add(c3), *xp.add(c2), *xp.add(c1), *xp.add(c0));
-                let p = _mm_mul_ps(v, xseg);
-                // Pair adders: lane 0 = p0+p1, lane 2 = p2+p3 (the other
-                // lanes have reversed operand order and are never read).
-                let swapped = _mm_shuffle_ps::<0b10_11_00_01>(p, p);
-                let pair = _mm_add_ps(p, swapped);
-                // Total adder: lane 0 = (p0+p1) + (p2+p3).
-                let cross = _mm_shuffle_ps::<0b01_00_11_10>(pair, pair);
-                let total = _mm_add_ps(pair, cross);
-                let mut nodes = [0.0f32; 8];
-                _mm_storeu_ps(nodes.as_mut_ptr(), p);
-                nodes[4] = _mm_cvtss_f32(pair);
-                nodes[5] = _mm_cvtss_f32(cross);
-                nodes[6] = _mm_cvtss_f32(total);
-                let out = &mut stage[sbase + 4 * l..sbase + 4 * l + 4];
-                out[0] = nodes[s0];
-                out[1] = nodes[s1];
-                out[2] = nodes[s2];
-                out[3] = nodes[s3];
+        let r0 = soa.y_base[i] as usize;
+        for (out, &s) in rows[r0..r0 + 4].iter_mut().zip(&sel) {
+            for (o, n) in out.iter_mut().zip(&nodes[s & 7]) {
+                *o += *n;
             }
         }
     }
 }
 
-/// The scalar class-run body shared by the default build and the `simd`
-/// fallback on non-x86_64 targets.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-#[allow(clippy::too_many_arguments)]
-fn compute_run_scalar(
-    kern: ClassKernel,
-    idx: &[u32],
-    soa: SoaRef<'_>,
-    xs: &[f32],
-    xstride: usize,
-    lane0: usize,
-    lanes: usize,
-    blk_i0: usize,
-    stage: &mut [f32],
-) {
-    let [c0, c1, c2, c3] = kern.col;
-    let [s0, s1, s2, s3] = kern.sel;
-    for &ii in idx {
-        let i = ii as usize;
-        let cb = soa.x_base[i] as usize;
-        let v0 = soa.values[4 * i];
-        let v1 = soa.values[4 * i + 1];
-        let v2 = soa.values[4 * i + 2];
-        let v3 = soa.values[4 * i + 3];
-        let sbase = (i - blk_i0) * lanes * 4;
-        for l in 0..lanes {
-            let x = &xs[(lane0 + l) * xstride + cb..(lane0 + l) * xstride + cb + 4];
-            let p0 = v0 * x[c0];
-            let p1 = v1 * x[c1];
-            let p2 = v2 * x[c2];
-            let p3 = v3 * x[c3];
-            let pair01 = p0 + p1;
-            let pair23 = p2 + p3;
-            let total = pair01 + pair23;
-            let nodes = [p0, p1, p2, p3, pair01, pair23, total, 0.0];
-            let out = &mut stage[sbase + 4 * l..sbase + 4 * l + 4];
-            out[0] = nodes[s0];
-            out[1] = nodes[s1];
-            out[2] = nodes[s2];
-            out[3] = nodes[s3];
+/// Writes one lane block's x vectors into `dst` interleaved
+/// column-outer, `dst[c·L + l] = xs[l][c]`, for `L = xs.len()` lanes and
+/// every column of the (equally long) vectors.
+pub(crate) fn interleave(xs: &[impl AsRef<[f32]>], dst: &mut [f32]) {
+    with_lanes!(xs.len(), interleave_lanes(xs, dst))
+}
+
+fn interleave_lanes<const L: usize>(xs: &[impl AsRef<[f32]>], dst: &mut [f32]) {
+    let src: [&[f32]; L] = std::array::from_fn(|l| xs[l].as_ref());
+    let (cols, _) = dst[..L * src[0].len()].as_chunks_mut::<L>();
+    for (c, col) in cols.iter_mut().enumerate() {
+        for (d, s) in col.iter_mut().zip(&src) {
+            *d = s[c];
+        }
+    }
+}
+
+/// Adds a row-major window into its `L = ys.len()` vectors:
+/// `ys[l][rows.start + k] += window[k·L + l]` for every row of `rows`.
+pub(crate) fn fold(window: &[f32], ys: &mut [impl AsMut<[f32]>], rows: Range<usize>) {
+    with_lanes!(ys.len(), fold_lanes(window, ys, rows))
+}
+
+fn fold_lanes<const L: usize>(window: &[f32], ys: &mut [impl AsMut<[f32]>], rows: Range<usize>) {
+    let mut it = ys.iter_mut();
+    let mut dst: [&mut [f32]; L] = std::array::from_fn(|_| {
+        it.next()
+            .map_or(&mut [][..], |y| &mut y.as_mut()[rows.clone()])
+    });
+    let (src, _) = window.as_chunks::<L>();
+    for (k, row) in src[..rows.len()].iter().enumerate() {
+        for (d, s) in dst.iter_mut().zip(row) {
+            d[k] += *s;
         }
     }
 }

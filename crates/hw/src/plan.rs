@@ -13,11 +13,10 @@
 //!   compiled portfolio LUT, and the four value slots — so the hot loop
 //!   never re-parses 32-bit position encodings or re-derives tile bases;
 //! * each tile row's instance span is cut into fixed-size blocks whose
-//!   indices are stably sorted by opcode class at prepare time, feeding
-//!   the branch-free class kernels of the executor (see the `kernel`
-//!   module) — bit-identical to the per-instance reference walk, which
-//!   survives only as the verification oracle and as
-//!   [`ExecutionPlan::run_reference`];
+//!   indices are stably sorted by opcode class at prepare time; the
+//!   executor does not read these tables (it walks the stream in order,
+//!   see the `kernel` module), but wire v3 and [`PlanStreams`] carry
+//!   them;
 //! * the tile-row layout (instance spans, disjoint y windows), per-tile
 //!   lane statistics, [`TileJob`]s, the LPT assignment, per-group cycles,
 //!   traffic and the full [`ExecReport`] are computed once — the report is
@@ -32,18 +31,23 @@
 //!
 //! Every forward execution — [`ExecutionPlan::run`] (a batch of one),
 //! [`ExecutionPlan::run_batch`] and [`ExecutionPlan::run_deferred`] — goes
-//! through one loop over (tile-row × lane-block) pairs: all x vectors are
-//! padded once into a strided scratch, and each pair applies one tile
-//! row's span of the SoA stream to up to [`ExecutionPlan::LANE_BLOCK`]
-//! vectors while its instances are hot in cache. Outputs land in a packed
-//! window-major scratch where every (tile row, vector) window is
-//! contiguous. Under the `parallel` feature the pairs are chunked
-//! contiguously, balanced by instance weight, one scoped worker per chunk
-//! (the ambient budget is `rayon::current_num_threads` from the vendored
-//! shim — the same budget `Parallelism` installs); at budget 1 the single
-//! chunk runs inline. Windows are disjoint and each accumulates in stream
-//! order whichever worker computes it, so the output is bit-identical for
-//! every batch size and thread count, and to looped single runs. The
+//! through one loop over (tile-row × lane-block) pairs, and each pair
+//! walks one tile row's span of the SoA stream in stream order, applying
+//! every instance to the up to [`ExecutionPlan::LANE_BLOCK`] vectors of
+//! its lane block at once. The batch scratch is vector-blocked: inside a
+//! lane block of `lb` vectors, column `c` of the padded x holds its `lb`
+//! values contiguously, and each pair's window is row-major, row `k`'s
+//! `lb` lanes side by side — so one instance's x segment and output rows
+//! are contiguous across lanes. Every pair's window is one contiguous
+//! span of the packed scratch. Under the `parallel` feature the pairs
+//! are chunked contiguously, balanced by instance weight, one scoped
+//! worker per chunk (the ambient budget is `rayon::current_num_threads`
+//! from the vendored shim — the same budget `Parallelism` installs); at
+//! budget 1 the single chunk runs inline. Windows are disjoint and each lane accumulates in
+//! stream order whichever worker computes it, so the output is
+//! bit-identical for every batch size and thread count, to looped single
+//! runs, and to the per-instance walk, which survives only as the
+//! verification oracle and as [`ExecutionPlan::run_reference`]. The
 //! value stream itself is an `Arc<[f32]>` shared with the owning
 //! [`SpasmMatrix`], so preparing several plans — or cloning one per batch
 //! worker — does not duplicate the multi-GB buffer.
@@ -76,7 +80,7 @@ use spasm_format::SpasmMatrix;
 
 use crate::config::HwConfig;
 use crate::integrity::{merge_health, HealthReport, IntegrityCheck, VerifyScope};
-use crate::kernel::{self, BucketRef, ClassKernel, ClassRun, SoaRef};
+use crate::kernel::{self, ClassKernel, ClassRun, SoaRef};
 use crate::pe::Pe;
 use crate::sim::{BatchReport, ExecReport, SimError, Traffic};
 use crate::stream::Stream;
@@ -137,7 +141,7 @@ pub struct ExecutionPlan {
     y_base: Stream<u32>,
     op_idx: Stream<u8>,
     // The compiled portfolio: one `ValuOpcode` per template (the PE's
-    // opcode LUT) and the same opcodes predigested for the class kernels.
+    // opcode LUT) and the same opcodes predigested for the lane kernel.
     lut: Vec<ValuOpcode>,
     kernels: Vec<ClassKernel>,
     // When owned, shared with the owning `SpasmMatrix` (and any sibling
@@ -148,7 +152,8 @@ pub struct ExecutionPlan {
     // Prepare-time pattern-class bucketing (see `crate::kernel`): per
     // `kernel::EXEC_BLOCK`-sized block of each tile row's instance span,
     // the instance indices stably sorted by class, plus the
-    // run/block/row directory over them.
+    // run/block/row directory over them. The executor does not read
+    // these; they are kept for wire v3 and `PlanStreams`.
     bucket_idx: Stream<u32>,
     class_runs: Stream<ClassRun>,
     block_runs: Stream<u32>,
@@ -166,14 +171,17 @@ pub struct ExecutionPlan {
     assignment: Vec<Vec<TileJob>>,
     report: ExecReport,
     // Reusable scratch, sized for one vector at build and grown to the
-    // largest batch seen: `xb` holds the batch's padded x vectors at
-    // stride `xstride`; `yb` packs each (tile-row, vector) window
-    // contiguously, window-major (`window_prefix[r] * batch + j *
-    // window_len(r)`), so chunks of (tile-row × lane-block) pairs own
-    // contiguous ascending spans; `batch` is how many vectors they hold.
-    // `chunks` keeps the fan-out's pair boundaries, `vp`/`vq` (sized to
-    // the largest window) the verification oracle and the quarantine
-    // retry, `health` the per-vector outcome of the last deferred run.
+    // largest batch seen, vector-blocked per lane block of `lb <=
+    // LANE_BLOCK` vectors: `xb` holds block `b`'s padded x interleaved
+    // at `b * LANE_BLOCK * xstride + c * lb + l`; `yb` holds pair (tile
+    // row `r`, block `b`) at `window_prefix[r] * batch + b * LANE_BLOCK *
+    // window_len(r)`, row-major inside (row `k`, lane `l` at `k * lb +
+    // l`), so chunks of pairs own contiguous ascending spans; `batch` is
+    // how many vectors they hold. `chunks` keeps the fan-out's pair
+    // boundaries, `vp` (the largest window) the verification oracle,
+    // `vq` (the largest window times `LANE_BLOCK`) the quarantine retry
+    // of a whole lane block, `health` the per-vector outcome of the last
+    // deferred run.
     xstride: usize,
     xb: Vec<f32>,
     yb: Vec<f32>,
@@ -182,11 +190,6 @@ pub struct ExecutionPlan {
     vp: Vec<f32>,
     vq: Vec<f32>,
     health: Vec<HealthReport>,
-    // Staging scratch for the class kernels: one `kernel::STAGE_STRIDE`
-    // stripe per worker (grown before a parallel fan-out; the serial
-    // stripe is allocated at build so steady-state serial runs stay
-    // allocation-free).
-    stage: Vec<f32>,
     // Fault-injection state: the raw encoding words and per-instance tile
     // column bases let the executor's fault hook re-decode the stream
     // (against the shared `lut`) as the hardware would after a bit flip.
@@ -210,7 +213,7 @@ pub struct PlanStreams<'a> {
     pub op_idx: &'a [u8],
     /// Four value slots per instance.
     pub values: &'a [f32],
-    /// Classed execution order (see [`ExecutionPlan::bucket_order`]).
+    /// Class-bucketed instance order (see [`ExecutionPlan::bucket_order`]).
     pub bucket_idx: &'a [u32],
     /// Class runs into `bucket_idx`, in block order.
     pub class_runs: &'a [ClassRun],
@@ -263,7 +266,7 @@ pub struct PlanParts {
     pub op_idx: Stream<u8>,
     /// Four value slots per instance.
     pub values: Stream<f32>,
-    /// Classed execution order.
+    /// Class-bucketed instance order.
     pub bucket_idx: Stream<u32>,
     /// Class runs into `bucket_idx`, in block order.
     pub class_runs: Stream<ClassRun>,
@@ -416,8 +419,8 @@ impl ExecutionPlan {
         }
 
         // Compiled portfolio tables (the PE's opcode LUT, shared by the
-        // faulted decoder, plus the class kernels), and the prepare-time
-        // pattern-class bucketing over the instance stream.
+        // faulted decoder, plus its lane-kernel digest), and the
+        // prepare-time pattern-class bucketing over the instance stream.
         let lut = matrix
             .template_masks()
             .iter()
@@ -495,9 +498,8 @@ impl ExecutionPlan {
             batch: 0,
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window],
+            vq: vec![0.0; max_window * kernel::LANE_BLOCK],
             health: Vec::new(),
-            stage: vec![0.0; kernel::STAGE_STRIDE],
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
@@ -950,9 +952,8 @@ impl ExecutionPlan {
             batch: 0,
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window],
+            vq: vec![0.0; max_window * kernel::LANE_BLOCK],
             health: Vec::new(),
-            stage: vec![0.0; kernel::STAGE_STRIDE],
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
@@ -983,11 +984,12 @@ impl ExecutionPlan {
         self.tile_size
     }
 
-    /// Instances per execution block: the pattern-class bucketing (and
-    /// kernel staging) granule of the executor.
+    /// Instances per bucketing block: the granule of the prepare-time
+    /// pattern-class bucketing (see [`ExecutionPlan::bucket_order`]).
     pub const EXEC_BLOCK: usize = kernel::EXEC_BLOCK;
 
-    /// Batch vectors fused per instance walk by the executor.
+    /// Batch vectors fused per instance walk by the executor: the width
+    /// of one lane block of the vector-blocked batch scratch.
     pub const LANE_BLOCK: usize = kernel::LANE_BLOCK;
 
     /// Template instances in the pre-decoded stream.
@@ -1006,17 +1008,18 @@ impl ExecutionPlan {
         self.inst_ranges.get(r).copied()
     }
 
-    /// The executor's instance order: instance indices,
-    /// block-wise stably sorted by opcode class. Each
+    /// The prepare-time class bucketing: instance indices, block-wise
+    /// stably sorted by opcode class. Each
     /// [`ExecutionPlan::EXEC_BLOCK`]-aligned slice of a tile row's span
     /// is a permutation of the corresponding stream positions (the
-    /// bucketing property test pins this down).
+    /// bucketing property test pins this down). The executor walks the
+    /// stream in order and does not read this; wire v3 stores it.
     pub fn bucket_order(&self) -> &[u32] {
         &self.bucket_idx
     }
 
     /// Per-instance opcode class: the template LUT index driving both the
-    /// class kernels and the per-instance reference (1 byte per instance).
+    /// lane kernel and the per-instance reference (1 byte per instance).
     pub fn opcode_classes(&self) -> &[u8] {
         &self.op_idx
     }
@@ -1110,12 +1113,12 @@ impl ExecutionPlan {
     }
 
     /// The scalar reference: `ys[j] += A·xs[j]` computed serially, one
-    /// (tile row, vector) window at a time in window-major order, one
-    /// instance at a time through the portfolio LUT — the per-instance
-    /// walk the verification oracle uses. Bit-identical to
-    /// [`ExecutionPlan::run_batch`] (the differential suite asserts it);
-    /// kept as the baseline for tests and benchmarks. Never fans out and
-    /// ignores armed faults. Stamps the report like `run_batch`.
+    /// (tile row, vector) window at a time, one instance at a time through
+    /// the portfolio LUT — the per-instance walk the verification oracle
+    /// uses. Bit-identical to [`ExecutionPlan::run_batch`] (the
+    /// differential suite asserts it); kept as the baseline for tests and
+    /// benchmarks. Never fans out and ignores armed faults. Stamps the
+    /// report like `run_batch`.
     ///
     /// # Errors
     ///
@@ -1130,12 +1133,12 @@ impl ExecutionPlan {
         let (exec, s) = self.split();
         for r in 0..exec.window_spans.len() {
             for j in 0..exec.batch {
-                process_span(&exec, r, j, &mut s.yb[exec.window(r, j)]);
+                let (lane0, lanes) = lane_block(exec.batch, j);
+                let start = exec.pair_window(r, lane0).start + j - lane0;
+                process_span(&exec, r, j, &mut s.yb[start..], lanes);
             }
         }
-        for (j, y) in ys.iter_mut().enumerate() {
-            self.add_into(j, y.as_mut());
-        }
+        exec.fold(s.yb, ys);
         self.report.health = HealthReport::default();
         self.stamp_batch(xs.len());
         Ok(&self.report)
@@ -1214,7 +1217,8 @@ impl ExecutionPlan {
                 "commit names a vector outside the last batch",
             ));
         }
-        self.add_into(vector, y);
+        let (exec, s) = self.split();
+        exec.fold_one(s.yb, vector, y);
         Ok(&self.report)
     }
 
@@ -1231,7 +1235,9 @@ impl ExecutionPlan {
         }
         self.tile_row_index_containing(row).map_or(0.0, |r| {
             let (w0, w1) = self.window_spans[r];
-            self.yb[self.window_prefix[r] * self.batch + vector * (w1 - w0) + row - w0]
+            let (lane0, lanes) = lane_block(self.batch, vector);
+            let start = self.window_prefix[r] * self.batch + lane0 * (w1 - w0);
+            self.yb[start + (row - w0) * lanes + vector - lane0]
         })
     }
 
@@ -1260,7 +1266,7 @@ impl ExecutionPlan {
     /// The *owned* resident size of this plan in bytes: the pre-decoded
     /// SoA stream (1-byte opcode classes plus the portfolio LUT), the
     /// pattern-class bucket directory, tile-row layout, scheduling state
-    /// and reusable scratch (including the kernel staging stripes), plus
+    /// and reusable scratch (batch operands, oracle and retry windows), plus
     /// the value stream — counting only heap-owned stream sections.
     /// Sections mapped out of a wire-v3 buffer are excluded here and
     /// reported by [`ExecutionPlan::mapped_bytes`] instead, so a cache
@@ -1282,7 +1288,7 @@ impl ExecutionPlan {
                 std::mem::size_of_val(&**s)
             }
         }
-        let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.vq.len() + self.stage.len();
+        let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.vq.len();
         let bytes = size_of::<Self>()
             + f32s * size_of::<f32>()
             + owned(&self.values)
@@ -1419,20 +1425,26 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Pads every x vector into the strided batch scratch and zeroes the
-    /// active region of the packed window scratch. Both buffers grow on
-    /// first use beyond one vector and are reused afterwards; the pad
-    /// lanes beyond each vector's `cols` entries are written zero at
-    /// growth and never touched again (every accepted x has exactly `cols`
-    /// entries), as the hardware's aligned buffers are.
+    /// Interleaves every x vector into the vector-blocked batch scratch
+    /// and zeroes the active region of the packed window scratch. Both
+    /// buffers grow on first use beyond one vector and are reused
+    /// afterwards. Each lane block is written column-outer, and its pad
+    /// columns beyond `cols` are re-zeroed on every load: a block's lane
+    /// count, and so its stride, changes with the batch size, so stale
+    /// values of an earlier batch may sit where this batch's padding goes.
     fn load_batch<X: AsRef<[f32]>>(&mut self, xs: &[X]) {
-        let need_x = self.xstride * xs.len();
+        let (xstride, cols) = (self.xstride, self.cols as usize);
+        let need_x = xstride * xs.len();
         if self.xb.len() < need_x {
             self.xb.resize(need_x, 0.0);
         }
-        for (j, x) in xs.iter().enumerate() {
-            let x = x.as_ref();
-            self.xb[j * self.xstride..j * self.xstride + x.len()].copy_from_slice(x);
+        for (block, dst) in xs
+            .chunks(kernel::LANE_BLOCK)
+            .zip(self.xb.chunks_mut((kernel::LANE_BLOCK * xstride).max(1)))
+        {
+            let lanes = block.len();
+            kernel::interleave(block, dst);
+            dst[lanes * cols..lanes * xstride].fill(0.0);
         }
         let need_y = self.window_prefix.last().copied().unwrap_or(0) * xs.len();
         if self.yb.len() < need_y {
@@ -1452,9 +1464,8 @@ impl ExecutionPlan {
     {
         self.load_batch(xs);
         self.execute();
-        for (j, y) in ys.iter_mut().enumerate() {
-            self.add_into(j, y.as_mut());
-        }
+        let (exec, s) = self.split();
+        exec.fold(s.yb, ys);
         self.report.health = (0..xs.len())
             .map(|j| self.armed_health(j))
             .fold(HealthReport::default(), merge_health);
@@ -1464,11 +1475,10 @@ impl ExecutionPlan {
     /// lane-block) pair, in pair order `p = r·lane_blocks + b`, chunked
     /// contiguously by instance weight with one scoped worker per chunk —
     /// or, at budget 1, one chunk run inline on the caller's thread. A
-    /// chunk's packed windows form one contiguous ascending span of `yb`
-    /// (that is what the window-major layout buys), handed out with
-    /// `split_at_mut`; every window accumulates in stream order whichever
-    /// chunk computes it, so the result is bit-identical for every budget.
-    /// Armed faults force budget 1.
+    /// chunk's pair windows form one contiguous ascending span of `yb`,
+    /// handed out with `split_at_mut`; every lane accumulates in stream
+    /// order whichever chunk computes it, so the result is bit-identical
+    /// for every budget. Armed faults force budget 1.
     fn execute(&mut self) {
         let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
         let n_pairs = self.inst_ranges.len() * lane_blocks;
@@ -1485,29 +1495,20 @@ impl ExecutionPlan {
         let budget = worker_budget();
         self.chunk_pairs(lane_blocks, n_pairs, budget.min(n_pairs));
 
-        // One staging stripe per chunk worker (grown once per budget, so
-        // the steady state at a fixed thread count does not allocate).
-        let n_chunks = self.chunks.len() - 1;
-        if self.stage.len() < n_chunks * kernel::STAGE_STRIDE {
-            self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
-        }
         let (exec, s) = self.split();
         let ys = &mut s.yb[..exec.pair_offset(n_pairs)];
-        if n_chunks == 1 {
-            exec.run_pairs(0, n_pairs, ys, &mut s.stage[..kernel::STAGE_STRIDE]);
+        if s.chunks.len() == 2 {
+            exec.run_pairs(0, n_pairs, ys);
             return;
         }
         std::thread::scope(|scope| {
             let mut rest = ys;
-            let mut stage_rest = &mut *s.stage;
             for w in s.chunks.windows(2) {
                 let (p0, p1) = (w[0], w[1]);
                 let len = exec.pair_offset(p1) - exec.pair_offset(p0);
                 let (chunk_y, tail) = rest.split_at_mut(len);
                 rest = tail;
-                let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
-                stage_rest = s_tail;
-                scope.spawn(move || exec.run_pairs(p0, p1, chunk_y, chunk_stage));
+                scope.spawn(move || exec.run_pairs(p0, p1, chunk_y));
             }
         });
     }
@@ -1542,29 +1543,6 @@ impl ExecutionPlan {
             }
         }
         self.chunks.push(n_pairs);
-    }
-
-    /// Folds vector `j`'s packed windows into `y`, including the
-    /// `+= 0.0` on rows outside every worked window (which normalises a
-    /// caller's `-0.0` to `+0.0`), so every execution path — and every
-    /// batch size — writes `y` identically, even on signed zeros.
-    fn add_into(&self, j: usize, y: &mut [f32]) {
-        let rows = y.len();
-        let mut cursor = 0usize;
-        for (r, &(w0, w1)) in self.window_spans.iter().enumerate() {
-            let (lo, hi) = (w0.min(rows), w1.min(rows));
-            for dst in &mut y[cursor..lo] {
-                *dst += 0.0;
-            }
-            let off = self.window_prefix[r] * self.batch + j * (w1 - w0);
-            for (dst, s) in y[lo..hi].iter_mut().zip(&self.yb[off..]) {
-                *dst += *s;
-            }
-            cursor = hi;
-        }
-        for dst in &mut y[cursor..] {
-            *dst += 0.0;
-        }
     }
 
     /// Injection-level health of vector `lane`: what is armed on the plan
@@ -1609,24 +1587,25 @@ impl ExecutionPlan {
     }
 
     /// Verifies tile row `r` of vector `j` bit-for-bit against the
-    /// per-instance oracle — which doubles as a cross-check of the class
-    /// kernels on every verified window. On mismatch, quarantines the
-    /// window and re-executes it once from the pristine stream through
-    /// the executor (transient stream faults heal, persistent lane faults
-    /// do not).
+    /// per-instance oracle — which doubles as a cross-check of the lane
+    /// kernel on every verified window. On mismatch, quarantines the
+    /// window, re-executes its whole lane block once from the pristine
+    /// stream through the executor (transient stream faults heal,
+    /// persistent lane faults do not) and copies back lane `j` only.
     fn verify_window(&mut self, r: usize, j: usize) {
         let tile_row_id = self.tile_row_ids[r];
         let (exec, s) = self.split();
-        let range = exec.window(r, j);
-        let wlen = range.len();
+        let (lane0, lanes) = lane_block(exec.batch, j);
+        let range = exec.pair_window(r, lane0);
+        let wlen = range.len() / lanes;
         let health = &mut s.health[j];
         health.tile_rows_verified += 1;
 
         let oracle = &mut s.vp[..wlen];
         oracle.fill(0.0);
-        process_span(&exec, r, j, oracle);
+        process_span(&exec, r, j, oracle, 1);
         let window = &mut s.yb[range];
-        if bits_equal(window, oracle) {
+        if lane_equal(window, lanes, j - lane0, oracle) {
             return;
         }
         health.tile_rows_quarantined += 1;
@@ -1642,11 +1621,18 @@ impl ExecutionPlan {
             }),
             ..exec
         };
-        let retry = &mut s.vq[..wlen];
+        let retry = &mut s.vq[..lanes * wlen];
         retry.fill(0.0);
-        exec.row_lanes(r, j, 1, retry, &mut s.stage[..kernel::STAGE_STRIDE]);
-        window.copy_from_slice(retry);
-        if bits_equal(window, oracle) {
+        exec.row_lanes(r, lane0, lanes, retry);
+        let l = j - lane0;
+        for (dst, src) in window[l..]
+            .iter_mut()
+            .step_by(lanes)
+            .zip(retry[l..].iter().step_by(lanes))
+        {
+            *dst = *src;
+        }
+        if lane_equal(window, lanes, l, oracle) {
             health.tile_rows_corrected += 1;
         } else {
             health.tile_rows_uncorrected += 1;
@@ -1660,16 +1646,13 @@ impl ExecutionPlan {
     /// of per-call-site field juggling.
     fn split(&mut self) -> (Exec<'_>, Scratch<'_>) {
         let ExecutionPlan {
+            rows,
             x_base,
             y_base,
             op_idx,
             lut,
             kernels,
             values,
-            bucket_idx,
-            class_runs,
-            block_runs,
-            row_blocks,
             inst_ranges,
             window_spans,
             window_prefix,
@@ -1681,7 +1664,6 @@ impl ExecutionPlan {
             vp,
             vq,
             health,
-            stage,
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
@@ -1691,20 +1673,15 @@ impl ExecutionPlan {
             ..
         } = self;
         let exec = Exec {
+            rows: *rows as usize,
             soa: SoaRef {
                 x_base,
                 y_base,
+                op_idx,
                 values,
                 kernels,
             },
-            buckets: BucketRef {
-                bucket_idx,
-                class_runs,
-                block_runs,
-                row_blocks,
-                inst_ranges,
-            },
-            op_idx,
+            inst_ranges,
             lut,
             window_spans,
             window_prefix,
@@ -1725,7 +1702,6 @@ impl ExecutionPlan {
             vp,
             vq,
             health,
-            stage,
         };
         (exec, scratch)
     }
@@ -1851,13 +1827,13 @@ impl ArmedFaults {
 
 /// Shared, read-only view of one [`ExecutionPlan`] for the executor (see
 /// [`ExecutionPlan::split`]): the pre-decoded stream, portfolio tables,
-/// bucket directory, window layout and the loaded x vectors. `Copy`, so
-/// the fan-out hands one to every scoped worker.
+/// tile-row and window layout and the loaded x vectors. `Copy`, so the
+/// fan-out hands one to every scoped worker.
 #[derive(Clone, Copy)]
 struct Exec<'a> {
+    rows: usize,
     soa: SoaRef<'a>,
-    buckets: BucketRef<'a>,
-    op_idx: &'a [u8],
+    inst_ranges: &'a [(usize, usize)],
     lut: &'a [ValuOpcode],
     window_spans: &'a [(usize, usize)],
     window_prefix: &'a [usize],
@@ -1875,7 +1851,6 @@ struct Scratch<'a> {
     vp: &'a mut [f32],
     vq: &'a mut [f32],
     health: &'a mut [HealthReport],
-    stage: &'a mut [f32],
 }
 
 /// An armed fault plan plus what the faulted decoder re-reads: the raw
@@ -1892,14 +1867,16 @@ struct FaultHook<'a> {
 }
 
 impl Exec<'_> {
-    /// The packed `yb` range of (tile row `r`, vector `j`)'s window.
-    fn window(&self, r: usize, j: usize) -> Range<usize> {
+    /// The `yb` range of the pair (tile row `r`, the lane block starting
+    /// at vector `lane0`): the block's row-major window.
+    fn pair_window(&self, r: usize, lane0: usize) -> Range<usize> {
         let (w0, w1) = self.window_spans[r];
-        let start = self.window_prefix[r] * self.batch + j * (w1 - w0);
-        start..start + (w1 - w0)
+        let lanes = kernel::LANE_BLOCK.min(self.batch - lane0);
+        let start = self.window_prefix[r] * self.batch + lane0 * (w1 - w0);
+        start..start + lanes * (w1 - w0)
     }
 
-    /// Where pair `p`'s windows start in `yb`; the pair count maps to the
+    /// Where pair `p`'s window starts in `yb`; the pair count maps to the
     /// end of the active region.
     fn pair_offset(&self, p: usize) -> usize {
         let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
@@ -1907,16 +1884,63 @@ impl Exec<'_> {
         if r == self.window_spans.len() {
             return self.window_prefix[r] * self.batch;
         }
-        self.window(r, p % lane_blocks * kernel::LANE_BLOCK).start
+        self.pair_window(r, p % lane_blocks * kernel::LANE_BLOCK)
+            .start
     }
 
-    /// Vector `j`'s padded x.
-    fn x(&self, j: usize) -> &[f32] {
-        &self.xb[j * self.xstride..(j + 1) * self.xstride]
+    /// Folds the loaded batch from `yb` into `ys` (`ys[j] += A·xs[j]`),
+    /// one lane block at a time, window by window, including the `+= 0.0`
+    /// on rows outside every worked window (which normalises a caller's
+    /// `-0.0` to `+0.0`), so every execution path — and every batch size
+    /// — writes `y` identically, even on signed zeros.
+    fn fold<Y: AsMut<[f32]>>(&self, yb: &[f32], ys: &mut [Y]) {
+        let n = self.rows;
+        for (b, block) in ys.chunks_mut(kernel::LANE_BLOCK).enumerate() {
+            let mut cursor = 0usize;
+            for r in 0..self.window_spans.len() {
+                let (w0, w1) = self.window_spans[r];
+                let (lo, hi) = (w0.min(n), w1.min(n));
+                for y in block.iter_mut() {
+                    y.as_mut()[cursor..lo].iter_mut().for_each(|v| *v += 0.0);
+                }
+                let window = &yb[self.pair_window(r, b * kernel::LANE_BLOCK)];
+                kernel::fold(window, block, lo..hi);
+                cursor = hi;
+            }
+            for y in block.iter_mut() {
+                y.as_mut()[cursor..].iter_mut().for_each(|v| *v += 0.0);
+            }
+        }
+    }
+
+    /// [`Exec::fold`] for vector `j` alone: its lane of each window, read
+    /// at the block's lane stride.
+    fn fold_one(&self, yb: &[f32], j: usize, y: &mut [f32]) {
+        let (lane0, lanes) = lane_block(self.batch, j);
+        let mut cursor = 0usize;
+        for r in 0..self.window_spans.len() {
+            let (w0, w1) = self.window_spans[r];
+            let (lo, hi) = (w0.min(self.rows), w1.min(self.rows));
+            y[cursor..lo].iter_mut().for_each(|v| *v += 0.0);
+            let lane = yb[self.pair_window(r, lane0)][j - lane0..]
+                .iter()
+                .step_by(lanes);
+            for (d, s) in y[lo..hi].iter_mut().zip(lane) {
+                *d += *s;
+            }
+            cursor = hi;
+        }
+        y[cursor..].iter_mut().for_each(|v| *v += 0.0);
+    }
+
+    /// The interleaved padded x of the `lanes`-wide lane block starting at
+    /// vector `lane0`.
+    fn x_block(&self, lane0: usize, lanes: usize) -> &[f32] {
+        &self.xb[lane0 * self.xstride..(lane0 + lanes) * self.xstride]
     }
 
     /// Runs pairs `p0..p1` into `ys`, their contiguous span of `yb`.
-    fn run_pairs(&self, p0: usize, p1: usize, ys: &mut [f32], stage: &mut [f32]) {
+    fn run_pairs(&self, p0: usize, p1: usize, ys: &mut [f32]) {
         let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
         let (mut r, mut lane0) = (p0 / lane_blocks, p0 % lane_blocks * kernel::LANE_BLOCK);
         let mut rest = ys;
@@ -1925,7 +1949,7 @@ impl Exec<'_> {
             let (w0, w1) = self.window_spans[r];
             let (out, tail) = std::mem::take(&mut rest).split_at_mut(lanes * (w1 - w0));
             rest = tail;
-            self.row_lanes(r, lane0, lanes, out, stage);
+            self.row_lanes(r, lane0, lanes, out);
             lane0 += lanes;
             if lane0 == self.batch {
                 (r, lane0) = (r + 1, 0);
@@ -1933,31 +1957,20 @@ impl Exec<'_> {
         }
     }
 
-    /// Tile row `r` for batch lanes `lane0..lane0 + lanes` into their
-    /// packed, zeroed windows `out` — the executor's one call into the
-    /// class kernels. Under `fault-injection` this is also the per-(row,
-    /// lane) fault hook: lanes an armed plan strikes are recomputed
-    /// through the faulted decoder.
-    fn row_lanes(&self, r: usize, lane0: usize, lanes: usize, out: &mut [f32], stage: &mut [f32]) {
-        let (w0, w1) = self.window_spans[r];
-        kernel::execute_row_classed(
-            self.soa,
-            self.buckets,
-            r,
-            self.xb,
-            self.xstride,
-            lane0,
-            lanes,
-            out,
-            w1 - w0,
-            stage,
-        );
+    /// Tile row `r` for the lane block of vectors `lane0..lane0 + lanes`
+    /// into its zeroed row-major window `out` — the executor's one call
+    /// into the lane kernel. Under `fault-injection` this is also the
+    /// per-(row, lane) fault hook: lanes an armed plan strikes are
+    /// recomputed through the faulted decoder.
+    fn row_lanes(&self, r: usize, lane0: usize, lanes: usize, out: &mut [f32]) {
+        let xs = self.x_block(lane0, lanes);
+        kernel::execute_row(self.soa, self.inst_ranges[r], xs, lanes, out);
         #[cfg(feature = "fault-injection")]
         if let Some(hook) = &self.faults {
-            for (l, window) in out.chunks_exact_mut(w1 - w0).enumerate() {
+            for l in 0..lanes {
                 if hook.armed.strikes_lane(lane0 + l) {
-                    window.fill(0.0);
-                    process_span_faulted(self, hook, r, lane0 + l, window);
+                    out[l..].iter_mut().step_by(lanes).for_each(|v| *v = 0.0);
+                    process_span_faulted(self, hook, r, lane0 + l, &mut out[l..], lanes);
                 }
             }
         }
@@ -1975,10 +1988,22 @@ fn worker_budget() -> usize {
     1
 }
 
-/// `true` when the two slices are bit-for-bit identical (NaN-safe, unlike
-/// `==` on floats).
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+/// Vector `j`'s lane block in a batch of `batch`: its first vector and
+/// its width (`LANE_BLOCK`, or fewer for the last block).
+fn lane_block(batch: usize, j: usize) -> (usize, usize) {
+    let lane0 = j - j % kernel::LANE_BLOCK;
+    (lane0, kernel::LANE_BLOCK.min(batch - lane0))
+}
+
+/// `true` when lane `l` of the `lanes`-wide row-major `window` is
+/// bit-for-bit identical to `column` (NaN-safe, unlike `==` on floats).
+fn lane_equal(window: &[f32], lanes: usize, l: usize, column: &[f32]) -> bool {
+    window.len() == lanes * column.len()
+        && window[l..]
+            .iter()
+            .step_by(lanes)
+            .zip(column)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Validates the structural invariants the wire decoder cannot check
@@ -2048,35 +2073,37 @@ fn validate_stream(
 }
 
 /// The per-instance reference walk: tile row `r`'s instances applied to
-/// vector `lane` and accumulated into `window` in stream order, each
+/// vector `j` and accumulated into `window` in stream order, each
 /// through its opcode in the portfolio LUT (selected by the 1-byte class
-/// index). The verification oracle and [`ExecutionPlan::run_reference`]
-/// run this; the executor runs the bucketed class kernels in
-/// `crate::kernel`, bit-identically.
-fn process_span(v: &Exec<'_>, r: usize, lane: usize, window: &mut [f32]) {
-    let (i0, i1) = v.buckets.inst_ranges[r];
+/// index). Window row `k` is `window[k * stride]`. The verification
+/// oracle and [`ExecutionPlan::run_reference`] run this; the executor
+/// runs the lane kernel in `crate::kernel`, bit-identically.
+fn process_span(v: &Exec<'_>, r: usize, j: usize, window: &mut [f32], stride: usize) {
+    let (i0, i1) = v.inst_ranges[r];
     let (x_base, y_base, values) = (v.soa.x_base, v.soa.y_base, v.soa.values);
-    let xp = v.x(lane);
+    let (lane0, lanes) = lane_block(v.batch, j);
+    let xs = &v.x_block(lane0, lanes)[j - lane0..];
+    let x = |c: usize| xs[c * lanes];
     for i in i0..i1 {
         let c0 = x_base[i] as usize;
-        let x_seg = [xp[c0], xp[c0 + 1], xp[c0 + 2], xp[c0 + 3]];
+        let x_seg = [x(c0), x(c0 + 1), x(c0 + 2), x(c0 + 3)];
         let vals = [
             values[4 * i],
             values[4 * i + 1],
             values[4 * i + 2],
             values[4 * i + 3],
         ];
-        let out = v.lut[v.op_idx[i] as usize].execute(vals, x_seg);
+        let out = v.lut[v.soa.op_idx[i] as usize].execute(vals, x_seg);
         let r0 = y_base[i] as usize;
-        window[r0] += out[0];
-        window[r0 + 1] += out[1];
-        window[r0 + 2] += out[2];
-        window[r0 + 3] += out[3];
+        for (k, o) in out.iter().enumerate() {
+            window[(r0 + k) * stride] += *o;
+        }
     }
 }
 
-/// The faulted walk of tile row `r` for vector `lane`: re-decodes each
-/// instance from its raw encoding word (xor-struck when the hook's
+/// The faulted walk of tile row `r` for vector `j`, into `window` at
+/// row stride `stride` as [`process_span`]: re-decodes each instance
+/// from its raw encoding word (xor-struck when the hook's
 /// `stream_faults` is set), clamps all accesses the way the hardware's
 /// address decoders would — out-of-range x reads load zero,
 /// out-of-window y writes are dropped, out-of-portfolio template ids wrap
@@ -2086,14 +2113,18 @@ fn process_span_faulted(
     v: &Exec<'_>,
     hook: &FaultHook<'_>,
     r: usize,
-    lane: usize,
+    j: usize,
     window: &mut [f32],
+    stride: usize,
 ) {
-    let (lut, values, xp, af) = (v.lut, v.soa.values, v.x(lane), hook.armed);
+    let (lut, values, af) = (v.lut, v.soa.values, hook.armed);
     if lut.is_empty() {
         return;
     }
-    let (i0, i1) = v.buckets.inst_ranges[r];
+    let (lane0, lanes) = lane_block(v.batch, j);
+    let xs = &v.x_block(lane0, lanes)[j - lane0..];
+    let (w0, w1) = v.window_spans[r];
+    let (i0, i1) = v.inst_ranges[r];
     for i in i0..i1 {
         let bits = if hook.stream_faults {
             hook.enc_bits[i] ^ af.enc_xor(i)
@@ -2102,7 +2133,13 @@ fn process_span_faulted(
         };
         let e = PositionEncoding::from_bits(bits);
         let c0 = hook.col_base[i] as usize + e.c_idx() as usize * 4;
-        let x_at = |k: usize| xp.get(k).copied().unwrap_or(0.0);
+        let x_at = |c: usize| {
+            if c < v.xstride {
+                xs[c * lanes]
+            } else {
+                0.0
+            }
+        };
         let x_seg = [x_at(c0), x_at(c0 + 1), x_at(c0 + 2), x_at(c0 + 3)];
         let mut vals = [
             values[4 * i],
@@ -2121,9 +2158,9 @@ fn process_span_faulted(
             }
         }
         let r0 = e.r_idx() as usize * 4;
-        for (lane, contrib) in out.iter().enumerate() {
-            if let Some(slot) = window.get_mut(r0 + lane) {
-                *slot += *contrib;
+        for (k, contrib) in out.iter().enumerate() {
+            if r0 + k < w1 - w0 {
+                window[(r0 + k) * stride] += *contrib;
             }
         }
     }
@@ -2545,38 +2582,45 @@ mod tests {
         assert_eq!(plan.n_tile_rows(), 0);
     }
 
+    fn batch_xs(batch: usize, n: usize) -> Vec<Vec<f32>> {
+        (0..batch)
+            .map(|j| {
+                (0..n)
+                    .map(|i| (i as f32) * 0.25 - 10.0 * j as f32)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn deferred_run_and_commit_match_run() {
         let coo = sample(100);
         let m = encode(&coo, 32);
         let acc = Accelerator::new(HwConfig::spasm_4_1());
-        let xs: Vec<Vec<f32>> = (0..3)
-            .map(|j| {
-                (0..100)
-                    .map(|i| (i as f32) * 0.25 - 10.0 * j as f32)
-                    .collect()
-            })
-            .collect();
-
         let mut plan = acc.prepare(&m).unwrap();
-        let mut want = vec![vec![0.5f32; 100]; 3];
-        for (x, y) in xs.iter().zip(want.iter_mut()) {
-            plan.run(x, y).unwrap();
-        }
-
-        for scope in [VerifyScope::None, VerifyScope::All] {
-            let health = plan.run_deferred(&xs, scope).unwrap().to_vec();
-            assert_eq!(health.len(), 3);
-            assert!(health.iter().all(|h| h.is_clean()));
-            // Commit out of order: each vector folds only its own windows.
-            for j in [2, 0, 1] {
-                let mut got = vec![0.5f32; 100];
-                plan.commit(j, &mut got).unwrap();
-                assert_eq!(bits(&got), bits(&want[j]), "vector {j}");
+        // A 3-vector batch, and a 9-vector batch whose second lane block
+        // holds only vector 8.
+        for (batch, order) in [(3usize, vec![2, 0, 1]), (9, vec![8, 2, 0, 7, 1])] {
+            let xs = batch_xs(batch, 100);
+            let mut want = vec![vec![0.5f32; 100]; batch];
+            for (x, y) in xs.iter().zip(want.iter_mut()) {
+                plan.run(x, y).unwrap();
+            }
+            for scope in [VerifyScope::None, VerifyScope::All] {
+                let health = plan.run_deferred(&xs, scope).unwrap().to_vec();
+                assert_eq!(health.len(), batch);
+                assert!(health.iter().all(|h| h.is_clean()));
+                // Commit out of order: each vector folds only its own lane.
+                for &j in &order {
+                    let mut got = vec![0.5f32; 100];
+                    plan.commit(j, &mut got).unwrap();
+                    assert_eq!(bits(&got), bits(&want[j]), "vector {j} of {batch}");
+                }
             }
         }
         // Pristine executions verify all rows of every vector, quarantine
         // none; the report sums the per-vector health.
+        let xs = batch_xs(3, 100);
         let h = plan.run_deferred(&xs, VerifyScope::All).unwrap().to_vec();
         for hj in &h {
             assert_eq!(hj.tile_rows_verified as usize, plan.n_tile_rows());
@@ -2601,17 +2645,20 @@ mod tests {
         let coo = sample(64);
         let m = encode(&coo, 16);
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
-        let xs = [vec![1.0f32; 64], vec![-0.5f32; 64]];
-        let mut want = vec![vec![0.0f32; 64]; 2];
-        plan.run_batch(&xs, &mut want).unwrap();
-        plan.run_deferred(&xs, VerifyScope::None).unwrap();
-        for (j, w) in want.iter().enumerate() {
-            for (r, w) in w.iter().enumerate() {
-                assert_eq!(plan.contribution(j, r).to_bits(), w.to_bits());
+        // Batches of 2 and 9: vector 8 is alone in the second lane block.
+        for batch in [2usize, 9] {
+            let xs = batch_xs(batch, 64);
+            let mut want = vec![vec![0.0f32; 64]; batch];
+            plan.run_batch(&xs, &mut want).unwrap();
+            plan.run_deferred(&xs, VerifyScope::None).unwrap();
+            for (j, w) in want.iter().enumerate() {
+                for (r, w) in w.iter().enumerate() {
+                    assert_eq!(plan.contribution(j, r).to_bits(), w.to_bits());
+                }
             }
+            assert_eq!(plan.contribution(0, 10_000), 0.0);
+            assert_eq!(plan.contribution(batch, 0), 0.0);
         }
-        assert_eq!(plan.contribution(0, 10_000), 0.0);
-        assert_eq!(plan.contribution(2, 0), 0.0);
     }
 
     #[test]

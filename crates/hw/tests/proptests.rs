@@ -78,7 +78,7 @@ proptest! {
     /// `EXEC_BLOCK` chunk of a tile row's instance range the bucketed
     /// order visits each instance exactly once, opcode classes are
     /// contiguous and ascending, and equal-class instances keep their
-    /// stream order (the stability the deferred-verify replay relies on).
+    /// stream order (the tables wire v3 stores).
     #[test]
     fn bucketing_is_a_stable_block_permutation(
         (m, _x, set_id, tile) in arb_case(),

@@ -24,7 +24,7 @@ pub mod section {
     pub const OPIDX: u32 = 6;
     /// Four `f32` value slots per instance.
     pub const VALUES: u32 = 7;
-    /// Classed execution order (`u32` instance indices).
+    /// Class-bucketed instance order (`u32` instance indices).
     pub const BUCKET_IDX: u32 = 8;
     /// Class runs: 12-byte records `{start u32, end u32, class u32}`.
     pub const CLASS_RUNS: u32 = 9;

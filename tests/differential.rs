@@ -360,16 +360,15 @@ fn kernel_zoo() -> Vec<Coo> {
 
 #[test]
 fn classed_dispatch_is_bit_identical_to_per_instance() {
-    // The executor's class-bucketed kernels must reproduce the scalar
-    // per-instance reference (`run_reference`) bit for bit, for every
-    // batch size and thread budget. The reference is always scalar, so
-    // building this suite with `--features simd` turns it into the
-    // SIMD-vs-scalar differential; CI runs it both ways.
+    // The executor's lane kernel must reproduce the scalar per-instance
+    // reference (`run_reference`) bit for bit, for every batch size and
+    // thread budget. Batches 9, 13 and 17 end in ragged lane blocks of
+    // 1, 5 and 1 vectors.
     for m in kernel_zoo() {
         let n_rows = m.rows() as usize;
         let prepared = Pipeline::new().prepare(&m).unwrap();
         let acc = prepared.accelerator();
-        for batch in [1usize, 2, 8, 64] {
+        for batch in [1usize, 2, 8, 9, 13, 17, 64] {
             let xs = probe_batch(m.cols(), batch);
 
             let mut oracle = acc.prepare(&prepared.encoded).unwrap();
@@ -393,6 +392,42 @@ fn classed_dispatch_is_bit_identical_to_per_instance() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn reused_plan_across_batch_sizes_matches_fresh_plans() {
+    // One plan runs batches of 16, 3, 1, 9 and 16 vectors. Each batch size
+    // changes the lane-block widths, so the vector-blocked scratch is
+    // reused at a different stride; nothing of an earlier batch may leak
+    // into a later one. 61 columns leave 3 pad columns per lane. After each
+    // compared batch the plan runs an all-infinite batch of the same size,
+    // so every scratch slot the next layout reads as padding holds an
+    // infinity unless it is re-zeroed: a leaked infinity meets a zero
+    // value slot and turns its row NaN.
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_0016);
+    let m = random_coo(&mut rng, 70, 61, 400);
+    let n_rows = m.rows() as usize;
+    let prepared = Pipeline::new().prepare(&m).unwrap();
+    let acc = prepared.accelerator();
+    let mut reused = acc.prepare(&prepared.encoded).unwrap();
+    for batch in [16usize, 3, 1, 9, 16] {
+        let xs = probe_batch(m.cols(), batch);
+        let mut want = vec![vec![0.25f32; n_rows]; batch];
+        let mut fresh = acc.prepare(&prepared.encoded).unwrap();
+        fresh.run_batch(&xs, &mut want).unwrap();
+        let mut got = vec![vec![0.25f32; n_rows]; batch];
+        reused.run_batch(&xs, &mut got).unwrap();
+        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                bits(g),
+                bits(w),
+                "vector {j} of batch {batch}: reused plan vs fresh plan"
+            );
+        }
+        let poison = vec![vec![f32::INFINITY; m.cols() as usize]; batch];
+        let mut sink = vec![vec![0.0f32; n_rows]; batch];
+        reused.run_batch(&poison, &mut sink).unwrap();
     }
 }
 

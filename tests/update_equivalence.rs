@@ -6,9 +6,7 @@
 //! partial sums are exactly representable in `f32` and "indistinguishable"
 //! means **bit for bit**: identical output bits across batch sizes
 //! {1, 8}, worker budgets {1, 2, 7} and both the executor and the scalar
-//! per-instance reference (building with `--features simd` turns the
-//! sweep into the SIMD-vs-scalar differential; CI runs both rows),
-//! identical execution reports, and —
+//! per-instance reference, identical execution reports, and —
 //! under a pinned schedule — identical `memory_bytes` repricing.
 //!
 //! The suite covers all three update paths: values-only copy-on-write
