@@ -3,9 +3,9 @@
 //!
 //! Two paths over the same matrices:
 //!
-//! * **unprepared** — `Accelerator::run` per iteration: re-decodes the
-//!   instance stream, rebuilds the LPT schedule and reallocates scratch on
-//!   every call;
+//! * **unprepared** — `Accelerator::prepare` plus one `ExecutionPlan::run`
+//!   per iteration: re-decodes the instance stream, rebuilds the LPT
+//!   schedule and reallocates scratch on every call;
 //! * **prepared** — `Accelerator::prepare` once, then `ExecutionPlan::run`
 //!   per iteration: allocation-free steady state.
 //!
@@ -102,7 +102,12 @@ fn main() {
         // Bit-identity gate: the fast path must not be a different
         // computation.
         let mut y_run = vec![0.0f32; n_rows];
-        let run_report = acc.run(encoded, &x, &mut y_run).expect("run");
+        let run_report = acc
+            .prepare(encoded)
+            .expect("prepare")
+            .run(&x, &mut y_run)
+            .expect("run")
+            .clone();
         let t_prep = Instant::now();
         let mut plan = acc.prepare(encoded).expect("prepare");
         let prepare_s = t_prep.elapsed().as_secs_f64();
@@ -111,14 +116,15 @@ fn main() {
         assert_eq!(
             y_run.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             y_plan.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{w}: plan.run diverged from Accelerator::run"
+            "{w}: the reused plan diverged from a one-shot plan"
         );
         assert_eq!(plan_report, run_report, "{w}: ExecReport diverged");
 
         let mut y = vec![0.0f32; n_rows];
         let unprepared = time_loop(iters, || {
             y.fill(0.0);
-            acc.run(encoded, &x, &mut y).expect("run");
+            let mut one_shot = acc.prepare(encoded).expect("prepare");
+            one_shot.run(&x, &mut y).expect("run");
         });
         let prepared_t = time_loop(iters, || {
             y.fill(0.0);

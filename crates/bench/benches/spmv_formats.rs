@@ -67,7 +67,8 @@ fn main() {
         let acc = Accelerator::new(cfg.clone());
         bench(&cfg.name, || {
             let mut y = vec![0.0f32; rows];
-            acc.run(&spasm, &x, &mut y).unwrap()
+            let mut plan = acc.prepare(&spasm).unwrap();
+            plan.run(&x, &mut y).unwrap().clone()
         });
     }
 }

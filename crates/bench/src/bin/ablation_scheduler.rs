@@ -22,11 +22,7 @@ fn cycles_with(summary: &TilingSummary, cfg: &HwConfig, lpt: bool) -> u64 {
     } else {
         timing::round_robin_assign(jobs, cfg.num_pe_groups)
     };
-    let per_group: Vec<u64> = assignment
-        .iter()
-        .map(|a| timing::group_cycles(a, summary.tile_size(), cfg))
-        .collect();
-    timing::total_cycles(&per_group, y, cfg)
+    timing::price(&assignment, summary.tile_size(), y, cfg, |_| {}).1
 }
 
 fn main() {

@@ -590,8 +590,8 @@ impl Prepared {
     /// (step ⑥), reusing the prepared [`ExecutionPlan`] — no per-call
     /// decode, scheduling or scratch allocation.
     ///
-    /// Results are bit-identical to [`Accelerator::run`] for every thread
-    /// budget (see `tests/determinism.rs`).
+    /// Results are bit-identical to a freshly prepared plan's for every
+    /// thread budget (see `tests/determinism.rs`).
     ///
     /// This clones the cached report; hot loops should prefer
     /// [`Prepared::execute_into`], which hands back a borrow instead.
@@ -907,8 +907,7 @@ impl Prepared {
     }
 
     /// The accelerator built for the winning configuration, for callers
-    /// that want one-shot [`Accelerator::run`] semantics or their own
-    /// [`ExecutionPlan`]s.
+    /// that want their own [`ExecutionPlan`]s.
     pub fn accelerator(&self) -> Accelerator {
         Accelerator::new(self.best.config.clone())
     }

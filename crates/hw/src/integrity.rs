@@ -8,8 +8,10 @@
 //!
 //! * [`IntegrityCheck`] names each invariant the subsystem can report as
 //!   violated — directory consistency and encoding ranges are checked once
-//!   at prepare time ([`crate::Accelerator::prepare`]), residual checks run
-//!   per execution;
+//!   when a plan is built (by [`crate::Accelerator::prepare`],
+//!   [`crate::ExecutionPlan::respliced`] or
+//!   [`crate::ExecutionPlan::from_parts`]), residual checks run per
+//!   execution;
 //! * [`VerifyScope`] selects which tile rows a deferred run re-verifies
 //!   against the pristine stream ([`crate::ExecutionPlan::run_deferred`]);
 //! * [`HealthReport`] records what one execution observed: faults injected
@@ -27,12 +29,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum IntegrityCheck {
-    /// The tile directory's instance counts do not tile the stream: a
-    /// tile's `first_instance` disagrees with the running sum, or the sum
-    /// does not cover the stream exactly.
+    /// The tile directory does not tile the stream: a tile's
+    /// `first_instance` disagrees with the running sum, the sum does not
+    /// cover the stream exactly, or the tiles are not in strictly
+    /// ascending `(row, col)` order.
     InstanceCount,
-    /// A position encoding addresses outside its tile (or outside the
-    /// padded operand buffers), or names a template beyond the portfolio.
+    /// A tile lies outside the matrix, or a position encoding addresses
+    /// outside its tile (or outside the padded operand buffers), or names
+    /// a template beyond the portfolio.
     EncodingRange,
     /// Executed output disagrees with the pristine stream (or the golden
     /// reference) even after the quarantine re-execution.

@@ -2,27 +2,15 @@
 //! `PERF_MODEL(GC_list, hw_config, tile_size)`.
 //!
 //! Prices a [`TilingSummary`] (global composition) on a hardware
-//! configuration without touching matrix values. Because it shares every
-//! term with the full simulator's timing path, its cycle counts equal
-//! [`crate::Accelerator::run`]'s exactly — the scheduler's choices
-//! transfer 1:1 to execution.
+//! configuration without touching matrix values: the same LPT schedule and
+//! the same pricing pass ([`timing::price`]) a prepared plan's report
+//! comes from, so the scheduler's choices transfer 1:1 to execution.
 
 use spasm_format::TilingSummary;
 
 use crate::config::HwConfig;
 use crate::timing::{self, TileJob};
-
-/// A performance estimate for one (matrix, tile size, configuration)
-/// combination.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfEstimate {
-    /// Estimated total cycles.
-    pub cycles: u64,
-    /// Wall-clock seconds at the configuration's frequency.
-    pub seconds: f64,
-    /// Throughput by the paper's formula `(2·nnz + rows) / time`.
-    pub gflops: f64,
-}
+use crate::trace::TraceEvent;
 
 /// Converts a tile directory into scheduler jobs.
 pub fn jobs_from_summary(summary: &TilingSummary) -> Vec<TileJob> {
@@ -40,26 +28,25 @@ pub fn jobs_from_summary(summary: &TilingSummary) -> Vec<TileJob> {
 
 /// Estimates total cycles for a tiling on a configuration.
 pub fn estimate_cycles(summary: &TilingSummary, cfg: &HwConfig) -> u64 {
-    let jobs = jobs_from_summary(summary);
-    let y = timing::y_bytes(summary.worked_row_heights());
-    let assignment = timing::lpt_assign(jobs, cfg.num_pe_groups, summary.tile_size(), cfg);
-    let per_group: Vec<u64> = assignment
-        .iter()
-        .map(|a| timing::group_cycles(a, summary.tile_size(), cfg))
-        .collect();
-    timing::total_cycles(&per_group, y, cfg)
+    price_summary(summary, cfg, |_| {}).1
 }
 
-/// Full estimate including wall-clock time and the paper's GFLOP/s metric.
-pub fn estimate(summary: &TilingSummary, nnz: usize, cfg: &HwConfig) -> PerfEstimate {
-    let cycles = estimate_cycles(summary, cfg);
-    let seconds = cfg.cycles_to_seconds(cycles);
-    let flops = 2.0 * nnz as f64 + summary.matrix_rows() as f64;
-    PerfEstimate {
-        cycles,
-        seconds,
-        gflops: flops / seconds / 1e9,
-    }
+/// Schedules a tiling by LPT and prices it through [`timing::price`],
+/// handing every timeline span to `sink`.
+pub(crate) fn price_summary(
+    summary: &TilingSummary,
+    cfg: &HwConfig,
+    sink: impl FnMut(TraceEvent),
+) -> (Vec<u64>, u64) {
+    let tile_size = summary.tile_size();
+    let assignment = timing::lpt_assign(
+        jobs_from_summary(summary),
+        cfg.num_pe_groups,
+        tile_size,
+        cfg,
+    );
+    let y_bytes = timing::y_bytes(summary.worked_row_heights());
+    timing::price(&assignment, tile_size, y_bytes, cfg, sink)
 }
 
 #[cfg(test)]
@@ -123,16 +110,5 @@ mod tests {
         let coarse = estimate_cycles(&summary(&m, 8192), &cfg);
         let mid = estimate_cycles(&summary(&m, 1024), &cfg);
         assert!(mid < coarse, "mid={mid} coarse={coarse}");
-    }
-
-    #[test]
-    fn gflops_uses_paper_formula() {
-        let m = banded(256);
-        let s = summary(&m, 64);
-        let cfg = HwConfig::spasm_4_1();
-        let e = estimate(&s, m.nnz(), &cfg);
-        let expect = (2.0 * m.nnz() as f64 + m.rows() as f64) / e.seconds / 1e9;
-        assert!((e.gflops - expect).abs() < 1e-9);
-        assert!(e.gflops > 0.0 && e.gflops < cfg.peak_gflops());
     }
 }

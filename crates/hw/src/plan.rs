@@ -1,11 +1,15 @@
 //! Prepared execution plans: amortise per-run setup for repeated SpMV.
 //!
-//! [`crate::Accelerator::run`] rebuilds everything that depends only on
-//! `(matrix, config)` on every call: the opcode LUT, the tile-row layout,
-//! the LPT assignment, cycle pricing and fresh scratch vectors. Iterative
-//! solvers and serving workloads run thousands of SpMVs against one
-//! prepared matrix, so [`crate::Accelerator::prepare`] hoists all of that
-//! into an [`ExecutionPlan`] built once:
+//! Everything that depends only on `(matrix, config)` — the opcode LUT,
+//! the tile-row layout, the LPT assignment, cycle pricing and scratch
+//! vectors — is built once into an [`ExecutionPlan`], and iterative
+//! solvers and serving workloads then run thousands of SpMVs against it.
+//! Every plan comes out of one private constructor, `assemble`, whichever
+//! way it is made: [`crate::Accelerator::prepare`] decodes a matrix's
+//! stream, [`ExecutionPlan::respliced`] splices an old plan's spans after
+//! a structural update, and [`ExecutionPlan::from_parts`] thaws a wire-v3
+//! file's mapped sections. `assemble` validates, lays out, schedules and
+//! prices the stream the same way for all three:
 //!
 //! * the instance stream is pre-decoded into flat structure-of-arrays
 //!   form — per instance, the padded-x segment base, the y offset within
@@ -18,9 +22,10 @@
 //!   see the `kernel` module), but wire v3 and [`PlanStreams`] carry
 //!   them;
 //! * the tile-row layout (instance spans, disjoint y windows), per-tile
-//!   lane statistics, [`TileJob`]s, the LPT assignment, per-group cycles,
-//!   traffic and the full [`ExecReport`] are computed once — the report is
-//!   a pure function of `(matrix, config)` (plus the health of the most
+//!   lane statistics, [`TileJob`]s, the LPT assignment and the full
+//!   [`ExecReport`] are computed once, the cycles by the same pricing pass
+//!   as the scheduler's perf model ([`timing::price`]) — the report is a
+//!   pure function of `(matrix, config)` (plus the health of the most
 //!   recent execution), so [`ExecutionPlan::run`] returns a reference to
 //!   the cached value;
 //! * padded `x`/`y` scratch buffers are owned by the plan and reused, so
@@ -54,13 +59,16 @@
 //!
 //! # Integrity and fault tolerance
 //!
-//! Building a plan re-validates the stream beyond what the wire decoder
-//! checks: the tile directory must tile the instance stream exactly
-//! ([`IntegrityCheck::InstanceCount`]) and every position encoding must
-//! address inside its tile, inside the padded operand buffers, and name a
-//! template in the portfolio ([`IntegrityCheck::EncodingRange`]) — hostile
-//! streams fail `prepare` with [`SimError::Integrity`] instead of
-//! mis-executing.
+//! `assemble` re-validates the stream beyond what the wire decoder
+//! checks, with one set of rules for every constructor: the tile
+//! directory must tile the instance stream exactly in ascending order
+//! ([`IntegrityCheck::InstanceCount`]), every tile — empty ones too —
+//! must lie inside the matrix, and every instance must address inside
+//! its tile and the padded operand buffers and name a template in the
+//! portfolio ([`IntegrityCheck::EncodingRange`]). The directory is
+//! checked before any tile coordinate is scaled, in u64, so hostile
+//! streams fail `prepare`, `respliced` and `from_parts` alike with
+//! [`SimError::Integrity`] instead of panicking or mis-executing.
 //!
 //! At run time, [`ExecutionPlan::run_deferred`] executes a batch without
 //! touching any `y`, re-verifies selected tile rows of every vector
@@ -78,10 +86,9 @@ use std::sync::Arc;
 
 use spasm_format::SpasmMatrix;
 
-use crate::config::HwConfig;
+use crate::config::{HwConfig, PES_PER_GROUP};
 use crate::integrity::{merge_health, HealthReport, IntegrityCheck, VerifyScope};
 use crate::kernel::{self, ClassKernel, ClassRun, SoaRef};
-use crate::pe::Pe;
 use crate::sim::{BatchReport, ExecReport, SimError, Traffic};
 use crate::stream::Stream;
 use crate::timing::{self, TileJob};
@@ -96,8 +103,8 @@ use spasm_format::PositionEncoding;
 /// scratch — see the [module docs](self) for the full inventory.
 ///
 /// Build one with [`crate::Accelerator::prepare`], then call
-/// [`ExecutionPlan::run`] per SpMV. The output is bit-identical to
-/// [`crate::Accelerator::run`] on the same matrix.
+/// [`ExecutionPlan::run`] per SpMV. The output is bit-identical for every
+/// thread budget and however often the plan is reused.
 ///
 /// # Examples
 ///
@@ -281,210 +288,292 @@ pub struct PlanParts {
     pub encodings: Option<Vec<u32>>,
 }
 
-impl ExecutionPlan {
-    /// Builds the plan: validates the stream's structural invariants,
-    /// pre-decodes it, lays out tile rows, runs the LPT assignment and
-    /// prices the execution once.
-    pub(crate) fn build(config: HwConfig, matrix: &SpasmMatrix) -> Result<Self, SimError> {
-        let pe = Pe::new(matrix.template_masks())?;
-        let xp_len = (matrix.cols() as usize).div_ceil(4) * 4;
-        let yp_len = (matrix.rows() as usize).div_ceil(4) * 4;
+/// The matrix shape and portfolio [`ExecutionPlan::assemble`] builds
+/// around.
+struct Shape<'a> {
+    config: HwConfig,
+    rows: u32,
+    cols: u32,
+    tile_size: u32,
+    nnz: u64,
+    template_masks: &'a [u16],
+}
 
-        validate_stream(matrix, &pe, xp_len as u64, yp_len as u64)?;
+impl<'a> Shape<'a> {
+    fn of(config: HwConfig, matrix: &'a SpasmMatrix) -> Self {
+        Shape {
+            config,
+            rows: matrix.rows(),
+            cols: matrix.cols(),
+            tile_size: matrix.tile_size(),
+            nnz: matrix.nnz() as u64,
+            template_masks: matrix.template_masks(),
+        }
+    }
+}
 
-        // Pre-decode every instance into SoA form.
-        let tile_size = matrix.tile_size();
+/// The four bucket tables, in [`PlanStreams`] order.
+type BucketStreams = (Stream<u32>, Stream<ClassRun>, Stream<u32>, Stream<u32>);
+
+/// The stream sections a constructor hands [`ExecutionPlan::assemble`]
+/// once the tile directory is valid.
+struct Sections {
+    x_base: Stream<u32>,
+    y_base: Stream<u32>,
+    op_idx: Stream<u8>,
+    values: Stream<f32>,
+    // Frozen bucket tables to adopt (wire v3; `from_parts` checks them),
+    // or `None` to build them from the layout.
+    buckets: Option<BucketStreams>,
+    #[cfg(feature = "fault-injection")]
+    enc_bits: Vec<u32>,
+}
+
+impl Sections {
+    /// Decodes `matrix`'s stream over its validated directory `tiles`,
+    /// except that a tile for which `reuse` returns an old SoA span copies
+    /// that span verbatim. The values are the matrix's shared `Arc`.
+    fn decode<'s>(
+        matrix: &SpasmMatrix,
+        tiles: &[FrozenTile],
+        reuse: impl Fn(&FrozenTile) -> Option<(&'s [u32], &'s [u32], &'s [u8])>,
+    ) -> Self {
         let n = matrix.n_instances();
         let mut x_base = Vec::with_capacity(n);
         let mut y_base = Vec::with_capacity(n);
         let mut op_idx = Vec::with_capacity(n);
         let encodings = matrix.encodings();
-        for tile in matrix.tiles() {
-            let col_base = tile.tile_col * tile_size;
-            for e in &encodings[tile.first_instance..tile.first_instance + tile.n_instances] {
-                x_base.push(col_base + e.c_idx() * 4);
+        for t in tiles {
+            if let Some((xs, ys, ops)) = reuse(t) {
+                x_base.extend_from_slice(xs);
+                y_base.extend_from_slice(ys);
+                op_idx.extend_from_slice(ops);
+                continue;
+            }
+            // The tile lies inside the matrix, so `col_base` fits; an
+            // encoding past the last column wraps below it and fails the
+            // x-base check in `assemble`.
+            let col_base = t.col * matrix.tile_size();
+            for e in &encodings[t.first_instance..t.first_instance + t.n_instances] {
+                x_base.push(col_base.wrapping_add(e.c_idx() * 4));
                 y_base.push(e.r_idx() * 4);
                 op_idx.push(e.t_idx());
             }
         }
+        Sections {
+            x_base: Stream::from_vec(x_base),
+            y_base: Stream::from_vec(y_base),
+            op_idx: Stream::from_vec(op_idx),
+            values: Stream::owned(matrix.shared_values().clone()),
+            buckets: None,
+            // Always from the current matrix: after a splice, CE/RE flags
+            // of untouched tiles may have changed.
+            #[cfg(feature = "fault-injection")]
+            enc_bits: encodings.iter().map(|e| e.bits()).collect(),
+        }
+    }
+}
 
+impl ExecutionPlan {
+    /// Builds the plan for `matrix`: decodes its stream into SoA form and
+    /// hands it to [`ExecutionPlan::assemble`].
+    pub(crate) fn build(config: HwConfig, matrix: &SpasmMatrix) -> Result<Self, SimError> {
+        let tiles = directory(matrix);
         Self::assemble(
-            config,
-            matrix,
-            x_base,
-            y_base,
-            op_idx,
-            Stream::owned(matrix.shared_values().clone()),
+            Shape::of(config, matrix),
+            &tiles,
+            matrix.n_instances(),
+            |tiles| Sections::decode(matrix, tiles, |_| None),
         )
     }
 
-    /// Assembles a plan around an already-decoded SoA instance stream:
-    /// tile-row layout, compiled portfolio, class buckets, LPT schedule,
-    /// cycle pricing and scratch — everything [`ExecutionPlan::build`]
-    /// derives after the decode loop, shared with the splice path
-    /// ([`ExecutionPlan::respliced`]) so both produce identical plans.
+    /// The one plan constructor behind [`ExecutionPlan::build`],
+    /// [`ExecutionPlan::respliced`] and [`ExecutionPlan::from_parts`].
     ///
-    /// `x_base`/`y_base`/`op_idx` must agree with `matrix`'s stream (the
-    /// callers either decode them from it or splice spans that decode
-    /// equal).
+    /// Validates the tile directory — it must tile the `n`-instance
+    /// stream contiguously in strictly ascending `(row, col)` order with
+    /// every tile, empty ones too, inside the matrix — before scaling any
+    /// tile coordinate, then asks `sections` for the stream. Every
+    /// instance must address inside its tile, the padded operands and the
+    /// portfolio; the same walk counts the per-tile lane statistics. Then
+    /// it compiles the portfolio LUT, derives the tile-row layout, LPT
+    /// schedule, report and scratch, and builds the class buckets unless
+    /// frozen ones are supplied.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Integrity`] for a stream-invariant violation,
+    /// [`SimError::Opcode`] for an unrealisable portfolio.
     fn assemble(
-        config: HwConfig,
-        matrix: &SpasmMatrix,
-        x_base: Vec<u32>,
-        y_base: Vec<u32>,
-        op_idx: Vec<u8>,
-        values: Stream<f32>,
+        shape: Shape<'_>,
+        tiles: &[FrozenTile],
+        n: usize,
+        sections: impl FnOnce(&[FrozenTile]) -> Sections,
     ) -> Result<Self, SimError> {
-        let tile_size = matrix.tile_size();
-        let xp_len = (matrix.cols() as usize).div_ceil(4) * 4;
-        let yp_len = (matrix.rows() as usize).div_ceil(4) * 4;
-        let n = matrix.n_instances();
+        let Shape {
+            config,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            template_masks,
+        } = shape;
+        let xp_len = (cols as usize).div_ceil(4) * 4;
+        let yp_len = (rows as usize).div_ceil(4) * 4;
+        let ts = u64::from(tile_size);
+        let integrity = |tile_row, check| SimError::Integrity { tile_row, check };
 
-        // Contiguous spans of same-tile-row tiles, in stream order.
-        let mut row_spans: Vec<(u32, usize, usize)> = Vec::new(); // (row, first, last)
-        for (i, tile) in matrix.tiles().iter().enumerate() {
-            match row_spans.last_mut() {
-                Some((row, _, end)) if *row == tile.tile_row => *end = i + 1,
-                _ => row_spans.push((tile.tile_row, i, i + 1)),
+        // Directory, in u64 so hostile coordinates cannot wrap.
+        let mut cursor = 0usize;
+        let mut prev: Option<(u32, u32)> = None;
+        for t in tiles {
+            if t.first_instance != cursor
+                || t.n_instances > n - cursor
+                || prev.is_some_and(|p| (t.row, t.col) <= p)
+            {
+                return Err(integrity(t.row, IntegrityCheck::InstanceCount));
             }
+            if u64::from(t.row) * ts >= u64::from(rows) || u64::from(t.col) * ts >= u64::from(cols)
+            {
+                return Err(integrity(t.row, IntegrityCheck::EncodingRange));
+            }
+            cursor += t.n_instances;
+            prev = Some((t.row, t.col));
+        }
+        if cursor != n {
+            let last_row = prev.map_or(0, |(row, _)| row);
+            return Err(integrity(last_row, IntegrityCheck::InstanceCount));
         }
 
-        // Per-tile lane statistics for the LPT schedule, read back from
-        // the SoA form (`y_base[i] / 4` is the instance's `r_idx`).
-        let mut jobs = Vec::with_capacity(matrix.tiles().len());
-        for tile in matrix.tiles() {
-            let mut lanes = [0usize; 16];
-            for i in tile.first_instance..tile.first_instance + tile.n_instances {
-                lanes[(y_base[i] as usize / 4) % 16] += 1;
+        // Instances, with the lane statistics for the LPT schedule
+        // (`y_base[i] / 4` is the instance's `r_idx`).
+        let Sections {
+            x_base,
+            y_base,
+            op_idx,
+            values,
+            buckets,
+            #[cfg(feature = "fault-injection")]
+            enc_bits,
+        } = sections(tiles);
+        let (xs, ys, ops) = (&*x_base, &*y_base, &*op_idx);
+        let mut jobs = Vec::with_capacity(tiles.len());
+        for t in tiles {
+            let col_base = u64::from(t.col) * ts;
+            let x_end = (col_base + ts).min(xp_len as u64);
+            let w_start = u64::from(t.row) * ts;
+            let w_len = (w_start + ts).min(yp_len as u64) - w_start;
+            let mut lanes = [0usize; PES_PER_GROUP as usize];
+            for i in t.first_instance..t.first_instance + t.n_instances {
+                let (xb, yb) = (u64::from(xs[i]), u64::from(ys[i]));
+                if xb < col_base
+                    || (xb - col_base) % 4 != 0
+                    || xb + 4 > x_end
+                    || yb % 4 != 0
+                    || yb + 4 > w_len
+                    || usize::from(ops[i]) >= template_masks.len()
+                {
+                    return Err(integrity(t.row, IntegrityCheck::EncodingRange));
+                }
+                lanes[(yb / 4) as usize % lanes.len()] += 1;
             }
             jobs.push(TileJob {
-                tile_row: tile.tile_row,
-                tile_col: tile.tile_col,
-                n_instances: tile.n_instances,
+                tile_row: t.row,
+                tile_col: t.col,
+                n_instances: t.n_instances,
                 max_lane_instances: timing::max_lane(&lanes),
             });
         }
 
-        // Fault-injection builds carry the raw encoding words so the fault
-        // hook can re-decode the stream. These always come from the
-        // (current) matrix — after a splice, CE/RE flags of
-        // untouched tiles may have changed, so spans cannot be reused.
-        #[cfg(feature = "fault-injection")]
-        let (enc_bits, col_bases) = {
-            let mut enc_bits = Vec::with_capacity(n);
-            let mut col_bases = Vec::with_capacity(n);
-            for tile in matrix.tiles() {
-                let col_base = tile.tile_col * tile_size;
-                for e in
-                    &matrix.encodings()[tile.first_instance..tile.first_instance + tile.n_instances]
-                {
-                    enc_bits.push(e.bits());
-                    col_bases.push(col_base);
-                }
-            }
-            (enc_bits, col_bases)
-        };
-
-        // Tile-row layout: instance spans (tiles of a row are contiguous
-        // in the stream) and disjoint y windows over the padded scratch.
-        let mut inst_ranges = Vec::with_capacity(row_spans.len());
-        let mut window_spans = Vec::with_capacity(row_spans.len());
-        let mut tile_row_ids = Vec::with_capacity(row_spans.len());
-        let mut cum_instances = Vec::with_capacity(row_spans.len() + 1);
-        let mut running = 0usize;
-        cum_instances.push(running);
-        for &(row, first, last) in &row_spans {
-            let i0 = matrix.tiles()[first].first_instance;
-            let t = &matrix.tiles()[last - 1];
-            let i1 = t.first_instance + t.n_instances;
-            inst_ranges.push((i0, i1));
-            running += i1 - i0;
-            cum_instances.push(running);
-            let start = (row * tile_size) as usize;
-            let end = (((row + 1) * tile_size) as usize).min(yp_len);
-            window_spans.push((start, end));
-            tile_row_ids.push(row);
-        }
-        let max_window = window_spans
-            .iter()
-            .map(|&(start, end)| end - start)
-            .max()
-            .unwrap_or(0);
-        let mut window_prefix = Vec::with_capacity(window_spans.len() + 1);
-        window_prefix.push(0usize);
-        let mut wsum = 0usize;
-        for &(start, end) in &window_spans {
-            wsum += end - start;
-            window_prefix.push(wsum);
-        }
-
-        // Compiled portfolio tables (the PE's opcode LUT, shared by the
-        // faulted decoder, plus its lane-kernel digest), and the
-        // prepare-time pattern-class bucketing over the instance stream.
-        let lut = matrix
-            .template_masks()
+        // The compiled portfolio: the PE's opcode LUT (shared by the
+        // faulted decoder) and its lane-kernel digest.
+        let lut = template_masks
             .iter()
             .map(|&m| ValuOpcode::compile(m))
             .collect::<Result<Vec<_>, _>>()?;
         let kernels: Vec<ClassKernel> =
             lut.iter().map(|&op| ClassKernel::from_opcode(op)).collect();
-        let (bucket_idx, class_runs, block_runs, row_blocks) =
-            kernel::build_buckets(&inst_ranges, &op_idx);
 
-        // Timing: the same LPT assignment and cycle pricing the per-run
-        // simulator used, computed once.
-        let worked_row_heights = row_spans.iter().map(|&(row, _, _)| {
-            (matrix.rows() - (row * tile_size).min(matrix.rows())).min(tile_size)
-        });
-        let y_traffic = timing::y_bytes(worked_row_heights);
-        let x_traffic = matrix.tiles().len() as u64 * u64::from(tile_size) * 4;
-        let assignment = timing::lpt_assign(jobs, config.num_pe_groups, tile_size, &config);
-        let per_group_cycles: Vec<u64> = assignment
+        // Tile-row layout: each run of same-row tiles (contiguous in the
+        // stream) is one worked tile row with an instance span and a
+        // disjoint y window over the padded scratch, plus prefix sums of
+        // instance counts (balanced chunking) and window lengths
+        // (addressing the packed `yb`).
+        let mut inst_ranges: Vec<(usize, usize)> = Vec::new();
+        let mut window_spans = Vec::new();
+        let mut tile_row_ids: Vec<u32> = Vec::new();
+        for t in tiles {
+            let end = t.first_instance + t.n_instances;
+            match inst_ranges.last_mut().zip(tile_row_ids.last()) {
+                Some((span, &row)) if row == t.row => span.1 = end,
+                _ => {
+                    let start = t.row as usize * tile_size as usize;
+                    inst_ranges.push((t.first_instance, end));
+                    window_spans.push((start, (start + tile_size as usize).min(yp_len)));
+                    tile_row_ids.push(t.row);
+                }
+            }
+        }
+        let cum_instances = prefix_sums(inst_ranges.iter().map(|&(i0, i1)| i1 - i0));
+        let window_prefix = prefix_sums(window_spans.iter().map(|&(w0, w1)| w1 - w0));
+        let max_window = window_spans
             .iter()
-            .map(|a| timing::group_cycles(a, tile_size, &config))
-            .collect();
+            .map(|&(w0, w1)| w1 - w0)
+            .max()
+            .unwrap_or(0);
 
+        let (bucket_idx, class_runs, block_runs, row_blocks) = match buckets {
+            Some(frozen) => frozen,
+            None => {
+                let (idx, runs, blocks, row_blocks) = kernel::build_buckets(&inst_ranges, ops);
+                (
+                    Stream::from_vec(idx),
+                    Stream::from_vec(runs),
+                    Stream::from_vec(blocks),
+                    Stream::from_vec(row_blocks),
+                )
+            }
+        };
+
+        // Pricing: the LPT schedule through the one pricing pass.
+        let y_traffic = timing::y_bytes(
+            window_spans
+                .iter()
+                .map(|&(w0, w1)| (w1.min(rows as usize) - w0) as u32),
+        );
         let traffic = Traffic {
             matrix: 20 * n as u64,
-            x: x_traffic,
+            x: tiles.len() as u64 * ts * 4,
             y: y_traffic,
         };
-        let cycles = timing::total_cycles(&per_group_cycles, y_traffic, &config);
-        let seconds = config.cycles_to_seconds(cycles);
-        let flops = 2.0 * matrix.nnz() as f64 + matrix.rows() as f64;
-        let gflops = flops / seconds / 1e9;
-        let achieved_bandwidth_gbs = traffic.total() as f64 / seconds / 1e9;
-        let compute_utilization = gflops / config.peak_gflops();
-        let estimated_power_w = config.power_estimate_w(compute_utilization);
-        let report = ExecReport {
-            cycles,
-            seconds,
-            gflops,
-            achieved_bandwidth_gbs,
-            compute_utilization,
-            bandwidth_utilization: achieved_bandwidth_gbs / config.bandwidth_gbs(),
-            per_group_cycles,
-            traffic,
-            estimated_power_w,
-            energy_j: estimated_power_w * seconds,
-            health: HealthReport::default(),
-            batch: None,
-        };
+        let assignment = timing::lpt_assign(jobs, config.num_pe_groups, tile_size, &config);
+        let (per_group_cycles, cycles) =
+            timing::price(&assignment, tile_size, y_traffic, &config, |_| {});
+        let flops = 2.0 * nnz as f64 + f64::from(rows);
+        let report = ExecReport::priced(&config, per_group_cycles, cycles, traffic, flops);
+
+        #[cfg(feature = "fault-injection")]
+        let col_base = tiles
+            .iter()
+            .flat_map(|t| std::iter::repeat_n(t.col * tile_size, t.n_instances))
+            .collect();
 
         Ok(ExecutionPlan {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
+            rows,
+            cols,
             tile_size,
-            x_base: Stream::from_vec(x_base),
-            y_base: Stream::from_vec(y_base),
-            op_idx: Stream::from_vec(op_idx),
+            x_base,
+            y_base,
+            op_idx,
             lut,
             kernels,
             values,
-            bucket_idx: Stream::from_vec(bucket_idx),
-            class_runs: Stream::from_vec(class_runs),
-            block_runs: Stream::from_vec(block_runs),
-            row_blocks: Stream::from_vec(row_blocks),
+            bucket_idx,
+            class_runs,
+            block_runs,
+            row_blocks,
+            xb: vec![0.0; xp_len],
+            yb: vec![0.0; window_prefix.last().copied().unwrap_or(0)],
             inst_ranges,
             window_spans,
             tile_row_ids,
@@ -493,8 +582,6 @@ impl ExecutionPlan {
             assignment,
             report,
             xstride: xp_len,
-            xb: vec![0.0; xp_len],
-            yb: vec![0.0; wsum],
             batch: 0,
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
@@ -503,7 +590,7 @@ impl ExecutionPlan {
             #[cfg(feature = "fault-injection")]
             enc_bits,
             #[cfg(feature = "fault-injection")]
-            col_base: col_bases,
+            col_base,
             #[cfg(feature = "fault-injection")]
             armed: None,
             config,
@@ -558,10 +645,9 @@ impl ExecutionPlan {
     /// function of tile-local content, which did not change; CE/RE
     /// boundary flags are not part of the SoA form, so global restamping
     /// does not invalidate the spans. Touched tiles are decoded from the
-    /// new stream. Derived state (buckets, schedule, pricing, scratch)
-    /// is rebuilt exactly as a fresh prepare would, so the result is
-    /// bit-identical to preparing the mutated matrix from scratch, with
-    /// the version bumped.
+    /// new stream. Everything else goes through the same constructor as a
+    /// fresh prepare, so the result is bit-identical to preparing the
+    /// mutated matrix from scratch, with the version bumped.
     ///
     /// # Errors
     ///
@@ -583,53 +669,37 @@ impl ExecutionPlan {
         if matrix.template_masks().len() != self.lut.len() {
             return Err(SimError::Plan("spliced matrix changed the portfolio"));
         }
-        let pe = Pe::new(matrix.template_masks())?;
-        let xp_len = (matrix.cols() as usize).div_ceil(4) * 4;
-        let yp_len = (matrix.rows() as usize).div_ceil(4) * 4;
-        validate_stream(matrix, &pe, xp_len as u64, yp_len as u64)?;
-
         let touched: std::collections::HashSet<(u32, u32)> = touched.iter().copied().collect();
-        let tile_size = self.tile_size;
-        let n = matrix.n_instances();
-        let mut x_base = Vec::with_capacity(n);
-        let mut y_base = Vec::with_capacity(n);
-        let mut op_idx = Vec::with_capacity(n);
-        let encodings = matrix.encodings();
-        for tile in matrix.tiles() {
-            let key = (tile.tile_row, tile.tile_col);
-            let old_span = if touched.contains(&key) {
-                None
-            } else {
-                old_tiles
-                    .binary_search_by_key(&key, |t| (t.tile_row, t.tile_col))
-                    .ok()
-                    .map(|i| &old_tiles[i])
-                    .filter(|ot| ot.n_instances == tile.n_instances)
-            };
-            match old_span {
-                Some(ot) => {
-                    // Splice: the old plan's SoA span decodes this
-                    // tile's unchanged content.
-                    let s = ot.first_instance..ot.first_instance + ot.n_instances;
-                    x_base.extend_from_slice(&self.x_base[s.clone()]);
-                    y_base.extend_from_slice(&self.y_base[s.clone()]);
-                    op_idx.extend_from_slice(&self.op_idx[s]);
-                }
-                None => {
-                    let col_base = tile.tile_col * tile_size;
-                    for e in &encodings[tile.first_instance..tile.first_instance + tile.n_instances]
-                    {
-                        x_base.push(col_base + e.c_idx() * 4);
-                        y_base.push(e.r_idx() * 4);
-                        op_idx.push(e.t_idx());
-                    }
-                }
+        // The old plan's span for an untouched tile of unchanged size.
+        let reuse = |t: &FrozenTile| {
+            if touched.contains(&(t.row, t.col)) {
+                return None;
             }
-        }
-
-        let values =
-            Stream::owned(matrix.shared_values().clone()).with_version(self.values.version() + 1);
-        Self::assemble(self.config.clone(), matrix, x_base, y_base, op_idx, values)
+            let k = old_tiles
+                .binary_search_by_key(&(t.row, t.col), |o| (o.tile_row, o.tile_col))
+                .ok()?;
+            let old = &old_tiles[k];
+            let s = old.first_instance..old.first_instance + old.n_instances;
+            (old.n_instances == t.n_instances).then(|| {
+                (
+                    &self.x_base[s.clone()],
+                    &self.y_base[s.clone()],
+                    &self.op_idx[s],
+                )
+            })
+        };
+        let version = self.version() + 1;
+        let tiles = directory(matrix);
+        Self::assemble(
+            Shape::of(self.config.clone(), matrix),
+            &tiles,
+            matrix.n_instances(),
+            |tiles| {
+                let mut sections = Sections::decode(matrix, tiles, reuse);
+                sections.values = sections.values.with_version(version);
+                sections
+            },
+        )
     }
 
     /// Reassembles an executable plan from frozen parts — the wire-v3
@@ -637,152 +707,102 @@ impl ExecutionPlan {
     /// resulting plan executes bit-identically to one built by
     /// `prepare` from the same matrix, through the same executor.
     ///
-    /// Every structural invariant `build` establishes by construction is
-    /// checked here instead, because the parts may come from a hostile or
-    /// corrupted buffer: tile-directory contiguity and bounds,
-    /// per-instance x/y bases against the padded operand layout, opcode
-    /// classes against the portfolio, and the full bucket directory
-    /// (blocks partition each tile row, runs partition each block,
-    /// indices are an in-block permutation agreeing with `op_idx`).
-    /// Derived state (portfolio LUT, tile-row layout, LPT schedule,
-    /// report, scratch) is rebuilt exactly as `build` does.
+    /// The parts may come from a hostile or corrupted buffer. The stream
+    /// goes through the same constructor — and so the same directory and
+    /// per-instance checks — as a fresh prepare; what only parts can get
+    /// wrong is checked here: the configuration, tile size, portfolio
+    /// size, section lengths, `nnz`, the full bucket directory (blocks
+    /// partition each tile row, runs partition each block, indices are an
+    /// in-block permutation agreeing with `op_idx`) and, under
+    /// `fault-injection`, the encoding words. No mapped section is copied.
     ///
     /// # Errors
     ///
-    /// [`SimError::Plan`] naming the violated invariant; never panics.
+    /// [`SimError::Integrity`] for a stream-invariant violation, as from
+    /// `prepare`; [`SimError::Plan`] naming any other violated invariant;
+    /// [`SimError::Opcode`] for an unrealisable portfolio. Never panics.
     pub fn from_parts(parts: PlanParts) -> Result<Self, SimError> {
-        let config = parts.config.checked().map_err(SimError::Plan)?;
-        let tile_size = parts.tile_size;
+        let PlanParts {
+            config,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            template_masks,
+            tiles,
+            x_base,
+            y_base,
+            op_idx,
+            values,
+            bucket_idx,
+            class_runs,
+            block_runs,
+            row_blocks,
+            encodings,
+        } = parts;
+        let config = config.checked().map_err(SimError::Plan)?;
         if tile_size == 0 || !tile_size.is_multiple_of(4) {
             return Err(SimError::Plan("tile size must be a positive multiple of 4"));
         }
-        if parts.template_masks.is_empty() || parts.template_masks.len() > 16 {
+        if template_masks.is_empty() || template_masks.len() > 16 {
             return Err(SimError::Plan("portfolio must hold 1..=16 templates"));
         }
-        let n = parts.op_idx.len();
-        if parts.x_base.len() != n
-            || parts.y_base.len() != n
-            || parts.bucket_idx.len() != n
-            || parts.values.len() != 4 * n
+        let n = op_idx.len();
+        if x_base.len() != n || y_base.len() != n || bucket_idx.len() != n || values.len() != 4 * n
         {
             return Err(SimError::Plan("stream section lengths disagree"));
         }
-        if parts.nnz > 4 * n as u64 {
+        if nnz > 4 * n as u64 {
             return Err(SimError::Plan("nnz exceeds the stream's value slots"));
         }
-        let xp_len = (parts.cols as usize).div_ceil(4) * 4;
-        let yp_len = (parts.rows as usize).div_ceil(4) * 4;
-        let ts64 = u64::from(tile_size);
+        // Fault-injection builds re-decode the raw encoding words; they
+        // are part of the frozen form there.
+        #[cfg(feature = "fault-injection")]
+        let enc_bits = match encodings {
+            Some(enc) if enc.len() == n => enc,
+            Some(_) => return Err(SimError::Plan("encoding-word section length disagrees")),
+            None => {
+                return Err(SimError::Plan(
+                    "fault-injection builds need the encoding words",
+                ))
+            }
+        };
+        #[cfg(not(feature = "fault-injection"))]
+        let _ = encodings;
 
-        // Tile directory: tiles the stream contiguously, strictly
-        // ascending (row, col), every tile inside the matrix.
-        let mut cursor = 0usize;
-        let mut prev: Option<(u32, u32)> = None;
-        for t in &parts.tiles {
-            if t.first_instance != cursor {
-                return Err(SimError::Plan("tile directory does not tile the stream"));
-            }
-            cursor = cursor
-                .checked_add(t.n_instances)
-                .filter(|&c| c <= n)
-                .ok_or(SimError::Plan("tile instance counts overflow the stream"))?;
-            if prev.is_some_and(|p| (t.row, t.col) <= p) {
-                return Err(SimError::Plan("tile directory not strictly ascending"));
-            }
-            prev = Some((t.row, t.col));
-            if u64::from(t.row) * ts64 >= u64::from(parts.rows)
-                || u64::from(t.col) * ts64 >= u64::from(parts.cols)
-            {
-                return Err(SimError::Plan("tile outside the matrix"));
-            }
-        }
-        if cursor != n {
-            return Err(SimError::Plan("tile directory does not cover the stream"));
-        }
+        let shape = Shape {
+            config,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            template_masks: &template_masks,
+        };
+        let plan = Self::assemble(shape, &tiles, n, |_| Sections {
+            x_base,
+            y_base,
+            op_idx,
+            values,
+            buckets: Some((bucket_idx, class_runs, block_runs, row_blocks)),
+            #[cfg(feature = "fault-injection")]
+            enc_bits,
+        })?;
+        plan.check_buckets()?;
+        Ok(plan)
+    }
 
-        // Per-instance stream invariants, mirroring `validate_stream` on
-        // the already-decoded SoA form (u64 math: hostile coordinates
-        // cannot wrap).
-        let x_base = &parts.x_base;
-        let y_base = &parts.y_base;
-        let op_idx = &parts.op_idx;
-        let n_templates = parts.template_masks.len();
-        for t in &parts.tiles {
-            let col_base = u64::from(t.col) * ts64;
-            let w_start = u64::from(t.row) * ts64;
-            let w_end = (w_start + ts64).min(yp_len as u64);
-            let wlen = w_end - w_start;
-            for i in t.first_instance..t.first_instance + t.n_instances {
-                let xb = u64::from(x_base[i]);
-                if xb < col_base
-                    || (xb - col_base) % 4 != 0
-                    || xb + 4 > col_base + ts64
-                    || xb + 4 > xp_len as u64
-                {
-                    return Err(SimError::Plan("instance x base outside its tile"));
-                }
-                let yb = u64::from(y_base[i]);
-                if yb % 4 != 0 || yb + 4 > wlen {
-                    return Err(SimError::Plan("instance y base outside its window"));
-                }
-                if usize::from(op_idx[i]) >= n_templates {
-                    return Err(SimError::Plan("opcode class outside the portfolio"));
-                }
-            }
-        }
-
-        // Tile-row layout, exactly as `build` derives it.
-        let mut row_spans: Vec<(u32, usize, usize)> = Vec::new();
-        for (i, t) in parts.tiles.iter().enumerate() {
-            match row_spans.last_mut() {
-                Some((row, _, end)) if *row == t.row => *end = i + 1,
-                _ => row_spans.push((t.row, i, i + 1)),
-            }
-        }
-        let mut inst_ranges = Vec::with_capacity(row_spans.len());
-        let mut window_spans = Vec::with_capacity(row_spans.len());
-        let mut tile_row_ids = Vec::with_capacity(row_spans.len());
-        let mut cum_instances = Vec::with_capacity(row_spans.len() + 1);
-        let mut running = 0usize;
-        cum_instances.push(running);
-        for &(row, first, last) in &row_spans {
-            let i0 = parts.tiles[first].first_instance;
-            let t = &parts.tiles[last - 1];
-            let i1 = t.first_instance + t.n_instances;
-            inst_ranges.push((i0, i1));
-            running += i1 - i0;
-            cum_instances.push(running);
-            let start = (row as usize) * tile_size as usize;
-            let end = ((row as usize + 1) * tile_size as usize).min(yp_len);
-            window_spans.push((start, end));
-            tile_row_ids.push(row);
-        }
-        let max_window = window_spans
-            .iter()
-            .map(|&(start, end)| end - start)
-            .max()
-            .unwrap_or(0);
-        let mut window_prefix = Vec::with_capacity(window_spans.len() + 1);
-        window_prefix.push(0usize);
-        let mut wsum = 0usize;
-        for &(start, end) in &window_spans {
-            wsum += end - start;
-            window_prefix.push(wsum);
-        }
-
-        // Bucket directory: blocks partition each tile row, runs
-        // partition each block with strictly ascending classes, and each
-        // block's indices are a permutation of its instance span whose
-        // classes agree with `op_idx`.
-        let bucket_idx = &parts.bucket_idx;
-        let class_runs = &parts.class_runs;
-        let block_runs = &parts.block_runs;
-        let row_blocks = &parts.row_blocks;
-        let n_tile_rows = inst_ranges.len();
-        if row_blocks.len() != n_tile_rows + 1 || row_blocks.first() != Some(&0) {
+    /// Checks adopted bucket tables against the plan's layout and stream:
+    /// blocks partition each tile row, runs partition each block with
+    /// strictly ascending classes inside the portfolio, and each block's
+    /// indices are a permutation of its instance span whose classes agree
+    /// with `op_idx`.
+    fn check_buckets(&self) -> Result<(), SimError> {
+        let (bucket_idx, class_runs) = (&*self.bucket_idx, &*self.class_runs);
+        let (block_runs, row_blocks) = (&*self.block_runs, &*self.row_blocks);
+        if row_blocks.len() != self.inst_ranges.len() + 1 || row_blocks.first() != Some(&0) {
             return Err(SimError::Plan("row-block prefix has the wrong shape"));
         }
-        for (r, &(i0, i1)) in inst_ranges.iter().enumerate() {
+        for (r, &(i0, i1)) in self.inst_ranges.iter().enumerate() {
             let want = (i1 - i0).div_ceil(kernel::EXEC_BLOCK) as u32;
             if row_blocks[r + 1].checked_sub(row_blocks[r]) != Some(want) {
                 return Err(SimError::Plan("row-block prefix disagrees with the layout"));
@@ -798,19 +818,18 @@ impl ExecutionPlan {
         }
         let mut seen = vec![u32::MAX; kernel::EXEC_BLOCK];
         let mut b = 0usize;
-        for &(i0, i1) in &inst_ranges {
+        for &(i0, i1) in &self.inst_ranges {
             let mut blk_i0 = i0;
             while blk_i0 < i1 {
                 let blk_i1 = (blk_i0 + kernel::EXEC_BLOCK).min(i1);
                 let mut cur = blk_i0 as u32;
                 let mut last_class: Option<u32> = None;
-                for run in block_runs[b] as usize..block_runs[b + 1] as usize {
-                    let cr = class_runs[run];
+                for &cr in &class_runs[block_runs[b] as usize..block_runs[b + 1] as usize] {
                     if cr.start != cur || cr.end <= cr.start || cr.end as usize > blk_i1 {
                         return Err(SimError::Plan("class runs do not partition their block"));
                     }
                     cur = cr.end;
-                    if cr.class as usize >= n_templates {
+                    if cr.class as usize >= self.lut.len() {
                         return Err(SimError::Plan(
                             "class run names a template outside the portfolio",
                         ));
@@ -826,7 +845,7 @@ impl ExecutionPlan {
                         if i < blk_i0 || i >= blk_i1 {
                             return Err(SimError::Plan("bucket index outside its block"));
                         }
-                        if u32::from(op_idx[i]) != cr.class {
+                        if u32::from(self.op_idx[i]) != cr.class {
                             return Err(SimError::Plan(
                                 "bucket index class disagrees with the stream",
                             ));
@@ -845,123 +864,7 @@ impl ExecutionPlan {
                 b += 1;
             }
         }
-
-        // Fault-injection builds re-decode the raw encoding words; they
-        // are part of the frozen form there.
-        #[cfg(feature = "fault-injection")]
-        let (enc_bits, col_bases) = {
-            let enc = parts.encodings.ok_or(SimError::Plan(
-                "fault-injection builds need the encoding words",
-            ))?;
-            if enc.len() != n {
-                return Err(SimError::Plan("encoding-word section length disagrees"));
-            }
-            let mut col_bases = Vec::with_capacity(n);
-            for t in &parts.tiles {
-                for _ in 0..t.n_instances {
-                    col_bases.push(t.col * tile_size);
-                }
-            }
-            (enc, col_bases)
-        };
-        #[cfg(not(feature = "fault-injection"))]
-        let _ = parts.encodings;
-
-        // Compiled portfolio and timing, exactly as `build` computes them.
-        let lut = parts
-            .template_masks
-            .iter()
-            .map(|&m| ValuOpcode::compile(m))
-            .collect::<Result<Vec<_>, _>>()?;
-        let kernels: Vec<ClassKernel> =
-            lut.iter().map(|&op| ClassKernel::from_opcode(op)).collect();
-        let mut jobs = Vec::with_capacity(parts.tiles.len());
-        for t in &parts.tiles {
-            let mut lanes = [0usize; 16];
-            for i in t.first_instance..t.first_instance + t.n_instances {
-                lanes[(y_base[i] as usize / 4) % 16] += 1;
-            }
-            jobs.push(TileJob {
-                tile_row: t.row,
-                tile_col: t.col,
-                n_instances: t.n_instances,
-                max_lane_instances: timing::max_lane(&lanes),
-            });
-        }
-        let worked_row_heights = row_spans
-            .iter()
-            .map(|&(row, _, _)| (parts.rows - (row * tile_size).min(parts.rows)).min(tile_size));
-        let y_traffic = timing::y_bytes(worked_row_heights);
-        let x_traffic = parts.tiles.len() as u64 * ts64 * 4;
-        let assignment = timing::lpt_assign(jobs, config.num_pe_groups, tile_size, &config);
-        let per_group_cycles: Vec<u64> = assignment
-            .iter()
-            .map(|a| timing::group_cycles(a, tile_size, &config))
-            .collect();
-        let traffic = Traffic {
-            matrix: 20 * n as u64,
-            x: x_traffic,
-            y: y_traffic,
-        };
-        let cycles = timing::total_cycles(&per_group_cycles, y_traffic, &config);
-        let seconds = config.cycles_to_seconds(cycles);
-        let flops = 2.0 * parts.nnz as f64 + parts.rows as f64;
-        let gflops = flops / seconds / 1e9;
-        let achieved_bandwidth_gbs = traffic.total() as f64 / seconds / 1e9;
-        let compute_utilization = gflops / config.peak_gflops();
-        let estimated_power_w = config.power_estimate_w(compute_utilization);
-        let report = ExecReport {
-            cycles,
-            seconds,
-            gflops,
-            achieved_bandwidth_gbs,
-            compute_utilization,
-            bandwidth_utilization: achieved_bandwidth_gbs / config.bandwidth_gbs(),
-            per_group_cycles,
-            traffic,
-            estimated_power_w,
-            energy_j: estimated_power_w * seconds,
-            health: HealthReport::default(),
-            batch: None,
-        };
-
-        Ok(ExecutionPlan {
-            rows: parts.rows,
-            cols: parts.cols,
-            tile_size,
-            x_base: parts.x_base,
-            y_base: parts.y_base,
-            op_idx: parts.op_idx,
-            lut,
-            kernels,
-            values: parts.values,
-            bucket_idx: parts.bucket_idx,
-            class_runs: parts.class_runs,
-            block_runs: parts.block_runs,
-            row_blocks: parts.row_blocks,
-            inst_ranges,
-            window_spans,
-            tile_row_ids,
-            cum_instances,
-            window_prefix,
-            assignment,
-            report,
-            xstride: xp_len,
-            xb: vec![0.0; xp_len],
-            yb: vec![0.0; wsum],
-            batch: 0,
-            chunks: Vec::with_capacity(worker_budget().max(1) + 1),
-            vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window * kernel::LANE_BLOCK],
-            health: Vec::new(),
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
-            #[cfg(feature = "fault-injection")]
-            col_base: col_bases,
-            #[cfg(feature = "fault-injection")]
-            armed: None,
-            config,
-        })
+        Ok(())
     }
 
     /// The hardware configuration this plan was priced on.
@@ -1049,8 +952,9 @@ impl ExecutionPlan {
     /// cached report: a batch of one through the same executor as
     /// [`ExecutionPlan::run_batch`], with the report's batch stamp cleared.
     ///
-    /// Bit-identical to [`crate::Accelerator::run`] on the same matrix and
-    /// configuration, for every thread budget. Performs no heap allocation
+    /// Bit-identical to a fresh plan of the same matrix and configuration
+    /// and to [`ExecutionPlan::run_reference`], for every thread budget.
+    /// Performs no heap allocation
     /// at steady state when running serially (the parallel fan-out spawns
     /// scoped threads, which allocate their stacks).
     ///
@@ -2006,70 +1910,28 @@ fn lane_equal(window: &[f32], lanes: usize, l: usize, column: &[f32]) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Validates the structural invariants the wire decoder cannot check
-/// cheaply: the directory must tile the stream exactly and every encoding
-/// must stay inside its tile, the padded operand buffers and the
-/// portfolio.
-fn validate_stream(
-    matrix: &SpasmMatrix,
-    pe: &Pe,
-    xp_len: u64,
-    yp_len: u64,
-) -> Result<(), SimError> {
-    let tile_size = u64::from(matrix.tile_size());
-    let encodings = matrix.encodings();
+/// A matrix's tile directory in the plan's terms.
+fn directory(matrix: &SpasmMatrix) -> Vec<FrozenTile> {
+    matrix
+        .tiles()
+        .iter()
+        .map(|t| FrozenTile {
+            row: t.tile_row,
+            col: t.tile_col,
+            first_instance: t.first_instance,
+            n_instances: t.n_instances,
+        })
+        .collect()
+}
 
-    // Directory consistency: tiles partition the stream contiguously.
-    let mut cursor = 0usize;
-    let mut last_row = 0u32;
-    for tile in matrix.tiles() {
-        last_row = tile.tile_row;
-        if tile.first_instance != cursor || tile.n_instances > encodings.len() - cursor {
-            return Err(SimError::Integrity {
-                tile_row: tile.tile_row,
-                check: IntegrityCheck::InstanceCount,
-            });
-        }
-        cursor += tile.n_instances;
-    }
-    if cursor != encodings.len() {
-        return Err(SimError::Integrity {
-            tile_row: last_row,
-            check: IntegrityCheck::InstanceCount,
-        });
-    }
-
-    // Encoding ranges, in u64 so hostile tile coordinates cannot wrap.
-    let mut idx = 0usize;
-    for tile in matrix.tiles() {
-        let row_base = u64::from(tile.tile_row) * tile_size;
-        let col_base = u64::from(tile.tile_col) * tile_size;
-        let in_matrix = tile.n_instances == 0
-            || (row_base < u64::from(matrix.rows()) && col_base < u64::from(matrix.cols()));
-        if !in_matrix {
-            return Err(SimError::Integrity {
-                tile_row: tile.tile_row,
-                check: IntegrityCheck::EncodingRange,
-            });
-        }
-        for e in &encodings[idx..idx + tile.n_instances] {
-            let c_end = u64::from(e.c_idx()) * 4 + 4;
-            let r_end = u64::from(e.r_idx()) * 4 + 4;
-            let ok = c_end <= tile_size
-                && r_end <= tile_size
-                && col_base + c_end <= xp_len
-                && row_base + r_end <= yp_len
-                && (e.t_idx() as usize) < pe.lut_len();
-            if !ok {
-                return Err(SimError::Integrity {
-                    tile_row: tile.tile_row,
-                    check: IntegrityCheck::EncodingRange,
-                });
-            }
-        }
-        idx += tile.n_instances;
-    }
-    Ok(())
+/// `[0, l0, l0 + l1, …]`: the running sums of `lens`, led by zero.
+fn prefix_sums(lens: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut sums = vec![0usize];
+    sums.extend(lens.scan(0, |acc, len| {
+        *acc += len;
+        Some(*acc)
+    }));
+    sums
 }
 
 /// The per-instance reference walk: tile row `r`'s instances applied to
@@ -2321,9 +2183,11 @@ mod tests {
             let m = encode(&coo, tile);
             let acc = Accelerator::new(HwConfig::spasm_4_1());
             let mut want = vec![0.5f32; 100];
-            let want_rep = acc.run(&m, &x, &mut want).unwrap();
+            let want_rep = acc.prepare(&m).unwrap().run(&x, &mut want).unwrap().clone();
 
+            // A reused plan (one earlier run) against the fresh one.
             let mut plan = acc.prepare(&m).unwrap();
+            plan.run(&x, &mut vec![0.0f32; 100]).unwrap();
             let mut got = vec![0.5f32; 100];
             let got_rep = plan.run(&x, &mut got).unwrap();
             assert_eq!(

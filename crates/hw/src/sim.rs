@@ -1,5 +1,5 @@
-//! The full accelerator simulation: functional execution through the VALU
-//! datapath plus the shared cycle model.
+//! The simulated accelerator's front door ([`Accelerator::prepare`]) and
+//! the vocabulary of an execution: errors, traffic and the report.
 
 use std::fmt;
 
@@ -39,8 +39,9 @@ pub enum SimError {
     /// The matrix's portfolio contains a template the VALU cannot realise.
     Opcode(OpcodeError),
     /// The encoded stream violates a structural integrity invariant —
-    /// see [`IntegrityCheck`] for which one. Raised at prepare time for
-    /// streams that decoded but cannot be executed safely.
+    /// see [`IntegrityCheck`] for which one. Raised when a plan is built
+    /// (prepare, splice or wire-v3 thaw) from a stream that decoded but
+    /// cannot be executed safely.
     Integrity {
         /// The tile row where the violation was detected.
         tile_row: u32,
@@ -50,7 +51,9 @@ pub enum SimError {
     /// A frozen plan's parts are mutually inconsistent and cannot be
     /// reassembled into an executable plan. Raised by
     /// [`ExecutionPlan::from_parts`] for hostile or corrupted inputs —
-    /// never a panic. The payload names the violated invariant.
+    /// never a panic — when a rule only parts can break fails (a stream
+    /// invariant raises [`SimError::Integrity`] instead). The payload
+    /// names the violated invariant.
     Plan(&'static str),
 }
 
@@ -167,6 +170,40 @@ pub struct ExecReport {
     pub batch: Option<BatchReport>,
 }
 
+impl ExecReport {
+    /// The report of one priced execution: wall-clock time, the paper's
+    /// GFLOP/s `flops / time`, achieved bandwidth, utilisations, power
+    /// and energy, all derived from the cycles and traffic — the one place
+    /// these are computed. Health is clean and no batch is stamped.
+    pub(crate) fn priced(
+        config: &HwConfig,
+        per_group_cycles: Vec<u64>,
+        cycles: u64,
+        traffic: Traffic,
+        flops: f64,
+    ) -> Self {
+        let seconds = config.cycles_to_seconds(cycles);
+        let gflops = flops / seconds / 1e9;
+        let achieved_bandwidth_gbs = traffic.total() as f64 / seconds / 1e9;
+        let compute_utilization = gflops / config.peak_gflops();
+        let estimated_power_w = config.power_estimate_w(compute_utilization);
+        ExecReport {
+            cycles,
+            seconds,
+            gflops,
+            achieved_bandwidth_gbs,
+            compute_utilization,
+            bandwidth_utilization: achieved_bandwidth_gbs / config.bandwidth_gbs(),
+            per_group_cycles,
+            traffic,
+            estimated_power_w,
+            energy_j: estimated_power_w * seconds,
+            health: HealthReport::default(),
+            batch: None,
+        }
+    }
+}
+
 /// The simulated SPASM accelerator.
 ///
 /// # Examples
@@ -183,8 +220,9 @@ pub struct ExecReport {
 /// let m = SpasmMatrix::encode(&SubmatrixMap::from_coo(&coo), &table, 4)?;
 ///
 /// let acc = Accelerator::new(HwConfig::spasm_4_1());
+/// let mut plan = acc.prepare(&m)?;
 /// let mut y = vec![0.0f32; 4];
-/// let report = acc.run(&m, &[1.0, 2.0, 3.0, 4.0], &mut y)?;
+/// let report = plan.run(&[1.0, 2.0, 3.0, 4.0], &mut y)?;
 /// assert_eq!(y, vec![2.0, 0.0, 0.0, -2.0]);
 /// assert!(report.cycles > 0);
 /// # Ok(())
@@ -210,53 +248,16 @@ impl Accelerator {
     /// depends only on `(matrix, config)` — pre-decoded instance stream,
     /// tile-row layout, LPT assignment, cycle pricing, scratch buffers —
     /// is computed once, so repeated [`ExecutionPlan::run`] calls only do
-    /// the functional pass.
+    /// the functional pass, every MAC through the VALU opcode datapath.
     ///
     /// # Errors
     ///
-    /// [`SimError::Opcode`] if the matrix's portfolio is not realisable.
+    /// * [`SimError::Opcode`] if the matrix's portfolio is not realisable;
+    /// * [`SimError::Integrity`] if its stream violates a structural
+    ///   invariant (a tile outside the matrix, a directory that does not
+    ///   tile the stream, an encoding outside its tile or the portfolio).
     pub fn prepare(&self, matrix: &SpasmMatrix) -> Result<ExecutionPlan, SimError> {
         ExecutionPlan::build(self.config.clone(), matrix)
-    }
-
-    /// Executes `y += A·x` on the encoded matrix, returning the cycle count
-    /// and derived metrics.
-    ///
-    /// Functionally, every MAC goes through the VALU opcode datapath (the
-    /// PE model); the result is bit-identical to
-    /// [`SpasmMatrix::spmv`].
-    ///
-    /// This is a thin wrapper over [`Accelerator::prepare`] +
-    /// [`ExecutionPlan::run`]; callers executing many SpMVs on one matrix
-    /// should prepare once and reuse the plan.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::DimensionMismatch`] on operand length mismatches;
-    /// * [`SimError::Opcode`] if the matrix's portfolio is not realisable.
-    pub fn run(
-        &self,
-        matrix: &SpasmMatrix,
-        x: &[f32],
-        y: &mut [f32],
-    ) -> Result<ExecReport, SimError> {
-        if x.len() != matrix.cols() as usize {
-            return Err(SimError::DimensionMismatch {
-                expected: matrix.cols() as usize,
-                actual: x.len(),
-                operand: "x",
-            });
-        }
-        if y.len() != matrix.rows() as usize {
-            return Err(SimError::DimensionMismatch {
-                expected: matrix.rows() as usize,
-                actual: y.len(),
-                operand: "y",
-            });
-        }
-        let mut plan = self.prepare(matrix)?;
-        let report = plan.run(x, y)?;
-        Ok(report.clone())
     }
 }
 
@@ -271,6 +272,17 @@ mod tests {
     fn encode(coo: &Coo, tile: u32) -> SpasmMatrix {
         let table = DecompositionTable::build(&TemplateSet::table_v_set(0));
         SpasmMatrix::encode(&SubmatrixMap::from_coo(coo), &table, tile).unwrap()
+    }
+
+    /// Prepares a plan for `m` on `cfg` and runs it once.
+    fn run(
+        cfg: &HwConfig,
+        m: &SpasmMatrix,
+        x: &[f32],
+        y: &mut [f32],
+    ) -> Result<ExecReport, SimError> {
+        let mut plan = Accelerator::new(cfg.clone()).prepare(m)?;
+        plan.run(x, y).cloned()
     }
 
     fn sample(n: u32) -> Coo {
@@ -294,9 +306,8 @@ mod tests {
 
         for tile in [16u32, 64, 256] {
             let m = encode(&coo, tile);
-            let acc = Accelerator::new(HwConfig::spasm_4_1());
             let mut got = vec![0.5f32; 100];
-            acc.run(&m, &x, &mut got).unwrap();
+            run(&HwConfig::spasm_4_1(), &m, &x, &mut got).unwrap();
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-3, "{g} vs {w}");
             }
@@ -314,9 +325,7 @@ mod tests {
                 let summary = spasm_format::TilingSummary::analyze(&map, &table, tile).unwrap();
                 let est = crate::perf::estimate_cycles(&summary, &cfg);
                 let mut y = vec![0.0f32; 200];
-                let rep = Accelerator::new(cfg.clone())
-                    .run(&m, &vec![1.0; 200], &mut y)
-                    .unwrap();
+                let rep = run(&cfg, &m, &[1.0; 200], &mut y).unwrap();
                 assert_eq!(rep.cycles, est, "tile {tile} cfg {}", cfg.name);
             }
         }
@@ -328,9 +337,10 @@ mod tests {
         let m = encode(&coo, 64);
         let cfg = HwConfig::spasm_4_1();
         let mut y = vec![0.0f32; 256];
-        let rep = Accelerator::new(cfg.clone())
-            .run(&m, &vec![1.0; 256], &mut y)
-            .unwrap();
+        let rep = run(&cfg, &m, &[1.0; 256], &mut y).unwrap();
+        // GFLOP/s by the paper's formula `(2·nnz + rows) / time`.
+        let expect = (2.0 * coo.nnz() as f64 + coo.rows() as f64) / rep.seconds / 1e9;
+        assert!((rep.gflops - expect).abs() < 1e-9);
         assert!(rep.gflops > 0.0 && rep.gflops <= cfg.peak_gflops());
         assert!(rep.compute_utilization > 0.0 && rep.compute_utilization <= 1.0);
         assert!(rep.bandwidth_utilization > 0.0 && rep.bandwidth_utilization <= 1.0);
@@ -349,15 +359,15 @@ mod tests {
     #[test]
     fn dimension_checks() {
         let m = encode(&sample(16), 16);
-        let acc = Accelerator::new(HwConfig::spasm_3_2());
+        let cfg = HwConfig::spasm_3_2();
         let mut y = vec![0.0f32; 16];
         assert!(matches!(
-            acc.run(&m, &[1.0; 4], &mut y),
+            run(&cfg, &m, &[1.0; 4], &mut y),
             Err(SimError::DimensionMismatch { operand: "x", .. })
         ));
         let mut y_bad = vec![0.0f32; 4];
         assert!(matches!(
-            acc.run(&m, &[1.0; 16], &mut y_bad),
+            run(&cfg, &m, &[1.0; 16], &mut y_bad),
             Err(SimError::DimensionMismatch { operand: "y", .. })
         ));
     }
@@ -371,9 +381,7 @@ mod tests {
         let mut want = vec![0.0f32; 10];
         coo.spmv(&x, &mut want).unwrap();
         let mut got = vec![0.0f32; 10];
-        Accelerator::new(HwConfig::spasm_4_1())
-            .run(&m, &x, &mut got)
-            .unwrap();
+        run(&HwConfig::spasm_4_1(), &m, &x, &mut got).unwrap();
         assert_eq!(got, want);
     }
 
@@ -381,9 +389,7 @@ mod tests {
     fn empty_matrix_runs() {
         let m = encode(&Coo::new(8, 8), 8);
         let mut y = vec![0.0f32; 8];
-        let rep = Accelerator::new(HwConfig::spasm_4_1())
-            .run(&m, &[1.0; 8], &mut y)
-            .unwrap();
+        let rep = run(&HwConfig::spasm_4_1(), &m, &[1.0; 8], &mut y).unwrap();
         assert_eq!(y, vec![0.0; 8]);
         assert_eq!(rep.cycles, timing::INIT_CYCLES);
     }

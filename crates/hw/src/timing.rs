@@ -1,9 +1,11 @@
-//! The shared cycle model.
+//! The cycle model, priced by one pass.
 //!
-//! Both the full simulator ([`crate::Accelerator`]) and the scheduler's
-//! fast `PERF_MODEL` ([`crate::perf`]) price work through these functions,
-//! so Algorithm 4's estimates match hardware-execution cycle counts
-//! exactly (asserted by tests).
+//! [`price`] walks a tile-to-group assignment once and is the only place
+//! the per-group and total cycle arithmetic lives: the prepared plan's
+//! report ([`crate::ExecutionPlan::report`]), the scheduler's fast
+//! `PERF_MODEL` ([`crate::perf::estimate_cycles`]) and the execution trace
+//! ([`crate::ExecutionTrace`]) all call it, so Algorithm 4's estimates
+//! are the cycle counts the plan reports by construction.
 //!
 //! Execution structure (Section IV-D3): a *PE group* processes one tile at
 //! a time — its 16 PEs share the tile's position-encoding channel and
@@ -34,6 +36,7 @@
 //! tile through the max-lane term.
 
 use crate::config::{HwConfig, PES_PER_GROUP};
+use crate::trace::{EventKind, TraceEvent};
 
 /// Pipeline drain + control overhead when a group switches tiles.
 pub const TILE_SWITCH_CYCLES: u64 = 8;
@@ -57,14 +60,17 @@ pub struct TileJob {
 
 /// The cycle cost of one tile on one group: critical-lane compute or the
 /// double-buffered x prefetch, whichever dominates, plus the switch
-/// drain. This is both the pricing unit of [`group_cycles`] and the
+/// drain. This is both the per-tile unit [`price`] charges and the
 /// weight [`lpt_assign`] balances — weighting by raw instance counts
 /// mis-schedules x-load-bound tiles, whose cost is constant.
 pub fn tile_cost(job: &TileJob, tile_size: u32, cfg: &HwConfig) -> u64 {
-    let compute = (job.max_lane_instances as f64 / cfg.issue_rate()).ceil() as u64;
-    let x_bpc = cfg.num_xvec_ch as f64 * cfg.channel_bytes_per_cycle();
-    let x_load = (tile_size as f64 * 4.0 / x_bpc).ceil() as u64;
-    compute.max(x_load) + TILE_SWITCH_CYCLES
+    compute_cycles(job, cfg).max(x_load_cycles(tile_size, cfg)) + TILE_SWITCH_CYCLES
+}
+
+/// Cycles the tile's critical lane needs at the configuration's issue
+/// rate.
+fn compute_cycles(job: &TileJob, cfg: &HwConfig) -> u64 {
+    (job.max_lane_instances as f64 / cfg.issue_rate()).ceil() as u64
 }
 
 /// Longest-processing-time assignment of tiles to `num_groups` PE groups,
@@ -121,20 +127,87 @@ pub fn x_load_cycles(tile_size: u32, cfg: &HwConfig) -> u64 {
     (tile_size as f64 * 4.0 / x_bpc).ceil() as u64
 }
 
-/// Cycles one PE group spends on its assigned tiles.
+/// Prices one execution: walks every group's assigned tiles in order and
+/// returns `(per-group busy cycles, total cycles)`, handing each span of
+/// the timeline to `sink` as it goes — [`EventKind::Init`] first, then
+/// per group the exposed first x load, one compute- or x-load-bound span
+/// plus one switch per tile, and last the y drain (when there is y
+/// traffic). A no-op sink prices without allocating beyond the returned
+/// per-group vector.
 ///
 /// The first tile's x segment cannot be hidden behind earlier compute
 /// (the double buffer starts empty), so its load is exposed up front;
-/// from then on prefetch overlaps and each tile costs [`tile_cost`].
-pub fn group_cycles(assigned: &[TileJob], tile_size: u32, cfg: &HwConfig) -> u64 {
-    if assigned.is_empty() {
-        return 0;
+/// from then on prefetch overlaps and each tile costs [`tile_cost`]. The
+/// total combines the groups with the y drain through [`total_cycles`].
+///
+/// `y_bytes` is the total final-sum traffic ([`y_bytes`]).
+pub fn price(
+    assignment: &[Vec<TileJob>],
+    tile_size: u32,
+    y_bytes: u64,
+    cfg: &HwConfig,
+    mut sink: impl FnMut(TraceEvent),
+) -> (Vec<u64>, u64) {
+    let x_load = x_load_cycles(tile_size, cfg);
+    let x_bytes = u64::from(tile_size) * 4;
+    let mut emit = |group: Option<u32>, start: u64, cycles: u64, kind: EventKind| {
+        sink(TraceEvent {
+            group,
+            start,
+            end: start + cycles,
+            kind,
+        });
+        start + cycles
+    };
+    emit(None, 0, INIT_CYCLES, EventKind::Init);
+    let mut per_group = Vec::with_capacity(assignment.len());
+    for (g, assigned) in assignment.iter().enumerate() {
+        let group = Some(g as u32);
+        let mut cursor = INIT_CYCLES;
+        if let Some(first) = assigned.first() {
+            let kind = EventKind::XLoadBound {
+                tile_row: first.tile_row,
+                tile_col: first.tile_col,
+                bytes: x_bytes,
+            };
+            cursor = emit(group, cursor, x_load, kind);
+        }
+        for job in assigned {
+            let compute = compute_cycles(job, cfg);
+            let kind = if compute >= x_load {
+                EventKind::ComputeBound {
+                    tile_row: job.tile_row,
+                    tile_col: job.tile_col,
+                    instances: job.n_instances,
+                }
+            } else {
+                EventKind::XLoadBound {
+                    tile_row: job.tile_row,
+                    tile_col: job.tile_col,
+                    bytes: x_bytes,
+                }
+            };
+            cursor = emit(group, cursor, compute.max(x_load), kind);
+            cursor = emit(group, cursor, TILE_SWITCH_CYCLES, EventKind::TileSwitch);
+        }
+        per_group.push(cursor - INIT_CYCLES);
     }
-    x_load_cycles(tile_size, cfg)
-        + assigned
-            .iter()
-            .map(|job| tile_cost(job, tile_size, cfg))
-            .sum::<u64>()
+    let y_drain = y_drain_cycles(y_bytes, cfg);
+    if y_drain > 0 {
+        emit(
+            None,
+            INIT_CYCLES,
+            y_drain,
+            EventKind::YDrain { bytes: y_bytes },
+        );
+    }
+    let total = total_cycles(&per_group, y_bytes, cfg);
+    (per_group, total)
+}
+
+/// Cycles the shared y channel needs to drain `y_bytes` of final sums.
+fn y_drain_cycles(y_bytes: u64, cfg: &HwConfig) -> u64 {
+    (y_bytes as f64 / cfg.channel_bytes_per_cycle()).ceil() as u64
 }
 
 /// Combines per-group cycles with the shared y-channel drain and fixed
@@ -144,8 +217,7 @@ pub fn group_cycles(assigned: &[TileJob], tile_size: u32, cfg: &HwConfig) -> u64
 /// worked tile row: read-modify-write).
 pub fn total_cycles(per_group: &[u64], y_bytes: u64, cfg: &HwConfig) -> u64 {
     let slowest = per_group.iter().copied().max().unwrap_or(0);
-    let y_drain = (y_bytes as f64 / cfg.channel_bytes_per_cycle()).ceil() as u64;
-    INIT_CYCLES + slowest.max(y_drain)
+    INIT_CYCLES + slowest.max(y_drain_cycles(y_bytes, cfg))
 }
 
 /// Amortised batch pricing: initialisation (opcode LUT load, descriptor
@@ -224,20 +296,28 @@ mod tests {
         assert_eq!(groups.iter().filter(|g| g.is_empty()).count(), 3);
     }
 
+    /// Busy cycles of one group holding `jobs`, through [`price`].
+    fn busy(jobs: &[TileJob], tile_size: u32, c: &HwConfig) -> u64 {
+        price(&[jobs.to_vec()], tile_size, 0, c, |_| {}).0[0]
+    }
+
     #[test]
     fn compute_bound_vs_load_bound() {
         let c = cfg();
         // Critical lane dominates x load; the first tile's prefetch is
         // exposed up front.
-        let busy = group_cycles(&[job(0, 0, 160_000, 10_000)], 64, &c);
+        let busy_tile = busy(&[job(0, 0, 160_000, 10_000)], 64, &c);
         let expect = (10_000f64 / c.issue_rate()).ceil() as u64;
-        assert_eq!(busy, x_load_cycles(64, &c) + expect + TILE_SWITCH_CYCLES);
+        assert_eq!(
+            busy_tile,
+            x_load_cycles(64, &c) + expect + TILE_SWITCH_CYCLES
+        );
         // Tiny tile work with a big tile: x load dominates both terms.
-        let starved = group_cycles(&[job(0, 0, 1, 1)], 8192, &c);
+        let starved = busy(&[job(0, 0, 1, 1)], 8192, &c);
         let x_load = x_load_cycles(8192, &c);
         assert_eq!(starved, 2 * x_load + TILE_SWITCH_CYCLES);
         // Idle groups cost nothing.
-        assert_eq!(group_cycles(&[], 8192, &c), 0);
+        assert_eq!(busy(&[], 8192, &c), 0);
     }
 
     #[test]

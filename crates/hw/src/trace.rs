@@ -2,17 +2,16 @@
 //! SpMV, for understanding *why* a schedule wins (which groups idle,
 //! whether tiles are compute- or x-load-bound, when the y drain bites).
 //!
-//! The trace prices work with exactly the same terms as
-//! [`crate::timing`], so its total equals [`crate::perf::estimate_cycles`]
-//! and [`crate::Accelerator::run`] — asserted by tests.
+//! The events are the spans [`crate::timing::price`] walks while pricing,
+//! recorded instead of discarded, so the trace's total is the perf
+//! model's ([`crate::perf::estimate_cycles`]) by construction.
 
 use std::fmt;
 
 use spasm_format::TilingSummary;
 
 use crate::config::HwConfig;
-use crate::perf::jobs_from_summary;
-use crate::timing::{self, TileJob, INIT_CYCLES, TILE_SWITCH_CYCLES};
+use crate::perf;
 
 /// What a PE group was doing during an event's cycle span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,84 +97,9 @@ pub struct ExecutionTrace {
 impl ExecutionTrace {
     /// Traces the execution of a tiling on a configuration.
     pub fn capture(summary: &TilingSummary, cfg: &HwConfig) -> Self {
-        let jobs = jobs_from_summary(summary);
-        let y_bytes = timing::y_bytes(summary.worked_row_heights());
-        let tile_size = summary.tile_size();
-        let assignment = timing::lpt_assign(jobs, cfg.num_pe_groups, tile_size, cfg);
-
-        let mut events = vec![TraceEvent {
-            group: None,
-            start: 0,
-            end: INIT_CYCLES,
-            kind: EventKind::Init,
-        }];
-        let issue = cfg.issue_rate();
-        let x_bpc = cfg.num_xvec_ch as f64 * cfg.channel_bytes_per_cycle();
-        let x_load = (tile_size as f64 * 4.0 / x_bpc).ceil() as u64;
-        let x_bytes = u64::from(tile_size) * 4;
-
-        let mut per_group_busy = Vec::with_capacity(assignment.len());
-        for (g, assigned) in assignment.iter().enumerate() {
-            let mut cursor = INIT_CYCLES;
-            if let Some(first) = assigned.first() {
-                // The first tile's x segment is exposed: the double buffer
-                // starts empty.
-                events.push(TraceEvent {
-                    group: Some(g as u32),
-                    start: cursor,
-                    end: cursor + x_load,
-                    kind: EventKind::XLoadBound {
-                        tile_row: first.tile_row,
-                        tile_col: first.tile_col,
-                        bytes: x_bytes,
-                    },
-                });
-                cursor += x_load;
-            }
-            for job in assigned {
-                let compute = (job.max_lane_instances as f64 / issue).ceil() as u64;
-                let span = compute.max(x_load);
-                let kind = if compute >= x_load {
-                    EventKind::ComputeBound {
-                        tile_row: job.tile_row,
-                        tile_col: job.tile_col,
-                        instances: job.n_instances,
-                    }
-                } else {
-                    EventKind::XLoadBound {
-                        tile_row: job.tile_row,
-                        tile_col: job.tile_col,
-                        bytes: x_bytes,
-                    }
-                };
-                events.push(TraceEvent {
-                    group: Some(g as u32),
-                    start: cursor,
-                    end: cursor + span,
-                    kind,
-                });
-                cursor += span;
-                events.push(TraceEvent {
-                    group: Some(g as u32),
-                    start: cursor,
-                    end: cursor + TILE_SWITCH_CYCLES,
-                    kind: EventKind::TileSwitch,
-                });
-                cursor += TILE_SWITCH_CYCLES;
-            }
-            per_group_busy.push(cursor - INIT_CYCLES);
-        }
-
-        let y_drain = (y_bytes as f64 / cfg.channel_bytes_per_cycle()).ceil() as u64;
-        if y_drain > 0 {
-            events.push(TraceEvent {
-                group: None,
-                start: INIT_CYCLES,
-                end: INIT_CYCLES + y_drain,
-                kind: EventKind::YDrain { bytes: y_bytes },
-            });
-        }
-        let total_cycles = timing::total_cycles(&per_group_busy, y_bytes, cfg);
+        let mut events = Vec::new();
+        let (per_group_busy, total_cycles) =
+            perf::price_summary(summary, cfg, |event| events.push(event));
         ExecutionTrace {
             events,
             per_group_busy,
@@ -290,35 +214,10 @@ impl fmt::Display for ExecutionTrace {
     }
 }
 
-/// Convenience: trace straight from a tile-job list (used by tests).
-pub fn trace_jobs(
-    jobs: Vec<TileJob>,
-    tile_size: u32,
-    matrix_rows: u32,
-    cfg: &HwConfig,
-) -> (Vec<u64>, u64) {
-    let mut heights: Vec<u32> = Vec::new();
-    let mut last = None;
-    for j in &jobs {
-        if last != Some(j.tile_row) {
-            heights.push((matrix_rows - (j.tile_row * tile_size).min(matrix_rows)).min(tile_size));
-            last = Some(j.tile_row);
-        }
-    }
-    let y = timing::y_bytes(heights);
-    let assignment = timing::lpt_assign(jobs, cfg.num_pe_groups, tile_size, cfg);
-    let per_group: Vec<u64> = assignment
-        .iter()
-        .map(|a| timing::group_cycles(a, tile_size, cfg))
-        .collect();
-    let total = timing::total_cycles(&per_group, y, cfg);
-    (per_group, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf;
+    use crate::timing::{self, INIT_CYCLES};
     use spasm_format::SubmatrixMap;
     use spasm_patterns::{DecompositionTable, TemplateSet};
     use spasm_sparse::Coo;
@@ -379,10 +278,17 @@ mod tests {
         let jobs = perf::jobs_from_summary(&s);
         let assignment = timing::lpt_assign(jobs, cfg.num_pe_groups, s.tile_size(), &cfg);
         for (g, assigned) in assignment.iter().enumerate() {
-            assert_eq!(
-                trace.per_group_busy()[g],
-                timing::group_cycles(assigned, s.tile_size(), &cfg)
-            );
+            // An exposed first x load, then one `tile_cost` per tile.
+            let costs: u64 = assigned
+                .iter()
+                .map(|j| timing::tile_cost(j, s.tile_size(), &cfg))
+                .sum();
+            let exposed = if assigned.is_empty() {
+                0
+            } else {
+                timing::x_load_cycles(s.tile_size(), &cfg)
+            };
+            assert_eq!(trace.per_group_busy()[g], exposed + costs);
         }
     }
 
@@ -416,14 +322,5 @@ mod tests {
         let (c, x, sw) = trace.critical_group_breakdown();
         let max_busy = trace.per_group_busy().iter().copied().max().unwrap();
         assert_eq!(c + x + sw, max_busy);
-    }
-
-    #[test]
-    fn trace_jobs_helper_agrees() {
-        let (s, coo) = summary(256, 64);
-        let cfg = HwConfig::spasm_3_4();
-        let (_per_group, total) =
-            trace_jobs(perf::jobs_from_summary(&s), s.tile_size(), coo.rows(), &cfg);
-        assert_eq!(total, perf::estimate_cycles(&s, &cfg));
     }
 }

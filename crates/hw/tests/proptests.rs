@@ -56,12 +56,13 @@ proptest! {
         Csr::from(&m).spmv(&x, &mut want).unwrap();
 
         let mut got = vec![0.25f32; m.rows() as usize];
-        let rep = Accelerator::new(cfg.clone()).run(&spasm, &x, &mut got).unwrap();
+        let mut plan = Accelerator::new(cfg.clone()).prepare(&spasm).unwrap();
+        let rep = plan.run(&x, &mut got).unwrap();
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert!((g - w).abs() <= 1e-3 * (1.0 + w.abs()), "row {i}: {g} vs {w}");
         }
 
-        // Perf model equals simulation.
+        // Perf model equals the plan report.
         let summary = TilingSummary::analyze(&map, &table, tile).unwrap();
         prop_assert_eq!(perf::estimate_cycles(&summary, &cfg), rep.cycles);
 

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         a.nnz()
     );
 
-    let prepared = Pipeline::new().prepare(&a)?;
+    let mut prepared = Pipeline::new().prepare(&a)?;
     println!(
         "portfolio {} @ tile {} on {} (padding {:.1}%)",
         prepared.selection.set.name(),
@@ -74,12 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let initial_heat: f32 = u.iter().sum();
 
-    let acc = prepared.accelerator();
     let steps = 200;
     let mut simulated = 0.0f64;
     for _ in 0..steps {
         let mut next = vec![0.0f32; u.len()];
-        let exec = acc.run(&prepared.encoded, &u, &mut next)?;
+        let exec = prepared.execute_into(&u, &mut next)?;
         simulated += exec.seconds;
         u = next;
     }

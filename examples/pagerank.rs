@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = transition_matrix(n, 8, 42);
     println!("graph: {} nodes, {} edges", n, a.nnz());
 
-    let prepared = Pipeline::new().prepare(&a)?;
+    let mut prepared = Pipeline::new().prepare(&a)?;
     println!(
         "selected {} @ tile {}; padding rate {:.1}%",
         prepared.best.config.name,
@@ -62,13 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let damping = 0.85f32;
-    let acc = prepared.accelerator();
     let mut rank = vec![1.0f32 / n as f32; n as usize];
     let mut simulated = 0.0f64;
     let mut iters = 0;
     loop {
         let mut contrib = vec![0.0f32; n as usize];
-        let exec = acc.run(&prepared.encoded, &rank, &mut contrib)?;
+        let exec = prepared.execute_into(&rank, &mut contrib)?;
         simulated += exec.seconds;
 
         // Dangling mass: rank that flowed into nodes without out-edges
@@ -95,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut host = vec![0.0f32; n as usize];
     csr.spmv_parallel(&rank, &mut host)?;
     let mut accel = vec![0.0f32; n as usize];
-    acc.run(&prepared.encoded, &rank, &mut accel)?;
+    prepared.execute_into(&rank, &mut accel)?;
     let max_err = host
         .iter()
         .zip(&accel)

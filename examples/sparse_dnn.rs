@@ -71,9 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut acc_act = x0.clone();
     let mut sim_seconds = 0.0;
-    for p in &prepared_layers {
+    for p in &mut prepared_layers {
         let mut next = vec![0.0f32; p.encoded.rows() as usize];
-        let exec = p.accelerator().run(&p.encoded, &acc_act, &mut next)?;
+        let exec = p.execute_into(&acc_act, &mut next)?;
         sim_seconds += exec.seconds;
         relu(&mut next);
         acc_act = next;

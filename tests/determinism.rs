@@ -189,14 +189,15 @@ fn skewed_csr_spmv_parallel_is_bit_exact() {
 #[test]
 fn plan_run_is_thread_count_invariant() {
     // The prepared plan's tile-row fan-out must be invisible: y bits and
-    // the ExecReport must match the one-shot simulator for every budget.
+    // the ExecReport must match a serial run for every budget.
     let m = random_coo(0xDE7_0008, 220, 160, 1_800);
     let prepared = pipeline(Parallelism::Serial).prepare(&m).unwrap();
     let acc = prepared.accelerator();
     let x: Vec<f32> = (0..160).map(|i| ((i % 9) as f32) * 0.5 - 2.0).collect();
 
     let mut want = vec![0.5f32; 220];
-    let want_report = with_budget(1, || acc.run(&prepared.encoded, &x, &mut want)).unwrap();
+    let mut serial = acc.prepare(&prepared.encoded).unwrap();
+    let want_report = with_budget(1, || serial.run(&x, &mut want).cloned()).unwrap();
     let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
 
     for budget in [1usize, 2, 7, 16] {

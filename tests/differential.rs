@@ -38,25 +38,34 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Asserts the prepared-plan path is *bit-identical* to the one-shot
-/// simulator: same y bits (even though both differ from CSR within
-/// tolerance) and an identical `ExecReport`.
+/// Asserts a reused prepared plan is *bit-identical* to a fresh one: same
+/// y bits (even though both differ from CSR within tolerance) and an
+/// identical `ExecReport`.
 fn assert_plan_matches_run(acc: &Accelerator, m: &SpasmMatrix, x: &[f32]) {
-    let mut y_run = vec![0.25f32; m.rows() as usize];
-    let run_report = acc.run(m, x, &mut y_run).unwrap();
+    let mut y_fresh = vec![0.25f32; m.rows() as usize];
+    let fresh_report = acc
+        .prepare(m)
+        .unwrap()
+        .run(x, &mut y_fresh)
+        .unwrap()
+        .clone();
 
+    // The reused plan has already run once, on a different x.
     let mut plan = acc.prepare(m).unwrap();
+    let other = probe_batch(m.cols(), 2).swap_remove(1);
+    plan.run(&other, &mut vec![0.0f32; m.rows() as usize])
+        .unwrap();
     let mut y_plan = vec![0.25f32; m.rows() as usize];
     let plan_report = plan.run(x, &mut y_plan).unwrap().clone();
 
     assert_eq!(
         bits(&y_plan),
-        bits(&y_run),
-        "plan.run vs Accelerator::run on {}x{}",
+        bits(&y_fresh),
+        "reused vs fresh plan on {}x{}",
         m.rows(),
         m.cols()
     );
-    assert_eq!(plan_report, run_report, "ExecReport mismatch");
+    assert_eq!(plan_report, fresh_report, "ExecReport mismatch");
 
     // The batched entry point must be bit-identical to looping the
     // single-vector plan, for every batch size.
