@@ -329,14 +329,14 @@ impl Pipeline {
         );
         timings.selection = t1.elapsed();
 
-        // ③ decompose all occurring patterns (the table is built during
-        // selection; walking every occurring pattern materialises the
-        // decomposition cache the encoder uses).
+        // ③ check that the selected table covers every occurring pattern
+        // (the table was built during selection; the encoder decomposes
+        // each block from it on demand).
         let t2 = Instant::now();
         for (mask, _) in histogram.iter() {
             selection
                 .table
-                .decompose(*mask)
+                .instance_count(*mask)
                 .ok_or(spasm_format::FormatError::UncoverablePattern { mask: *mask })?;
         }
         timings.decomposition = t2.elapsed();
@@ -412,7 +412,7 @@ impl Golden {
 
     /// The reference, decoding it from the encoded matrix on first use.
     fn get(&self, encoded: &SpasmMatrix) -> &Csr {
-        self.0.get_or_init(|| Csr::from(&encoded.to_coo()))
+        self.0.get_or_init(|| encoded.to_csr())
     }
 
     /// Co-updates a *materialised* reference with a values-only patch so

@@ -5,7 +5,7 @@
 //! configuration with the performance model; keep the `(tile size,
 //! configuration)` pair with the fewest predicted cycles.
 
-use spasm_format::{FormatError, SubmatrixMap, TilingSummary};
+use spasm_format::{BlockInstances, FormatError, SubmatrixMap, TilingSummary};
 use spasm_hw::{perf, HwConfig};
 use spasm_patterns::DecompositionTable;
 
@@ -70,13 +70,16 @@ pub fn explore_schedule(
     if configs.is_empty() {
         return Err(PipelineError::EmptySearchSpace("hardware configuration"));
     }
+    // Each block's instance count depends only on the portfolio, so it
+    // is looked up once and shared by every tile size.
+    let blocks = BlockInstances::new(map, table)?;
     // Tile sizes are independent: ④'s re-tiling dominates the sweep, so the
     // `tile_sizes × configs` grid is evaluated in parallel (one task per
     // tile size; each task prices every configuration on the shared
     // summary). Results come back in sweep order regardless of thread
     // count, and the argmin below is a deterministic reduction over that
     // order, so the winner is independent of parallelism.
-    let per_tile = sweep_tiles(map, table, tile_sizes, configs);
+    let per_tile = sweep_tiles(&blocks, tile_sizes, configs);
 
     let mut explored = Vec::with_capacity(tile_sizes.len() * configs.len());
     let mut best: Option<(usize, usize)> = None;
@@ -129,13 +132,8 @@ type TileReport = Result<Vec<ScheduleCandidate>, FormatError>;
 
 /// Evaluates one tile size: ④ regenerate the global composition, ⑤ price it
 /// on every configuration.
-fn eval_tile(
-    map: &SubmatrixMap,
-    table: &DecompositionTable,
-    tile_size: u32,
-    configs: &[HwConfig],
-) -> TileReport {
-    let summary: TilingSummary = TilingSummary::analyze(map, table, tile_size)?;
+fn eval_tile(blocks: &BlockInstances, tile_size: u32, configs: &[HwConfig]) -> TileReport {
+    let summary = TilingSummary::from_instances(blocks, tile_size)?;
     Ok(configs
         .iter()
         .map(|config| {
@@ -152,28 +150,26 @@ fn eval_tile(
 
 #[cfg(feature = "parallel")]
 fn sweep_tiles(
-    map: &SubmatrixMap,
-    table: &DecompositionTable,
+    blocks: &BlockInstances,
     tile_sizes: &[u32],
     configs: &[HwConfig],
 ) -> Vec<TileReport> {
     use rayon::prelude::*;
     tile_sizes
         .par_iter()
-        .map(|&tile_size| eval_tile(map, table, tile_size, configs))
+        .map(|&tile_size| eval_tile(blocks, tile_size, configs))
         .collect()
 }
 
 #[cfg(not(feature = "parallel"))]
 fn sweep_tiles(
-    map: &SubmatrixMap,
-    table: &DecompositionTable,
+    blocks: &BlockInstances,
     tile_sizes: &[u32],
     configs: &[HwConfig],
 ) -> Vec<TileReport> {
     tile_sizes
         .iter()
-        .map(|&tile_size| eval_tile(map, table, tile_size, configs))
+        .map(|&tile_size| eval_tile(blocks, tile_size, configs))
         .collect()
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::error::FormatError;
+
 /// Edge length of a local pattern: SPASM fixes 4×4 submatrices in the
 /// shipped format (Section V-B).
 pub const PATTERN_EDGE: u32 = 4;
@@ -9,6 +11,19 @@ pub const PATTERN_EDGE: u32 = 4;
 /// Maximum tile edge length: the 13-bit submatrix index fields address
 /// `2¹³` submatrices of 4 rows/columns each.
 pub const MAX_TILE_SIZE: u32 = (1 << 13) * PATTERN_EDGE;
+
+/// Submatrices per tile edge at `tile_size`.
+///
+/// # Errors
+///
+/// [`FormatError::InvalidTileSize`] unless `tile_size` is a positive
+/// multiple of 4 at most [`MAX_TILE_SIZE`].
+pub(crate) fn subs_per_tile(tile_size: u32) -> Result<u32, FormatError> {
+    if tile_size == 0 || !tile_size.is_multiple_of(PATTERN_EDGE) || tile_size > MAX_TILE_SIZE {
+        return Err(FormatError::InvalidTileSize(tile_size));
+    }
+    Ok(tile_size / PATTERN_EDGE)
+}
 
 /// One 32-bit position-encoding word, shared by a set of four values.
 ///

@@ -52,7 +52,7 @@ pub use fingerprint::MatrixFingerprint;
 pub use matrix::{SpasmMatrix, TemplateInstance, Tile};
 pub use serialize::{WireError, CHECKSUM_BYTES, HEADER_BYTES, MAGIC, MIN_VERSION, VERSION};
 pub use submatrix::{SubBlock, SubmatrixMap};
-pub use tiling::{TileStats, TilingSummary, TILE_LANES};
+pub use tiling::{BlockInstances, TileStats, TilingSummary, TILE_LANES};
 pub use wire3::{
     is_v3, Header3, SectionEntry, Wire3Reader, Wire3Writer, ALIGN3, DIR_ENTRY_BYTES, HEADER3_BYTES,
     VERSION3,

@@ -5,10 +5,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spasm_patterns::DecompositionTable;
+use spasm_sparse::{Coo, Csr};
 
-use crate::encoding::{PositionEncoding, MAX_TILE_SIZE, PATTERN_EDGE};
+use crate::encoding::{subs_per_tile, PositionEncoding, PATTERN_EDGE};
 use crate::error::FormatError;
 use crate::submatrix::{SubBlock, SubmatrixMap};
+use crate::tiling::group_by_tile;
 
 /// One entry of the global composition: a non-empty tile in COO order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +71,7 @@ impl SpasmMatrix {
     /// # Errors
     ///
     /// * [`FormatError::InvalidTileSize`] unless `tile_size` is a positive
-    ///   multiple of 4 at most [`MAX_TILE_SIZE`];
+    ///   multiple of 4 at most [`crate::MAX_TILE_SIZE`];
     /// * [`FormatError::UncoverablePattern`] if the portfolio cannot cover
     ///   an occurring local pattern.
     pub fn encode(
@@ -77,54 +79,39 @@ impl SpasmMatrix {
         table: &DecompositionTable,
         tile_size: u32,
     ) -> Result<Self, FormatError> {
-        if tile_size == 0 || !tile_size.is_multiple_of(PATTERN_EDGE) || tile_size > MAX_TILE_SIZE {
-            return Err(FormatError::InvalidTileSize(tile_size));
-        }
-        let subs_per_tile = tile_size / PATTERN_EDGE;
+        let spt = subs_per_tile(tile_size)?;
         let templates: Vec<u16> = table.template_masks().to_vec();
-
-        // Group submatrices by tile. The map is sorted by (sub_r, sub_c),
-        // which sorts by tile_row but interleaves tile columns, so collect
-        // then sort tile keys.
-        let mut order: Vec<usize> = (0..map.blocks().len()).collect();
-        let tile_of = |i: usize| {
-            let b = &map.blocks()[i];
-            (b.sub_r / subs_per_tile, b.sub_c / subs_per_tile)
-        };
-        order.sort_by_key(|&i| {
-            let (tr, tc) = tile_of(i);
-            let b = &map.blocks()[i];
-            (tr, tc, b.sub_r, b.sub_c)
-        });
-
         let mut tiles: Vec<Tile> = Vec::new();
         let mut encodings: Vec<PositionEncoding> = Vec::new();
         let mut values: Vec<f32> = Vec::new();
         let mut paddings: u64 = 0;
-
-        let mut i = 0usize;
-        while i < order.len() {
-            let (tile_row, tile_col) = tile_of(order[i]);
-            let first_instance = encodings.len();
-            while i < order.len() && tile_of(order[i]) == (tile_row, tile_col) {
-                let b = &map.blocks()[order[i]];
-                paddings += u64::from(Self::encode_block(
-                    &templates,
-                    table,
-                    b,
-                    subs_per_tile,
-                    &mut encodings,
-                    &mut values,
-                )?);
-                i += 1;
-            }
-            tiles.push(Tile {
-                tile_row,
-                tile_col,
-                first_instance,
-                n_instances: encodings.len() - first_instance,
-            });
-        }
+        group_by_tile(
+            map.blocks(),
+            |b| (b.sub_r, b.sub_c),
+            map.cols(),
+            tile_size,
+            |members: &mut Vec<usize>, i| members.push(i),
+            |tile_row, tile_col, members| {
+                let first_instance = encodings.len();
+                for i in members {
+                    paddings += u64::from(Self::encode_block(
+                        &templates,
+                        table,
+                        &map.blocks()[i],
+                        spt,
+                        &mut encodings,
+                        &mut values,
+                    )?);
+                }
+                tiles.push(Tile {
+                    tile_row,
+                    tile_col,
+                    first_instance,
+                    n_instances: encodings.len() - first_instance,
+                });
+                Ok(())
+            },
+        )?;
 
         Self::stamp_boundaries(&tiles, &mut encodings);
 
@@ -177,30 +164,33 @@ impl SpasmMatrix {
         encodings: &mut Vec<PositionEncoding>,
         values: &mut Vec<f32>,
     ) -> Result<u32, FormatError> {
-        let d = table
-            .decompose(b.mask)
+        let ids = table
+            .template_ids(b.mask)
             .ok_or(FormatError::UncoverablePattern { mask: b.mask })?;
         let r_idx = b.sub_r % subs_per_tile;
         let c_idx = b.sub_c % subs_per_tile;
         let mut remaining = b.mask;
-        for &t_id in &d.template_ids {
+        let mut instances = 0;
+        for t_id in ids {
             let tmask = templates[t_id as usize];
             let mut slot_values = [0.0f32; 4];
             let mut slot = 0usize;
-            for bit in 0..16u16 {
-                if tmask & (1 << bit) != 0 {
-                    if remaining & (1 << bit) != 0 {
-                        slot_values[slot] = b.values[bit as usize];
-                        remaining &= !(1 << bit);
-                    }
-                    slot += 1;
+            let mut cells = tmask;
+            while cells != 0 {
+                let bit = cells.trailing_zeros();
+                cells &= cells - 1;
+                if remaining & (1 << bit) != 0 {
+                    slot_values[slot] = b.values[bit as usize];
+                    remaining &= !(1 << bit);
                 }
+                slot += 1;
             }
             debug_assert_eq!(slot, 4, "templates have exactly 4 cells");
             encodings.push(PositionEncoding::new(c_idx, r_idx, false, false, t_id));
             values.extend_from_slice(&slot_values);
+            instances += 1;
         }
-        Ok(d.paddings)
+        Ok(instances * table.template_len() - b.mask.count_ones())
     }
 
     /// Reassembles a matrix from pre-validated parts (wire
@@ -351,6 +341,14 @@ impl SpasmMatrix {
                 operand: "y",
             });
         }
+        self.for_each_entry(|r, c, v| y[r as usize] += v * x[c as usize]);
+        Ok(())
+    }
+
+    /// Visits every stored entry `(row, col, value)` in stream order:
+    /// tiles in directory order, instances in tile order, slots in
+    /// template cell order. Padding slots (0.0) are skipped.
+    fn for_each_entry(&self, mut visit: impl FnMut(u32, u32, f32)) {
         for tile in &self.tiles {
             let row_base = tile.tile_row * self.tile_size;
             let col_base = tile.tile_col * self.tile_size;
@@ -359,21 +357,19 @@ impl SpasmMatrix {
                 let tmask = self.templates[e.t_idx() as usize];
                 let r0 = row_base + e.r_idx() * PATTERN_EDGE;
                 let c0 = col_base + e.c_idx() * PATTERN_EDGE;
+                let mut cells = tmask;
                 let mut slot = 0usize;
-                for bit in 0..16u32 {
-                    if tmask & (1 << bit) != 0 {
-                        let v = inst.values[slot];
-                        slot += 1;
-                        if v != 0.0 {
-                            let r = r0 + bit / PATTERN_EDGE;
-                            let c = c0 + bit % PATTERN_EDGE;
-                            y[r as usize] += v * x[c as usize];
-                        }
+                while cells != 0 {
+                    let bit = cells.trailing_zeros();
+                    cells &= cells - 1;
+                    let v = inst.values[slot];
+                    slot += 1;
+                    if v != 0.0 {
+                        visit(r0 + bit / PATTERN_EDGE, c0 + bit % PATTERN_EDGE, v);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Convenience wrapper computing `A·x` into a fresh zero vector.
@@ -643,40 +639,59 @@ impl SpasmMatrix {
         })
     }
 
-    /// Decodes the matrix back to COO (padding slots and explicit zeros are
-    /// dropped).
-    pub fn to_coo(&self) -> spasm_sparse::Coo {
-        let mut triplets = Vec::with_capacity(self.nnz);
-        for tile in &self.tiles {
-            let row_base = tile.tile_row * self.tile_size;
-            let col_base = tile.tile_col * self.tile_size;
-            for inst in self.tile_instances(tile) {
-                let e = inst.encoding;
-                let tmask = self.templates[e.t_idx() as usize];
-                let r0 = row_base + e.r_idx() * PATTERN_EDGE;
-                let c0 = col_base + e.c_idx() * PATTERN_EDGE;
-                let mut slot = 0usize;
-                for bit in 0..16u32 {
-                    if tmask & (1 << bit) != 0 {
-                        let v = inst.values[slot];
-                        slot += 1;
-                        if v != 0.0 {
-                            triplets.push((r0 + bit / PATTERN_EDGE, c0 + bit % PATTERN_EDGE, v));
-                        }
+    /// Decodes the matrix to CSR in one counting pass: count each row's
+    /// entries, prefix-sum the counts, scatter the entries in stream
+    /// order, then sort each row by column, summing duplicate cells in
+    /// stream order. Padding slots and explicit zeros are dropped.
+    pub fn to_csr(&self) -> Csr {
+        let rows = self.rows as usize;
+        let mut starts = vec![0usize; rows + 1];
+        self.for_each_entry(|r, _, _| starts[r as usize + 1] += 1);
+        for r in 0..rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut cursor = starts.clone();
+        let mut entries = vec![(0u32, 0.0f32); starts[rows]];
+        self.for_each_entry(|r, c, v| {
+            entries[cursor[r as usize]] = (c, v);
+            cursor[r as usize] += 1;
+        });
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        let mut col_idx = Vec::with_capacity(entries.len());
+        let mut values: Vec<f32> = Vec::with_capacity(entries.len());
+        row_ptr.push(0);
+        for r in 0..rows {
+            let row = &mut entries[starts[r]..starts[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            for &(c, v) in row.iter() {
+                if col_idx.len() > row_ptr[r] && col_idx.last() == Some(&c) {
+                    if let Some(last) = values.last_mut() {
+                        *last += v;
                     }
+                } else {
+                    col_idx.push(c);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        spasm_sparse::Coo::from_triplets(self.rows, self.cols, triplets)
-            .expect("decoded entries are in bounds by construction")
+        Csr::from_raw(self.rows, self.cols, row_ptr, col_idx, values)
+            .expect("decoded entries are in bounds and column-sorted by construction")
+    }
+
+    /// Decodes the matrix back to COO (padding slots and explicit zeros are
+    /// dropped).
+    pub fn to_coo(&self) -> Coo {
+        Coo::from(&self.to_csr())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::MAX_TILE_SIZE;
     use spasm_patterns::TemplateSet;
-    use spasm_sparse::{Coo, SpMv};
+    use spasm_sparse::SpMv;
 
     fn table() -> DecompositionTable {
         DecompositionTable::build(&TemplateSet::table_v_set(0))

@@ -5,12 +5,9 @@
 //! 4×4 submatrix; the submatrix map can therefore be computed once per
 //! matrix and re-tiled for free during Algorithm 4's exploration.
 
-use std::collections::HashMap;
-
+use spasm_patterns::analysis::for_each_block;
 use spasm_patterns::{GridSize, PatternHistogram};
 use spasm_sparse::Coo;
-
-use crate::encoding::PATTERN_EDGE;
 
 /// One occupied 4×4 submatrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,24 +33,18 @@ pub struct SubmatrixMap {
 }
 
 impl SubmatrixMap {
-    /// Builds the map from a COO matrix.
+    /// Builds the map from a COO matrix in one row-band sweep
+    /// ([`for_each_block`]), which emits the blocks already sorted.
     pub fn from_coo(matrix: &Coo) -> Self {
-        let p = PATTERN_EDGE;
-        let mut blocks: HashMap<(u32, u32), SubBlock> = HashMap::new();
-        for (r, c, v) in matrix.iter() {
-            let key = (r / p, c / p);
-            let blk = blocks.entry(key).or_insert_with(|| SubBlock {
-                sub_r: key.0,
-                sub_c: key.1,
-                mask: 0,
-                values: [0.0; 16],
+        let mut subs = Vec::new();
+        for_each_block(matrix, GridSize::S4, |sub_r, sub_c, mask, values| {
+            subs.push(SubBlock {
+                sub_r,
+                sub_c,
+                mask,
+                values: *values,
             });
-            let bit = (r % p) * p + (c % p);
-            blk.mask |= 1 << bit;
-            blk.values[bit as usize] += v;
-        }
-        let mut subs: Vec<SubBlock> = blocks.into_values().collect();
-        subs.sort_unstable_by_key(|b| (b.sub_r, b.sub_c));
+        });
         SubmatrixMap {
             rows: matrix.rows(),
             cols: matrix.cols(),
@@ -86,37 +77,13 @@ impl SubmatrixMap {
     /// the cached masks — same result as
     /// [`PatternHistogram::analyze`] at 4×4).
     pub fn histogram(&self) -> PatternHistogram {
-        let mut counts: HashMap<u16, u64> = HashMap::new();
-        for b in &self.subs {
-            *counts.entry(b.mask).or_insert(0) += 1;
-        }
-        PatternHistogram::from_counts(GridSize::S4, counts)
-    }
-
-    /// Reconstructs the COO matrix (explicit zeros are dropped — the SPASM
-    /// value stream cannot distinguish a stored 0.0 from padding).
-    pub fn to_coo(&self) -> Coo {
-        let p = PATTERN_EDGE;
-        let mut triplets = Vec::with_capacity(self.nnz);
-        for b in &self.subs {
-            for bit in 0..16u32 {
-                if b.mask & (1 << bit) != 0 {
-                    let v = b.values[bit as usize];
-                    if v != 0.0 {
-                        triplets.push((b.sub_r * p + bit / p, b.sub_c * p + bit % p, v));
-                    }
-                }
-            }
-        }
-        Coo::from_triplets(self.rows, self.cols, triplets)
-            .expect("submatrix cells are in bounds by construction")
+        PatternHistogram::from_masks(GridSize::S4, self.subs.iter().map(|b| b.mask))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spasm_patterns::GridSize;
 
     fn sample() -> Coo {
         Coo::from_triplets(
@@ -148,12 +115,6 @@ mod tests {
         for (mask, freq) in direct.iter() {
             assert_eq!(cached.frequency(*mask), *freq);
         }
-    }
-
-    #[test]
-    fn round_trip() {
-        let coo = sample();
-        assert_eq!(SubmatrixMap::from_coo(&coo).to_coo(), coo);
     }
 
     #[test]

@@ -6,13 +6,97 @@
 //! independent of the tile size, so [`TilingSummary`] only counts instances
 //! per tile and leaves value movement to the final encode.
 
-use std::collections::HashMap;
-
 use spasm_patterns::DecompositionTable;
 
-use crate::encoding::{MAX_TILE_SIZE, PATTERN_EDGE};
+use crate::encoding::subs_per_tile;
 use crate::error::FormatError;
 use crate::submatrix::SubmatrixMap;
+
+/// Each occupied block's coordinates and instance count under one
+/// portfolio — the part of a tiling that does not depend on the tile
+/// size. A sweep builds it once and hands it to
+/// [`TilingSummary::from_instances`] per tile size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockInstances {
+    rows: u32,
+    cols: u32,
+    /// `(sub_r, sub_c, instances)` in the map's `(sub_r, sub_c)` order.
+    blocks: Vec<(u32, u32, u32)>,
+}
+
+impl BlockInstances {
+    /// Looks up every block's instance count in `table`.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::UncoverablePattern`] for the first block whose
+    /// pattern the portfolio cannot cover.
+    pub fn new(map: &SubmatrixMap, table: &DecompositionTable) -> Result<Self, FormatError> {
+        let blocks = map
+            .blocks()
+            .iter()
+            .map(|b| match table.instance_count(b.mask) {
+                Some(k) => Ok((b.sub_r, b.sub_c, k)),
+                None => Err(FormatError::UncoverablePattern { mask: b.mask }),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(BlockInstances {
+            rows: map.rows(),
+            cols: map.cols(),
+            blocks,
+        })
+    }
+}
+
+/// Groups row-major blocks by tile in one pass: `add` folds each item's
+/// index into its tile's accumulator, in item order, and `flush` receives
+/// every occupied tile's accumulator in `(tile_row, tile_col)` order.
+/// `coords` gives an item's `(sub_r, sub_c)`, and `cols` is the matrix
+/// column count.
+///
+/// Row-major items hold each tile row as a contiguous band. Within a band
+/// a dense per-column slot array finds each item's accumulator, and only
+/// the distinct tiles the band touches are put in column order before
+/// they are flushed. No item is hashed or compared.
+///
+/// # Errors
+///
+/// [`FormatError::InvalidTileSize`] for a bad `tile_size`, else the first
+/// error `flush` returns.
+pub(crate) fn group_by_tile<T, A: Default>(
+    items: &[T],
+    coords: impl Fn(&T) -> (u32, u32),
+    cols: u32,
+    tile_size: u32,
+    mut add: impl FnMut(&mut A, usize),
+    mut flush: impl FnMut(u32, u32, A) -> Result<(), FormatError>,
+) -> Result<(), FormatError> {
+    let spt = subs_per_tile(tile_size)?;
+    // Per tile column: the index of its accumulator in `open`, or
+    // `usize::MAX` while the current band has not touched it.
+    let mut slot = vec![usize::MAX; cols.div_ceil(tile_size) as usize];
+    let mut open: Vec<(u32, A)> = Vec::new();
+    let mut start = 0;
+    while start < items.len() {
+        let tile_row = coords(&items[start]).0 / spt;
+        let len = items[start..].partition_point(|t| coords(t).0 / spt == tile_row);
+        for (i, item) in items.iter().enumerate().skip(start).take(len) {
+            let col = (coords(item).1 / spt) as usize;
+            if slot[col] == usize::MAX {
+                slot[col] = open.len();
+                open.push((col as u32, A::default()));
+            }
+            add(&mut open[slot[col]].1, i);
+        }
+        open.sort_unstable_by_key(|&(col, _)| col);
+        for (col, acc) in open.drain(..) {
+            slot[col as usize] = usize::MAX;
+            flush(tile_row, col, acc)?;
+        }
+        start += len;
+    }
+    Ok(())
+}
 
 /// PE lanes a tile's instances spread across (`r_idx mod 16`), matching
 /// the 16 PEs of a group.
@@ -60,49 +144,48 @@ impl TilingSummary {
         table: &DecompositionTable,
         tile_size: u32,
     ) -> Result<Self, FormatError> {
-        if tile_size == 0 || !tile_size.is_multiple_of(PATTERN_EDGE) || tile_size > MAX_TILE_SIZE {
-            return Err(FormatError::InvalidTileSize(tile_size));
-        }
-        let subs_per_tile = tile_size / PATTERN_EDGE;
-        struct Acc {
-            instances: usize,
-            submatrices: usize,
-            lanes: [usize; TILE_LANES],
-        }
-        let mut per_tile: HashMap<(u32, u32), Acc> = HashMap::new();
-        for b in map.blocks() {
-            let inst = table
-                .instance_count(b.mask)
-                .ok_or(FormatError::UncoverablePattern { mask: b.mask })?
-                as usize;
-            let key = (b.sub_r / subs_per_tile, b.sub_c / subs_per_tile);
-            let lane = ((b.sub_r % subs_per_tile) as usize) % TILE_LANES;
-            let acc = per_tile.entry(key).or_insert(Acc {
-                instances: 0,
-                submatrices: 0,
-                lanes: [0; TILE_LANES],
-            });
-            acc.instances += inst;
-            acc.submatrices += 1;
-            acc.lanes[lane] += inst;
-        }
-        let mut tiles: Vec<TileStats> = per_tile
-            .into_iter()
-            .map(|((tile_row, tile_col), acc)| TileStats {
-                tile_row,
-                tile_col,
-                n_instances: acc.instances,
-                n_submatrices: acc.submatrices,
-                max_lane_instances: acc.lanes.iter().copied().max().unwrap_or(0),
-            })
-            .collect();
-        tiles.sort_unstable_by_key(|t| (t.tile_row, t.tile_col));
+        // A bad tile size is reported ahead of an uncoverable pattern.
+        subs_per_tile(tile_size)?;
+        Self::from_instances(&BlockInstances::new(map, table)?, tile_size)
+    }
+
+    /// [`TilingSummary::analyze`] over block instance counts computed
+    /// once, so a tile-size sweep repeats neither the table lookups nor
+    /// the walk over the blocks' value payloads.
+    ///
+    /// # Errors
+    ///
+    /// [`FormatError::InvalidTileSize`] for a bad `tile_size`.
+    pub fn from_instances(blocks: &BlockInstances, tile_size: u32) -> Result<Self, FormatError> {
+        let spt = subs_per_tile(tile_size)?;
+        let mut tiles = Vec::new();
+        group_by_tile(
+            &blocks.blocks,
+            |&(sub_r, sub_c, _)| (sub_r, sub_c),
+            blocks.cols,
+            tile_size,
+            |(submatrices, lanes): &mut (usize, [usize; TILE_LANES]), i| {
+                let (sub_r, _, instances) = blocks.blocks[i];
+                *submatrices += 1;
+                lanes[(sub_r % spt) as usize % TILE_LANES] += instances as usize;
+            },
+            |tile_row, tile_col, (submatrices, lanes)| {
+                tiles.push(TileStats {
+                    tile_row,
+                    tile_col,
+                    n_instances: lanes.iter().sum(),
+                    n_submatrices: submatrices,
+                    max_lane_instances: lanes.iter().copied().max().unwrap_or(0),
+                });
+                Ok(())
+            },
+        )?;
         let n_instances = tiles.iter().map(|t| t.n_instances).sum();
         Ok(TilingSummary {
             tile_size,
-            matrix_rows: map.rows(),
-            tile_rows: map.rows().div_ceil(tile_size),
-            tile_cols: map.cols().div_ceil(tile_size),
+            matrix_rows: blocks.rows,
+            tile_rows: blocks.rows.div_ceil(tile_size),
+            tile_cols: blocks.cols.div_ceil(tile_size),
             n_instances,
             tiles,
         })
@@ -152,33 +235,6 @@ impl TilingSummary {
         }
         out.into_iter().map(|(_, h)| h).collect()
     }
-
-    /// Instance counts grouped by tile row.
-    pub fn instances_per_tile_row(&self) -> Vec<(u32, usize)> {
-        let mut out: Vec<(u32, usize)> = Vec::new();
-        for t in &self.tiles {
-            match out.last_mut() {
-                Some((row, acc)) if *row == t.tile_row => *acc += t.n_instances,
-                _ => out.push((t.tile_row, t.n_instances)),
-            }
-        }
-        out
-    }
-
-    /// Load-imbalance factor: `max / mean` of per-tile instance counts
-    /// (1.0 = perfectly balanced). Empty matrices report 1.0.
-    pub fn tile_imbalance(&self) -> f64 {
-        if self.tiles.is_empty() {
-            return 1.0;
-        }
-        let max = self.tiles.iter().map(|t| t.n_instances).max().unwrap_or(0) as f64;
-        let mean = self.n_instances as f64 / self.tiles.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +243,7 @@ mod tests {
     use spasm_patterns::TemplateSet;
     use spasm_sparse::Coo;
 
+    use crate::encoding::MAX_TILE_SIZE;
     use crate::matrix::SpasmMatrix;
 
     fn table() -> DecompositionTable {
@@ -244,28 +301,6 @@ mod tests {
         let m = Coo::from_triplets(10, 10, vec![(9, 0, 1.0)]).unwrap();
         let s2 = TilingSummary::analyze(&SubmatrixMap::from_coo(&m), &table(), 8).unwrap();
         assert_eq!(s2.worked_row_heights(), vec![2]);
-    }
-
-    #[test]
-    fn per_row_grouping() {
-        let map = SubmatrixMap::from_coo(&sample());
-        let summary = TilingSummary::analyze(&map, &table(), 8).unwrap();
-        let rows = summary.instances_per_tile_row();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            rows.iter().map(|&(_, n)| n).sum::<usize>(),
-            summary.n_instances()
-        );
-    }
-
-    #[test]
-    fn imbalance_is_at_least_one() {
-        let map = SubmatrixMap::from_coo(&sample());
-        let s = TilingSummary::analyze(&map, &table(), 8).unwrap();
-        assert!(s.tile_imbalance() >= 1.0);
-        let uniform = Coo::from_triplets(8, 8, (0..8u32).map(|i| (i, i, 1.0)).collect()).unwrap();
-        let s2 = TilingSummary::analyze(&SubmatrixMap::from_coo(&uniform), &table(), 4).unwrap();
-        assert!((s2.tile_imbalance() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests: the SPASM encoding is lossless and its SpMV agrees with
 //! the reference for arbitrary matrices, portfolios and tile sizes.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use spasm_format::{SpasmMatrix, SubmatrixMap, TilingSummary};
-use spasm_patterns::{DecompositionTable, TemplateSet};
-use spasm_sparse::{Coo, SpMv};
+use spasm_format::{SpasmMatrix, SubmatrixMap, TileStats, TilingSummary, TILE_LANES};
+use spasm_patterns::{DecompositionTable, GridSize, Mask, PatternHistogram, TemplateSet};
+use spasm_sparse::{Coo, Csr, SpMv};
 
 fn arb_matrix() -> impl Strategy<Value = Coo> {
     (4u32..64, 4u32..64).prop_flat_map(|(rows, cols)| {
@@ -12,6 +14,96 @@ fn arb_matrix() -> impl Strategy<Value = Coo> {
         proptest::collection::vec(entry, 0..128)
             .prop_map(move |t| Coo::from_triplets(rows, cols, t).unwrap())
     })
+}
+
+/// Like [`arb_matrix`], but values include `-0.0`, explicit `0.0` and
+/// duplicate coordinates (which `Coo` sums), so the block sweep's value
+/// bits are exercised too.
+fn arb_matrix_with_zeros() -> impl Strategy<Value = Coo> {
+    (1u32..48, 1u32..48).prop_flat_map(|(rows, cols)| {
+        let value = prop_oneof![
+            Just(0.0f32),
+            Just(-0.0f32),
+            (-64i32..64).prop_map(|q| q as f32 * 0.25),
+        ];
+        proptest::collection::vec((0..rows, 0..cols, value), 0..160)
+            .prop_map(move |t| Coo::from_triplets(rows, cols, t).unwrap())
+    })
+}
+
+/// The blocks of `m` by a map keyed on `(sub_r, sub_c)`, each value
+/// accumulated onto `0.0` as the block sweep does.
+fn reference_blocks(m: &Coo) -> BTreeMap<(u32, u32), (u16, [f32; 16])> {
+    let mut blocks: BTreeMap<(u32, u32), (u16, [f32; 16])> = BTreeMap::new();
+    for (r, c, v) in m.iter() {
+        let blk = blocks.entry((r / 4, c / 4)).or_insert((0, [0.0; 16]));
+        let bit = (r % 4) * 4 + c % 4;
+        blk.0 |= 1 << bit;
+        blk.1[bit as usize] += v;
+    }
+    blocks
+}
+
+/// The `p × p` pattern histogram of `m` by a map keyed on block
+/// coordinates.
+fn reference_histogram(m: &Coo, size: GridSize) -> BTreeMap<Mask, u64> {
+    let p = size.edge();
+    let mut blocks: BTreeMap<(u32, u32), Mask> = BTreeMap::new();
+    for (r, c, _) in m.iter() {
+        *blocks.entry((r / p, c / p)).or_insert(0) |= 1 << size.bit(r % p, c % p);
+    }
+    let mut freq = BTreeMap::new();
+    for mask in blocks.into_values() {
+        *freq.entry(mask).or_insert(0) += 1;
+    }
+    freq
+}
+
+/// The tile directory of `map` at `tile` by a map keyed on tile
+/// coordinates.
+fn reference_tiles(map: &SubmatrixMap, table: &DecompositionTable, tile: u32) -> Vec<TileStats> {
+    let spt = tile / 4;
+    let mut tiles: BTreeMap<(u32, u32), (usize, [usize; TILE_LANES])> = BTreeMap::new();
+    for b in map.blocks() {
+        let inst = table.instance_count(b.mask).unwrap() as usize;
+        let acc = tiles
+            .entry((b.sub_r / spt, b.sub_c / spt))
+            .or_insert((0, [0; TILE_LANES]));
+        acc.0 += 1;
+        acc.1[(b.sub_r % spt) as usize % TILE_LANES] += inst;
+    }
+    tiles
+        .into_iter()
+        .map(|((tile_row, tile_col), (n_submatrices, lanes))| TileStats {
+            tile_row,
+            tile_col,
+            n_instances: lanes.iter().sum(),
+            n_submatrices,
+            max_lane_instances: lanes.iter().copied().max().unwrap(),
+        })
+        .collect()
+}
+
+/// The CSR of an encoded matrix by collecting its stored cells from
+/// `tile_instances` and handing them to `Coo::from_triplets`.
+fn reference_csr(spasm: &SpasmMatrix) -> Csr {
+    let mut triplets = Vec::new();
+    for tile in spasm.tiles() {
+        for inst in spasm.tile_instances(tile) {
+            let e = inst.encoding;
+            let tmask = spasm.template_masks()[e.t_idx() as usize];
+            let r0 = tile.tile_row * spasm.tile_size() + e.r_idx() * 4;
+            let c0 = tile.tile_col * spasm.tile_size() + e.c_idx() * 4;
+            let cells = (0..16u32).filter(|bit| tmask & (1 << bit) != 0);
+            for (slot, bit) in cells.enumerate() {
+                let v = inst.values[slot];
+                if v != 0.0 {
+                    triplets.push((r0 + bit / 4, c0 + bit % 4, v));
+                }
+            }
+        }
+    }
+    Csr::from(&Coo::from_triplets(spasm.rows(), spasm.cols(), triplets).unwrap())
 }
 
 fn arb_table() -> impl Strategy<Value = DecompositionTable> {
@@ -112,6 +204,78 @@ proptest! {
         rows.dedup();
         prop_assert_eq!(re_tiles, rows);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-band sweep yields exactly the blocks a keyed map collects,
+    /// in `(sub_r, sub_c)` order, with identical value bits.
+    #[test]
+    fn sweep_matches_keyed_blocks(m in arb_matrix_with_zeros()) {
+        let map = SubmatrixMap::from_coo(&m);
+        let want = reference_blocks(&m);
+        prop_assert_eq!(map.blocks().len(), want.len());
+        for (b, (&(sub_r, sub_c), (mask, values))) in map.blocks().iter().zip(&want) {
+            prop_assert_eq!((b.sub_r, b.sub_c, b.mask), (sub_r, sub_c, *mask));
+            let got: Vec<u32> = b.values.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "values of block ({}, {})", sub_r, sub_c);
+        }
+    }
+
+    /// The pattern histogram at every grid size equals a keyed-map
+    /// histogram.
+    #[test]
+    fn histogram_matches_keyed_blocks(m in arb_matrix_with_zeros()) {
+        for size in GridSize::ALL {
+            let h = PatternHistogram::analyze(&m, size);
+            let want = reference_histogram(&m, size);
+            let got: BTreeMap<Mask, u64> = h.iter().map(|(&k, &f)| (k, f)).collect();
+            prop_assert_eq!(h.total_blocks(), want.values().sum::<u64>());
+            prop_assert_eq!(got, want, "{}", size);
+        }
+    }
+
+    /// The tile directory at any valid tile size equals a keyed-map
+    /// group-by.
+    #[test]
+    fn tiling_matches_keyed_group_by(
+        m in arb_matrix_with_zeros(), table in arb_table(), spt in 1u32..20
+    ) {
+        let map = SubmatrixMap::from_coo(&m);
+        let tile = 4 * spt;
+        let s = TilingSummary::analyze(&map, &table, tile).unwrap();
+        let want = reference_tiles(&map, &table, tile);
+        prop_assert_eq!(s.n_instances(), want.iter().map(|t| t.n_instances).sum::<usize>());
+        prop_assert_eq!(s.tiles(), &want[..]);
+    }
+
+    /// The one-pass CSR decode equals a sort-based decode of the
+    /// instance stream.
+    #[test]
+    fn to_csr_matches_sorted_decode(
+        m in arb_matrix_with_zeros(), table in arb_table(), tile in arb_tile()
+    ) {
+        let spasm = SpasmMatrix::encode(&SubmatrixMap::from_coo(&m), &table, tile).unwrap();
+        prop_assert_eq!(spasm.to_csr(), reference_csr(&spasm));
+    }
+}
+
+/// Every committed golden stream decodes to the same CSR through the
+/// one-pass decode as through a sort-based one.
+#[test]
+fn to_csr_matches_sorted_decode_on_golden_streams() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let bytes = std::fs::read(entry.unwrap().path()).unwrap();
+        let spasm = SpasmMatrix::from_bytes(&bytes).unwrap();
+        assert!(spasm.nnz() > 0);
+        assert_eq!(spasm.to_csr(), reference_csr(&spasm));
+        checked += 1;
+    }
+    assert!(checked >= 2, "the v1 and v2 golden streams");
 }
 
 proptest! {

@@ -3,6 +3,11 @@
 //! Tiles the matrix into `p × p` submatrices, represents each occupied
 //! submatrix as a bitmask, and builds the `(bitmask, frequency)` histogram
 //! that drives template selection and the Fig. 2 / Fig. 3 observations.
+//!
+//! Every block pass goes through [`for_each_block`]: one sweep over the
+//! row-sorted COO arrays that merges each band of `p` rows by block
+//! column, so occupied blocks come out in `(block row, block col)` order
+//! without a hash map or a sort.
 
 use std::collections::HashMap;
 
@@ -10,62 +15,59 @@ use spasm_sparse::Coo;
 
 use crate::grid::{GridSize, Mask};
 
-/// Accumulates the per-submatrix occupancy masks of one contiguous triplet
-/// range. Entries arrive in `(row, col)` order; within a submatrix-row band
-/// they interleave across submatrix columns, so accumulate per `(block row,
-/// block col)` in a map keyed by packed coordinates.
-fn block_map_range(
+/// Visits every occupied `p × p` block of `matrix` in `(block row, block
+/// col)` order, passing its block coordinates, occupancy mask and dense
+/// values (indexed by [`GridSize::bit`]; unoccupied cells hold 0.0).
+///
+/// `matrix` is `(row, col)`-sorted, so each band of `p` rows is a run of
+/// at most `p` column-sorted rows. The sweep keeps one cursor per row and
+/// repeatedly drains, from every cursor, the entries in the lowest block
+/// column any cursor is at. That is `O(nnz + p · blocks)` work with no hash
+/// and no sort. Each value is accumulated onto `0.0`, so a stored `-0.0`
+/// reads back as `+0.0`.
+pub fn for_each_block(
     matrix: &Coo,
     size: GridSize,
-    lo: usize,
-    hi: usize,
-) -> HashMap<(u32, u32), Mask> {
+    mut visit: impl FnMut(u32, u32, Mask, &[f32; 16]),
+) {
     let p = size.edge();
-    let rows = &matrix.row_indices()[lo..hi];
-    let cols = &matrix.col_indices()[lo..hi];
-    let mut blocks: HashMap<(u32, u32), Mask> = HashMap::new();
-    for (&r, &c) in rows.iter().zip(cols) {
-        let key = (r / p, c / p);
-        *blocks.entry(key).or_insert(0) |= 1 << size.bit(r % p, c % p);
-    }
-    blocks
-}
-
-/// Triplet count below which sharding costs more than it saves.
-#[cfg(feature = "parallel")]
-const PARALLEL_ANALYZE_THRESHOLD: usize = 1 << 14;
-
-#[cfg(feature = "parallel")]
-fn block_map(matrix: &Coo, size: GridSize) -> HashMap<(u32, u32), Mask> {
-    use rayon::prelude::*;
-
-    let nnz = matrix.nnz();
-    let threads = rayon::current_num_threads();
-    if threads < 2 || nnz < PARALLEL_ANALYZE_THRESHOLD {
-        return block_map_range(matrix, size, 0, nnz);
-    }
-    // Contiguous shards; a submatrix straddling a shard boundary shows up
-    // in two partial maps and its mask bits are OR-merged below.
-    let shard_len = nnz.div_ceil(threads);
-    let shards: Vec<HashMap<(u32, u32), Mask>> = (0..threads)
-        .map(|i| (i * shard_len, ((i + 1) * shard_len).min(nnz)))
-        .filter(|&(lo, hi)| lo < hi)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(lo, hi)| block_map_range(matrix, size, lo, hi))
-        .collect();
-    let mut merged: HashMap<(u32, u32), Mask> = HashMap::new();
-    for shard in shards {
-        for (key, mask) in shard {
-            *merged.entry(key).or_insert(0) |= mask;
+    let rows = matrix.row_indices();
+    let cols = matrix.col_indices();
+    let vals = matrix.values();
+    // (cursor, end) of each stored row in the current band.
+    let mut runs = [(0usize, 0usize); 4];
+    let mut next = 0usize;
+    while next < rows.len() {
+        let band = rows[next] / p;
+        let mut n = 0;
+        while next < rows.len() && rows[next] / p == band {
+            let start = next;
+            while next < rows.len() && rows[next] == rows[start] {
+                next += 1;
+            }
+            runs[n] = (start, next);
+            n += 1;
+        }
+        let runs = &mut runs[..n];
+        while let Some(block_col) = runs
+            .iter()
+            .filter(|&&(cur, end)| cur < end)
+            .map(|&(cur, _)| cols[cur] / p)
+            .min()
+        {
+            let mut mask: Mask = 0;
+            let mut values = [0.0f32; 16];
+            for (cur, end) in runs.iter_mut() {
+                while *cur < *end && cols[*cur] / p == block_col {
+                    let bit = size.bit(rows[*cur] % p, cols[*cur] % p);
+                    mask |= 1 << bit;
+                    values[bit as usize] += vals[*cur];
+                    *cur += 1;
+                }
+            }
+            visit(band, block_col, mask, &values);
         }
     }
-    merged
-}
-
-#[cfg(not(feature = "parallel"))]
-fn block_map(matrix: &Coo, size: GridSize) -> HashMap<(u32, u32), Mask> {
-    block_map_range(matrix, size, 0, matrix.nnz())
 }
 
 /// Frequency histogram of the local patterns occurring in a matrix.
@@ -101,19 +103,32 @@ impl PatternHistogram {
     /// submatrices and histograms their occupancy bitmasks. Empty
     /// submatrices are skipped (the paper excludes the empty block).
     ///
-    /// With the `parallel` feature (and more than one worker available)
-    /// the triplet stream is sharded into contiguous ranges, each worker
-    /// accumulates a private block map, and the shards are OR-merged by
-    /// mask — bitwise OR is associative and commutative, so the histogram
-    /// is identical to the serial one for every thread count.
+    /// The blocks come from one serial [`for_each_block`] sweep, so the
+    /// histogram does not depend on the thread budget.
     pub fn analyze(matrix: &Coo, size: GridSize) -> Self {
-        let blocks = block_map(matrix, size);
-        let mut freq: HashMap<Mask, u64> = HashMap::new();
-        for mask in blocks.into_values() {
-            *freq.entry(mask).or_insert(0) += 1;
+        let mut masks = Vec::new();
+        for_each_block(matrix, size, |_, _, mask, _| masks.push(mask));
+        Self::from_masks(size, masks)
+    }
+
+    /// Histograms a sequence of occupancy masks, one per occupied block,
+    /// counting into a dense `2^(p²)` array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask has bits outside the grid or is zero.
+    pub fn from_masks(size: GridSize, masks: impl IntoIterator<Item = Mask>) -> Self {
+        let mut counts = vec![0u64; 1 << size.cells()];
+        for mask in masks {
+            assert_eq!(mask & !size.full_mask(), 0, "mask outside {size} grid");
+            counts[mask as usize] += 1;
         }
-        let total = freq.values().sum();
-        PatternHistogram { size, freq, total }
+        let occurring = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f > 0)
+            .map(|(mask, &f)| (mask as Mask, f));
+        Self::from_counts(size, occurring)
     }
 
     /// Builds a histogram directly from `(mask, frequency)` pairs — useful

@@ -108,18 +108,18 @@ pub fn find_best_decomp(pattern: Mask, templates: &[Mask]) -> Option<Decompositi
 /// portfolio.
 ///
 /// `dp[m]` = minimum number of template instances whose union covers mask
-/// `m`; `choice[m]` remembers one optimal first template. Table
-/// construction is `O(2^(p²) · n)` — about one million steps for the 4×4
-/// grid — after which each decomposition is a table walk.
+/// `m`. Every cover of `m` contains a template covering `m`'s lowest set
+/// cell, so `dp[m] = 1 + min dp[m & !t]` over just the templates holding
+/// that cell — about `n / 4` candidates per state instead of `n`, which
+/// puts the whole `2^(p²)`-state table at roughly `2^(p²) · n / 4` steps.
+/// Decompositions are not stored: [`DecompositionTable::decompose`] walks
+/// the table and picks each step on demand.
 #[derive(Debug, Clone)]
 pub struct DecompositionTable {
     template_len: u32,
     masks: Vec<Mask>,
     /// Minimal instance count per mask; `u8::MAX` marks "uncoverable".
     dp: Vec<u8>,
-    /// Index of the template to apply first on each mask (undefined where
-    /// `dp` is `u8::MAX` or the mask is 0).
-    choice: Vec<u8>,
 }
 
 impl DecompositionTable {
@@ -142,32 +142,31 @@ impl DecompositionTable {
     pub fn build_raw(template_len: u32, cell_count: u32, templates: &[Mask]) -> Self {
         assert!(templates.len() <= 16, "at most 16 templates (4-bit t_idx)");
         assert!(cell_count <= 16, "local patterns are at most 4x4");
+        // The templates holding each cell.
+        let holding: Vec<Vec<usize>> = (0..cell_count)
+            .map(|cell| {
+                templates
+                    .iter()
+                    .filter(|&&t| t & (1 << cell) != 0)
+                    .map(|&t| t as usize)
+                    .collect()
+            })
+            .collect();
         let states = 1usize << cell_count;
         let mut dp = vec![u8::MAX; states];
-        let mut choice = vec![0u8; states];
         dp[0] = 0;
         for m in 1..states {
-            let mut best = u8::MAX;
-            let mut pick = 0u8;
-            for (t_id, &t) in templates.iter().enumerate() {
-                let covered = m as Mask & t;
-                if covered == 0 {
-                    continue; // template contributes nothing to this mask
-                }
-                let rest = dp[m & !(t as usize)];
-                if rest != u8::MAX && rest + 1 < best {
-                    best = rest + 1;
-                    pick = t_id as u8;
-                }
-            }
-            dp[m] = best;
-            choice[m] = pick;
+            let rest = holding[m.trailing_zeros() as usize]
+                .iter()
+                .map(|&t| dp[m & !t])
+                .min()
+                .unwrap_or(u8::MAX);
+            dp[m] = rest.saturating_add(1);
         }
         DecompositionTable {
             template_len,
             masks: templates.to_vec(),
             dp,
-            choice,
         }
     }
 
@@ -199,21 +198,36 @@ impl DecompositionTable {
     /// The optimal decomposition of `pattern` (template ids in application
     /// order), or `None` if uncoverable.
     pub fn decompose(&self, pattern: Mask) -> Option<Decomposition> {
-        if self.dp[pattern as usize] == u8::MAX {
-            return None;
-        }
-        let mut ids = Vec::with_capacity(self.dp[pattern as usize] as usize);
-        let mut m = pattern;
-        while m != 0 {
-            let t = self.choice[m as usize];
-            ids.push(t);
-            m &= !self.masks[t as usize];
-        }
-        let paddings = ids.len() as u32 * self.template_len - pattern.count_ones();
+        let template_ids: Vec<u8> = self.template_ids(pattern)?.collect();
+        let paddings = template_ids.len() as u32 * self.template_len - pattern.count_ones();
         Some(Decomposition {
-            template_ids: ids,
+            template_ids,
             paddings,
         })
+    }
+
+    /// The template ids of [`DecompositionTable::decompose`], yielded
+    /// without allocating, or `None` if `pattern` is uncoverable.
+    ///
+    /// Each step applies the first template, in `t_idx` order, that
+    /// touches the remaining mask and leaves a remainder one instance
+    /// cheaper.
+    pub fn template_ids(&self, pattern: Mask) -> Option<impl Iterator<Item = u8> + '_> {
+        self.instance_count(pattern)?;
+        let mut m = pattern;
+        Some(std::iter::from_fn(move || {
+            if m == 0 {
+                return None;
+            }
+            // `m` is coverable and non-empty, so `dp[m] ≥ 1`.
+            let need = self.dp[m as usize] - 1;
+            let t = self
+                .masks
+                .iter()
+                .position(|&t| m & t != 0 && self.dp[(m & !t) as usize] == need)?;
+            m &= !self.masks[t];
+            Some(t as u8)
+        }))
     }
 
     /// Total paddings over a weighted pattern histogram — the inner loop of

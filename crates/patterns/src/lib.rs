@@ -9,7 +9,8 @@
 //!
 //! This crate implements:
 //!
-//! * [`analysis`] — Algorithm 2: the local-pattern histogram of a matrix;
+//! * [`analysis`] — Algorithm 2: the local-pattern histogram of a matrix,
+//!   built on the row-band block sweep every block pass shares;
 //! * [`templates`] — template constructors and the ten candidate portfolios
 //!   of Table V;
 //! * [`decompose`] — Listing 1 (`find_best_decomp`) plus an equivalent but

@@ -92,7 +92,8 @@ pub fn select_template_set(
         );
     }
     // Candidates are independent: build and score their decomposition
-    // tables in parallel (each table is a ~65k-state dynamic program).
+    // tables in parallel (each table is a 65k-state lowest-cell dynamic
+    // program).
     // Scores come back in candidate order for every thread count, so the
     // argmin below (first strict minimum wins) is deterministic.
     let scored = score_candidates(candidates, &subset);

@@ -91,7 +91,8 @@ fn prepare_set_is_thread_count_invariant() {
 
 #[test]
 fn histogram_is_thread_count_invariant() {
-    // Large enough to cross the parallel-analysis threshold (2^14 nnz).
+    // The block sweep is serial; this pins that the histogram still
+    // ignores the installed thread budget on a large input.
     let m = random_coo(0xDE7_0003, 1024, 1024, 40_000);
     let serial = with_budget(1, || PatternHistogram::analyze(&m, GridSize::S4));
     for budget in [2usize, 3, 8] {
