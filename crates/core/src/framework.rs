@@ -427,6 +427,15 @@ impl Golden {
         }
     }
 
+    /// Co-updates a *materialised* reference with a validated structural
+    /// delta, in one merge pass over its rows. A still-lazy reference
+    /// needs nothing, as for [`Golden::patch`].
+    fn merge(&mut self, delta: &MatrixDelta) {
+        if let Some(csr) = self.0.get_mut() {
+            *csr = csr.with_delta(delta);
+        }
+    }
+
     /// Heap footprint of the reference without forcing it: the exact
     /// size it will occupy once (if ever) materialised, so capacity
     /// accounting does not change when it is.
@@ -1054,12 +1063,15 @@ impl Prepared {
             }
         }
         let new_histogram = PatternHistogram::from_counts(GridSize::S4, counts);
-        let reselected = selection::select_template_set(
-            &new_histogram,
-            &self.options.candidates,
-            self.options.top_n,
-        );
-        let portfolio_changed = !reselected.set.masks().eq(self.selection.set.masks());
+        // A single candidate (pinned options, every restored plan) is
+        // the only set step ② can pick, so its table is not rebuilt.
+        let reselected = match self.options.candidates.as_slice() {
+            [only] => only,
+            candidates => {
+                &selection::select_template_set(&new_histogram, candidates, self.options.top_n).set
+            }
+        };
+        let portfolio_changed = !reselected.masks().eq(self.selection.set.masks());
         let changed_fraction = groups.len() as f64 / new_histogram.total_blocks().max(1) as f64;
         if portfolio_changed || changed_fraction > self.options.drift_threshold {
             self.reprepare(delta)?;
@@ -1085,9 +1097,7 @@ impl Prepared {
 
         self.encoded = new_encoded;
         self.plan = new_plan;
-        // The golden reference is structurally stale; rebuild lazily from
-        // the spliced stream on first integrity use.
-        self.golden = Golden::default();
+        self.golden.merge(delta);
         self.histogram = Some(new_histogram);
         self.selection.paddings = self.encoded.paddings();
         self.best.predicted_cycles = self.plan.report().cycles;
@@ -1100,36 +1110,7 @@ impl Prepared {
     /// matrix with the original options, preserving the current integrity
     /// policy and keeping the version stamp monotonic.
     fn reprepare(&mut self, delta: &MatrixDelta) -> Result<(), PipelineError> {
-        let (rows, cols) = (self.encoded.rows(), self.encoded.cols());
-        let mutated = {
-            let golden = self.golden.get(&self.encoded);
-            let mut cells: BTreeMap<(u32, u32), f32> = BTreeMap::new();
-            let ptr = golden.row_ptr();
-            let col_idx = golden.col_indices();
-            let vals = golden.values();
-            for r in 0..golden.rows() as usize {
-                for i in ptr[r]..ptr[r + 1] {
-                    // Canonicalise: explicit zeros encode as padding and
-                    // round-trip as absent, so drop them here too.
-                    if vals[i] != 0.0 {
-                        cells.insert((r as u32, col_idx[i]), vals[i]);
-                    }
-                }
-            }
-            for op in delta.ops() {
-                match *op {
-                    DeltaOp::Patch { row, col, value } | DeltaOp::Insert { row, col, value } => {
-                        cells.insert((row, col), value);
-                    }
-                    DeltaOp::Delete { row, col } => {
-                        cells.remove(&(row, col));
-                    }
-                }
-            }
-            let triplets: Vec<(u32, u32, f32)> =
-                cells.into_iter().map(|((r, c), v)| (r, c, v)).collect();
-            Coo::from_triplets(rows, cols, triplets).map_err(map_sparse)?
-        };
+        let mutated = Coo::from(&self.golden.get(&self.encoded).with_delta(delta));
 
         let next_version = self.plan.version() + 1;
         let integrity = self.integrity;
@@ -1563,5 +1544,29 @@ mod tests {
         let mut y = vec![0.0f32; n];
         let single = prepared.execute_into(&xs[0], &mut y).unwrap();
         assert!(single.batch.is_none());
+    }
+
+    #[test]
+    fn splice_keeps_the_golden_materialised_and_current() {
+        let mut prepared = Pipeline::with_options(
+            PipelineOptions::default().fixed_portfolio(TemplateSet::table_v_set(0)),
+        )
+        .prepare(&block_diag(64))
+        .unwrap();
+        let delta = MatrixDelta::new()
+            .insert(0, 5, 2.5)
+            .delete(1, 1)
+            .patch(2, 2, -4.0);
+        let outcome = prepared.apply_delta(&delta).unwrap();
+        assert!(
+            matches!(outcome, DeltaOutcome::Spliced { .. }),
+            "{outcome:?}"
+        );
+        let golden = prepared
+            .golden
+            .0
+            .get()
+            .expect("a splice leaves the golden materialised");
+        assert_eq!(golden, &prepared.encoded.to_csr());
     }
 }

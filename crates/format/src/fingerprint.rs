@@ -13,6 +13,13 @@
 //! simultaneous CRC-32 collision *and* identical length and shape, so
 //! false sharing between distinct catalog entries is negligible in
 //! practice (and impossible between matrices of different sizes).
+//!
+//! The fingerprint is *defined* over the canonical bytes, but
+//! [`SpasmMatrix::fingerprint`] never builds them: the matrix caches its
+//! payload CRC. Decoding a v2 stream seeds the cache with the CRC the
+//! decoder verified; a values-only patch moves it by CRC-32 linearity
+//! in O(patched slots · log n); every other change starts it empty, and
+//! the next fingerprint streams the sections through the CRC once.
 
 use crate::crc::crc32;
 use crate::matrix::SpasmMatrix;
@@ -21,9 +28,9 @@ use crate::serialize::{WireError, CHECKSUM_BYTES, HEADER_BYTES, MAGIC, VERSION};
 /// A content fingerprint of a matrix's canonical v2 wire stream.
 ///
 /// Cheap to copy, hash and order — suitable as a catalog key. Construct
-/// one with [`SpasmMatrix::fingerprint`] (canonicalises through
-/// [`SpasmMatrix::to_bytes`]) or [`MatrixFingerprint::of_wire_bytes`]
-/// when the v2 stream is already in hand.
+/// one with [`SpasmMatrix::fingerprint`] (from the matrix's cached
+/// payload CRC) or [`MatrixFingerprint::of_wire_bytes`] when the v2
+/// stream is already in hand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MatrixFingerprint {
     /// CRC-32 (IEEE) over the canonical stream's payload — everything up
@@ -113,14 +120,20 @@ impl SpasmMatrix {
     /// Computes the content fingerprint of this matrix's canonical v2
     /// serialisation (see [`MatrixFingerprint`]).
     ///
-    /// Equivalent to `MatrixFingerprint::of_wire_bytes(&self.to_bytes())`
-    /// but infallible: the shape fields come straight from the matrix.
+    /// Always equal to `MatrixFingerprint::of_wire_bytes(&self.to_bytes())`,
+    /// but infallible, and it never builds the stream: the shape fields
+    /// and the length come straight from the matrix, and the payload CRC
+    /// is cached inside it. A matrix decoded by
+    /// [`SpasmMatrix::from_bytes`] starts with the CRC the decoder
+    /// verified; [`SpasmMatrix::patch_values`] moves a cached CRC by
+    /// CRC-32 linearity (rewriting the 4-byte slot at payload offset `o`
+    /// of an `L`-byte payload XORs in the old/new difference shifted
+    /// past the `L - o - 4` bytes after it); otherwise the first call
+    /// streams the canonical sections through the CRC once.
     pub fn fingerprint(&self) -> MatrixFingerprint {
-        let bytes = self.to_bytes();
-        let payload = bytes.len().saturating_sub(CHECKSUM_BYTES);
         MatrixFingerprint {
-            crc: crc32(&bytes[..payload]),
-            len: bytes.len() as u64,
+            crc: self.payload_crc(),
+            len: self.wire_len() as u64,
             rows: self.rows(),
             cols: self.cols(),
             tile_size: self.tile_size(),

@@ -2,11 +2,12 @@
 //! streams.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use spasm_patterns::DecompositionTable;
 use spasm_sparse::{Coo, Csr};
 
+use crate::crc;
 use crate::encoding::{subs_per_tile, PositionEncoding, PATTERN_EDGE};
 use crate::error::FormatError;
 use crate::submatrix::{SubBlock, SubmatrixMap};
@@ -56,6 +57,26 @@ pub struct SpasmMatrix {
     /// copying `4 × n_instances` floats per plan; the stream is immutable
     /// after encoding, so sharing is free.
     values: Arc<[f32]>,
+    /// The CRC-32 of the canonical v2 payload, once known (see
+    /// [`SpasmMatrix::fingerprint`]).
+    payload_crc: PayloadCrc,
+}
+
+/// A cache of the CRC-32 over a matrix's canonical v2 payload.
+///
+/// Every mutation goes through the matrix's own methods, which keep it
+/// coherent: [`SpasmMatrix::from_bytes`] seeds it with the CRC it has just
+/// verified, [`SpasmMatrix::patch_values`] moves a known value by CRC
+/// linearity, every other constructor starts it empty, and
+/// [`SpasmMatrix::fingerprint`] fills it on first use. It is derived
+/// state, so it never takes part in matrix equality.
+#[derive(Debug, Clone, Default)]
+struct PayloadCrc(OnceLock<u32>);
+
+impl PartialEq for PayloadCrc {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl SpasmMatrix {
@@ -125,6 +146,7 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: PayloadCrc::default(),
         })
     }
 
@@ -194,7 +216,8 @@ impl SpasmMatrix {
     }
 
     /// Reassembles a matrix from pre-validated parts (wire
-    /// deserialisation).
+    /// deserialisation). `payload_crc` is the CRC-32 of the matrix's
+    /// canonical v2 payload when the caller has verified it, else `None`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         rows: u32,
@@ -206,6 +229,7 @@ impl SpasmMatrix {
         tiles: Vec<Tile>,
         encodings: Vec<PositionEncoding>,
         values: Vec<f32>,
+        payload_crc: Option<u32>,
     ) -> Self {
         debug_assert_eq!(values.len(), encodings.len() * 4);
         SpasmMatrix {
@@ -218,7 +242,14 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: PayloadCrc(payload_crc.map_or_else(OnceLock::new, OnceLock::from)),
         }
+    }
+
+    /// The CRC-32 of the canonical v2 payload, computed by one streamed
+    /// pass over the sections on first use and cached after that.
+    pub(crate) fn payload_crc(&self) -> u32 {
+        *self.payload_crc.0.get_or_init(|| self.canonical_crc())
     }
 
     /// Number of matrix rows.
@@ -439,7 +470,9 @@ impl SpasmMatrix {
     /// `spasm_hw::ExecutionPlan::adopt_values` for the hand-over.
     ///
     /// Validation is transactional: on any error the matrix is
-    /// untouched.
+    /// untouched. A cached payload CRC is moved by CRC linearity, one
+    /// O(log n) step per patched slot, so the next
+    /// [`SpasmMatrix::fingerprint`] costs nothing extra.
     ///
     /// # Errors
     ///
@@ -464,8 +497,17 @@ impl SpasmMatrix {
             slots.push((at, v));
         }
         let mut next: Arc<[f32]> = Arc::from(&self.values[..]);
+        let stream = self.stream_offset();
+        let payload = stream + 20 * self.n_instances();
+        let mut crc = self.payload_crc.0.get_mut();
         if let Some(buf) = Arc::get_mut(&mut next) {
             for (at, v) in slots {
+                if let Some(crc) = crc.as_deref_mut() {
+                    // Slot `at % 4` of record `at / 4`, past its position word.
+                    let offset = stream + 20 * (at / 4) + 4 + 4 * (at % 4);
+                    let tail = (payload - offset - 4) as u64;
+                    *crc = crc::patch_word(*crc, buf[at].to_bits(), v.to_bits(), tail);
+                }
                 buf[at] = v;
             }
         }
@@ -636,6 +678,7 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: PayloadCrc::default(),
         })
     }
 
@@ -874,6 +917,41 @@ mod tests {
         }
         let fresh_enc = encode(&Coo::from_triplets(16, 16, t).unwrap(), 8);
         assert_eq!(m.to_bytes(), fresh_enc.to_bytes());
+    }
+
+    /// Which constructor leaves the payload CRC known, and that a patch
+    /// moves a known one to the CRC of the patched stream.
+    #[test]
+    fn payload_crc_cache_follows_every_mutation() {
+        let cached = |m: &SpasmMatrix| m.payload_crc.0.get().copied();
+        let canonical = |m: &SpasmMatrix| {
+            let b = m.to_bytes();
+            crate::crc32(&b[..b.len() - crate::CHECKSUM_BYTES])
+        };
+        let mut cold = encode(&sample(), 8);
+        assert_eq!(cached(&cold), None, "encode starts empty");
+        let mut warm = SpasmMatrix::from_bytes(&cold.to_bytes()).unwrap();
+        assert_eq!(cached(&warm), Some(canonical(&cold)), "from_bytes seeds");
+
+        let patch = [(0, 0, 9.0), (14, 2, 2.5), (0, 0, -1.0)];
+        cold.patch_values(&patch).unwrap();
+        warm.patch_values(&patch).unwrap();
+        assert_eq!(cached(&cold), None, "a patch does not fill an empty cache");
+        assert_eq!(
+            cached(&warm),
+            Some(canonical(&warm)),
+            "a patch moves a known CRC"
+        );
+        assert_eq!(cold.fingerprint().crc(), canonical(&cold));
+        assert_eq!(cached(&cold), Some(canonical(&cold)), "fingerprint fills");
+
+        let reps = [SubBlock {
+            sub_r: 1,
+            sub_c: 1,
+            mask: 1,
+            values: [3.0; 16],
+        }];
+        assert_eq!(cached(&warm.spliced(&reps, &table()).unwrap()), None);
     }
 
     /// Splicing a replacement set must produce exactly the bytes a

@@ -26,7 +26,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::crc::crc32;
+use crate::crc::{self, crc32};
 use crate::encoding::PositionEncoding;
 use crate::matrix::{SpasmMatrix, Tile};
 
@@ -118,9 +118,13 @@ impl SpasmMatrix {
     /// # }
     /// ```
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = self.serialize_sections(VERSION);
-        let crc = crc32(&buf);
-        buf.put_u32_le(crc);
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut crc = u32::MAX;
+        self.walk_sections(VERSION, &mut |chunk| {
+            crc = crc::update(crc, chunk);
+            buf.put_slice(chunk);
+        });
+        buf.put_u32_le(!crc);
         buf.freeze()
     }
 
@@ -128,49 +132,75 @@ impl SpasmMatrix {
     /// checksum). Kept for compatibility testing and for peers that have
     /// not upgraded; new streams should use [`SpasmMatrix::to_bytes`].
     pub fn to_bytes_v1(&self) -> Bytes {
-        self.serialize_sections(1).freeze()
+        let mut buf = BytesMut::with_capacity(self.wire_len() - CHECKSUM_BYTES);
+        self.walk_sections(1, &mut |chunk| buf.put_slice(chunk));
+        buf.freeze()
     }
 
-    /// The header, template, tile and stream sections, with `version`
-    /// stamped in the header.
-    fn serialize_sections(&self, version: u32) -> BytesMut {
-        let n_instances = self.n_instances();
-        let mut buf = BytesMut::with_capacity(
-            HEADER_BYTES
-                + self.template_masks().len() * 2
-                + self.tiles().len() * 12
-                + n_instances * 20
-                + CHECKSUM_BYTES,
-        );
-        buf.put_slice(&MAGIC);
-        buf.put_u32_le(version);
-        buf.put_u32_le(self.rows());
-        buf.put_u32_le(self.cols());
-        buf.put_u32_le(self.tile_size());
-        buf.put_u64_le(self.nnz() as u64);
-        buf.put_u64_le(self.paddings());
-        buf.put_u32_le(self.template_masks().len() as u32);
-        buf.put_u32_le(self.tiles().len() as u32);
-        buf.put_u64_le(n_instances as u64);
+    /// The CRC-32 of the canonical v2 payload, streamed from the section
+    /// walker without building the byte buffer.
+    pub(crate) fn canonical_crc(&self) -> u32 {
+        let mut crc = u32::MAX;
+        self.walk_sections(VERSION, &mut |chunk| crc = crc::update(crc, chunk));
+        !crc
+    }
+
+    /// Byte offset of the instance stream: the header, the padded
+    /// template masks and the tile directory come before it.
+    pub(crate) fn stream_offset(&self) -> usize {
+        let n_templates = self.template_masks().len();
+        HEADER_BYTES + (n_templates + n_templates % 2) * 2 + self.tiles().len() * 12
+    }
+
+    /// Length of the v2 stream, checksum included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.stream_offset() + self.n_instances() * 20 + CHECKSUM_BYTES
+    }
+
+    /// Walks the header, template, tile and stream sections, with
+    /// `version` stamped in the header, and hands their bytes to `sink`
+    /// in chunks of [`CHUNK_BYTES`] (the last one shorter). This is the
+    /// one definition of the canonical byte layout: [`SpasmMatrix::to_bytes`]
+    /// collects the chunks and the cold fingerprint CRCs them as they
+    /// arrive.
+    fn walk_sections(&self, version: u32, sink: &mut impl FnMut(&[u8])) {
+        let mut out = Chunker {
+            buf: [0; CHUNK_BYTES],
+            len: 0,
+            sink,
+        };
+        out.put(&MAGIC);
+        out.put(&version.to_le_bytes());
+        out.put(&self.rows().to_le_bytes());
+        out.put(&self.cols().to_le_bytes());
+        out.put(&self.tile_size().to_le_bytes());
+        out.put(&(self.nnz() as u64).to_le_bytes());
+        out.put(&self.paddings().to_le_bytes());
+        out.put(&(self.template_masks().len() as u32).to_le_bytes());
+        out.put(&(self.tiles().len() as u32).to_le_bytes());
+        out.put(&(self.n_instances() as u64).to_le_bytes());
         for &mask in self.template_masks() {
-            buf.put_u16_le(mask);
+            out.put(&mask.to_le_bytes());
         }
         if self.template_masks().len() % 2 == 1 {
-            buf.put_u16_le(0); // alignment pad
+            out.put(&[0, 0]); // alignment pad
         }
         for t in self.tiles() {
-            buf.put_u32_le(t.tile_row);
-            buf.put_u32_le(t.tile_col);
-            buf.put_u32_le(t.n_instances as u32);
+            let mut record = [0u8; 12];
+            record[0..4].copy_from_slice(&t.tile_row.to_le_bytes());
+            record[4..8].copy_from_slice(&t.tile_col.to_le_bytes());
+            record[8..12].copy_from_slice(&(t.n_instances as u32).to_le_bytes());
+            out.put(&record);
         }
-        let values = self.values();
-        for (i, e) in self.encodings().iter().enumerate() {
-            buf.put_u32_le(e.bits());
-            for k in 0..4 {
-                buf.put_f32_le(values[i * 4 + k]);
+        for (e, v) in self.encodings().iter().zip(self.values().chunks_exact(4)) {
+            let mut record = [0u8; 20];
+            record[0..4].copy_from_slice(&e.bits().to_le_bytes());
+            for (k, &x) in v.iter().enumerate() {
+                record[4 + 4 * k..8 + 4 * k].copy_from_slice(&x.to_le_bytes());
             }
+            out.put(&record);
         }
-        buf
+        out.finish();
     }
 
     /// Reconstructs a matrix from its wire layout (versions 1 and 2).
@@ -236,6 +266,7 @@ impl SpasmMatrix {
         let payload_len = payload_len as usize;
         let n_instances = n_instances64 as usize;
 
+        let mut verified_crc = None;
         if version >= 2 {
             need(full, payload_len + CHECKSUM_BYTES, "checksum")?;
             let stored = u32::from_le_bytes([
@@ -248,14 +279,18 @@ impl SpasmMatrix {
             if stored != computed {
                 return Err(WireError::ChecksumMismatch { stored, computed });
             }
+            verified_crc = Some(computed);
         }
 
         need(data, padded_templates * 2, "template masks")?;
         let mut templates = Vec::with_capacity(n_templates);
+        let mut pad = 0u16;
         for i in 0..padded_templates {
             let m = data.get_u16_le();
             if i < n_templates {
                 templates.push(m);
+            } else {
+                pad = m;
             }
         }
 
@@ -303,9 +338,66 @@ impl SpasmMatrix {
             }
         }
 
+        // Every field re-serialises verbatim except the alignment pad,
+        // which the writer always zeroes: only a zero pad makes the
+        // verified CRC the canonical payload's.
         Ok(SpasmMatrix::from_raw_parts(
-            rows, cols, tile_size, nnz, paddings, templates, tiles, encodings, values,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            paddings,
+            templates,
+            tiles,
+            encodings,
+            values,
+            verified_crc.filter(|_| pad == 0),
         ))
+    }
+}
+
+/// Bytes per chunk handed out by the section walker: a multiple of 8, so
+/// the sliced CRC folds whole words until the last chunk.
+const CHUNK_BYTES: usize = 8192;
+
+/// Packs small writes into fixed-size chunks for a sink.
+struct Chunker<'a, F: FnMut(&[u8])> {
+    buf: [u8; CHUNK_BYTES],
+    len: usize,
+    sink: &'a mut F,
+}
+
+impl<F: FnMut(&[u8])> Chunker<'_, F> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if end < CHUNK_BYTES {
+            self.buf[self.len..end].copy_from_slice(bytes);
+            self.len = end;
+        } else {
+            self.spill(bytes);
+        }
+    }
+
+    /// The slow path of [`Chunker::put`]: fills and flushes whole chunks.
+    #[inline(never)]
+    fn spill(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let n = bytes.len().min(CHUNK_BYTES - self.len);
+            self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+            self.len += n;
+            bytes = &bytes[n..];
+            if self.len == CHUNK_BYTES {
+                (self.sink)(&self.buf);
+                self.len = 0;
+            }
+        }
+    }
+
+    fn finish(self) {
+        if self.len > 0 {
+            (self.sink)(&self.buf[..self.len]);
+        }
     }
 }
 
@@ -313,7 +405,7 @@ impl SpasmMatrix {
 mod tests {
     use super::*;
     use crate::submatrix::SubmatrixMap;
-    use spasm_patterns::{DecompositionTable, TemplateSet};
+    use spasm_patterns::{DecompositionTable, GridSize, Template, TemplateSet};
     use spasm_sparse::Coo;
 
     fn sample() -> SpasmMatrix {
@@ -498,6 +590,31 @@ mod tests {
             SpasmMatrix::from_bytes(&b),
             Err(WireError::Truncated { reading: "payload" })
         );
+    }
+
+    /// A nonzero template alignment pad passes the decoder but is not
+    /// what the writer emits, so its CRC must not seed the fingerprint.
+    #[test]
+    fn non_canonical_pad_is_not_seeded() {
+        // Four rows plus one diagonal: an odd portfolio, so a pad word
+        // follows the masks.
+        let s = GridSize::S4;
+        let mut templates: Vec<Template> = (0..4).map(|r| Template::row(s, r)).collect();
+        templates.push(Template::diag(s, 0));
+        let table = DecompositionTable::build(&TemplateSet::new(s, "odd", templates));
+        let coo = Coo::from_triplets(8, 8, vec![(1, 2, 3.0), (6, 5, -1.0)]).unwrap();
+        let m = SpasmMatrix::encode(&SubmatrixMap::from_coo(&coo), &table, 8).unwrap();
+        let mut b = m.to_bytes().to_vec();
+        let pad = HEADER_BYTES + 5 * 2;
+        b[pad] = 0xA5;
+        restamp(&mut b);
+        let back = SpasmMatrix::from_bytes(&b).unwrap();
+        assert_eq!(back, m);
+        assert_ne!(
+            crate::MatrixFingerprint::of_wire_bytes(&b).unwrap(),
+            m.fingerprint()
+        );
+        assert_eq!(back.fingerprint(), m.fingerprint());
     }
 
     #[test]

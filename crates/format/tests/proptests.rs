@@ -4,7 +4,9 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use spasm_format::{SpasmMatrix, SubmatrixMap, TileStats, TilingSummary, TILE_LANES};
+use spasm_format::{
+    MatrixFingerprint, SpasmMatrix, SubmatrixMap, TileStats, TilingSummary, TILE_LANES,
+};
 use spasm_patterns::{DecompositionTable, GridSize, Mask, PatternHistogram, TemplateSet};
 use spasm_sparse::{Coo, Csr, SpMv};
 
@@ -346,7 +348,56 @@ proptest! {
         bytes[payload..].copy_from_slice(&crc);
         if let Ok(back) = SpasmMatrix::from_bytes(&bytes) {
             let again = SpasmMatrix::from_bytes(&back.to_bytes()).unwrap();
-            prop_assert_eq!(again, back);
+            prop_assert_eq!(&again, &back);
+            // The decoder's seeded CRC is the canonical one, even when
+            // the mutation landed on a byte the writer canonicalises.
+            prop_assert_eq!(
+                back.fingerprint(),
+                MatrixFingerprint::of_wire_bytes(&back.to_bytes()).unwrap()
+            );
         }
+    }
+
+    /// After any sequence of values-only patch batches the fingerprint
+    /// equals a from-scratch CRC of the serialised stream, both when the
+    /// payload CRC was seeded by the decoder and moved by every patch
+    /// (warm) and when it was never known until asked for (cold). The
+    /// cache never takes part in matrix equality.
+    #[test]
+    fn patched_fingerprint_matches_wire_bytes(
+        m in arb_matrix(), table in arb_table(), tile in arb_tile(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..1 << 20, -64i32..64), 1..8),
+            1..4,
+        )
+    ) {
+        let mut cold = SpasmMatrix::encode(&SubmatrixMap::from_coo(&m), &table, tile).unwrap();
+        let mut warm = SpasmMatrix::from_bytes(&cold.to_bytes()).unwrap();
+        let cells: Vec<(u32, u32)> = m.iter().map(|(r, c, _)| (r, c)).collect();
+        if cells.is_empty() {
+            return;
+        }
+        for batch in batches {
+            let entries: Vec<(u32, u32, f32)> = batch
+                .iter()
+                .filter(|&&(_, q)| q != 0)
+                .map(|&(i, q)| {
+                    let (r, c) = cells[i % cells.len()];
+                    (r, c, q as f32 * 0.375)
+                })
+                .collect();
+            warm.patch_values(&entries).unwrap();
+            cold.patch_values(&entries).unwrap();
+            prop_assert_eq!(&warm, &cold);
+            prop_assert_eq!(
+                warm.fingerprint(),
+                MatrixFingerprint::of_wire_bytes(&warm.to_bytes()).unwrap()
+            );
+        }
+        prop_assert_eq!(
+            cold.fingerprint(),
+            MatrixFingerprint::of_wire_bytes(&cold.to_bytes()).unwrap()
+        );
+        prop_assert_eq!(cold.fingerprint(), warm.fingerprint());
     }
 }

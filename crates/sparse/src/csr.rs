@@ -1,4 +1,4 @@
-use crate::{Coo, Index, SparseError, Value};
+use crate::{Coo, DeltaOp, Index, MatrixDelta, SparseError, Value};
 
 /// Compressed Sparse Row (CSR) matrix.
 ///
@@ -157,6 +157,88 @@ impl Csr {
         }
     }
 
+    /// The matrix after `delta`, built in one merge pass over the rows:
+    /// patches overwrite, inserts land in column order, deletes drop
+    /// out, and every row stays column-sorted. Stored zeros are dropped
+    /// along the way, so the result holds only non-zero entries — the
+    /// canonical form a SPASM value stream decodes to, where a zero slot
+    /// is padding.
+    ///
+    /// `delta` must have passed [`MatrixDelta::validate`] against `self`.
+    pub fn with_delta(&self, delta: &MatrixDelta) -> Csr {
+        let mut ops: Vec<(usize, Index, Option<Value>)> = delta
+            .ops()
+            .iter()
+            .map(|op| match *op {
+                DeltaOp::Patch { row, col, value } | DeltaOp::Insert { row, col, value } => {
+                    (row as usize, col, Some(value))
+                }
+                DeltaOp::Delete { row, col } => (row as usize, col, None),
+            })
+            .collect();
+        ops.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        let cap = self.nnz() + ops.len();
+        let mut out = Csr {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: Vec::with_capacity(self.row_ptr.len()),
+            col_idx: Vec::with_capacity(cap),
+            values: Vec::with_capacity(cap),
+        };
+        out.row_ptr.push(0);
+        // Source entries before `k` are merged. Untouched runs are copied
+        // whole, and a row that ends inside a run keeps its source
+        // boundary, moved by the entries the ops so far added or removed.
+        let mut k = 0;
+        let close_rows = |out: &mut Csr, upto: usize, k: usize| {
+            while out.row_ptr.len() <= upto {
+                let boundary = self.row_ptr[out.row_ptr.len()];
+                out.row_ptr.push(out.col_idx.len() - (k - boundary));
+            }
+        };
+        for (r, c, op) in ops {
+            let span = self.row_ptr[r]..self.row_ptr[r + 1];
+            let at = span.start + self.col_idx[span.clone()].partition_point(|&x| x < c);
+            out.col_idx.extend_from_slice(&self.col_idx[k..at]);
+            out.values.extend_from_slice(&self.values[k..at]);
+            k = at;
+            close_rows(&mut out, r, k);
+            if at < span.end && self.col_idx[at] == c {
+                k += 1; // patched or deleted
+            }
+            if let Some(v) = op {
+                out.col_idx.push(c);
+                out.values.push(v);
+            }
+        }
+        out.col_idx.extend_from_slice(&self.col_idx[k..]);
+        out.values.extend_from_slice(&self.values[k..]);
+        close_rows(&mut out, self.rows as usize, self.nnz());
+        if out.values.contains(&0.0) {
+            out.drop_zeros();
+        }
+        out
+    }
+
+    /// Removes stored zeros in place; every row keeps its column order.
+    fn drop_zeros(&mut self) {
+        let (mut kept, mut start) = (0, 0);
+        for r in 0..self.rows as usize {
+            let end = self.row_ptr[r + 1];
+            for i in start..end {
+                if self.values[i] != 0.0 {
+                    self.col_idx[kept] = self.col_idx[i];
+                    self.values[kept] = self.values[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.row_ptr[r + 1] = kept;
+        }
+        self.col_idx.truncate(kept);
+        self.values.truncate(kept);
+    }
+
     /// Flat index of the entry at `(r, c)` in `col_idx`/`values`.
     fn entry_position(&self, r: Index, c: Index) -> Option<usize> {
         if r >= self.rows || c >= self.cols {
@@ -231,6 +313,49 @@ mod tests {
         assert_eq!(csr.nnz(), 5);
         assert_eq!(csr.row_ptr(), &[0, 2, 3, 5]);
         assert_eq!(Coo::from(&csr), coo);
+    }
+
+    #[test]
+    fn with_delta_merges_in_column_order() {
+        let csr = Csr::from(&sample());
+        let delta = MatrixDelta::new()
+            .insert(0, 1, 7.0)
+            .patch(0, 3, -2.0)
+            .delete(1, 1)
+            .insert(1, 3, 6.0)
+            .insert(2, 3, 8.0)
+            .delete(2, 0);
+        delta.validate(&csr).unwrap();
+        let want = Coo::from_triplets(
+            3,
+            4,
+            vec![
+                (0, 0, 1.0),
+                (0, 1, 7.0),
+                (0, 3, -2.0),
+                (1, 3, 6.0),
+                (2, 2, 5.0),
+                (2, 3, 8.0),
+            ],
+        )
+        .unwrap();
+        assert_eq!(csr.with_delta(&delta), Csr::from(&want));
+        assert_eq!(csr.with_delta(&MatrixDelta::new()), csr);
+    }
+
+    #[test]
+    fn with_delta_drops_stored_zeros() {
+        let coo = Coo::from_triplets(
+            3,
+            3,
+            vec![(0, 0, 0.0), (0, 2, 1.0), (1, 1, -0.0), (2, 0, 2.0)],
+        )
+        .unwrap();
+        let csr = Csr::from(&coo);
+        let merged = csr.with_delta(&MatrixDelta::new().patch(0, 2, 4.0).insert(1, 2, 3.0));
+        assert_eq!(merged.row_ptr(), &[0, 1, 2, 3]);
+        assert_eq!(merged.col_indices(), &[2, 2, 0]);
+        assert_eq!(merged.values(), &[4.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! and SpMV agreement across every storage format.
 
 use proptest::prelude::*;
-use spasm_sparse::{mm, Bsr, Coo, Csc, Csr, Dense, Dia, Ell, SpMv, StorageCost};
+use std::collections::BTreeMap;
+
+use spasm_sparse::{
+    mm, Bsr, Coo, Csc, Csr, DeltaOp, Dense, Dia, Ell, MatrixDelta, SpMv, StorageCost,
+};
 
 /// Strategy producing an arbitrary small sparse matrix. Values are non-zero
 /// multiples of 0.25 so accumulation is exact in f32 and explicit zeros do
@@ -17,6 +21,49 @@ fn arb_matrix() -> impl Strategy<Value = Coo> {
 
 fn arb_x(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec((-32i32..32).prop_map(|q| q as f32 * 0.5), len..=len)
+}
+
+proptest! {
+    /// Merging a valid delta equals rebuilding the matrix from its
+    /// mutated cell set: one op per picked cell, chosen by whether the
+    /// cell is occupied.
+    #[test]
+    fn with_delta_matches_rebuild(
+        m in arb_matrix(),
+        picks in proptest::collection::vec((0u32..1 << 16, 0u32..3, 1i32..64), 0..24),
+    ) {
+        let csr = Csr::from(&m);
+        let mut cells: BTreeMap<(u32, u32), f32> = m.iter().map(|(r, c, v)| ((r, c), v)).collect();
+        let mut delta = MatrixDelta::new();
+        let mut touched = std::collections::BTreeSet::new();
+        for (cell, kind, q) in picks {
+            let (r, c) = (cell % m.rows(), (cell / m.rows()) % m.cols());
+            if !touched.insert((r, c)) {
+                continue;
+            }
+            let value = q as f32 * -0.5;
+            let op = match (cells.contains_key(&(r, c)), kind) {
+                (true, 0) => DeltaOp::Delete { row: r, col: c },
+                (true, _) => DeltaOp::Patch { row: r, col: c, value },
+                (false, _) => DeltaOp::Insert { row: r, col: c, value },
+            };
+            delta.push(op);
+        }
+        delta.validate(&csr).unwrap();
+        for op in delta.ops() {
+            match *op {
+                DeltaOp::Patch { row, col, value } | DeltaOp::Insert { row, col, value } => {
+                    cells.insert((row, col), value);
+                }
+                DeltaOp::Delete { row, col } => {
+                    cells.remove(&(row, col));
+                }
+            }
+        }
+        let triplets = cells.into_iter().map(|((r, c), v)| (r, c, v)).collect();
+        let want = Coo::from_triplets(m.rows(), m.cols(), triplets).unwrap();
+        prop_assert_eq!(csr.with_delta(&delta), Csr::from(&want));
+    }
 }
 
 proptest! {

@@ -60,7 +60,7 @@ impl PlanStore {
     /// [`StoreError::Io`] on filesystem failure.
     pub fn save(&self, matrix: &SpasmMatrix, plan: &ExecutionPlan) -> Result<PathBuf, StoreError> {
         let bytes = save_v3(matrix, plan)?;
-        let fp = MatrixFingerprint::of_wire_bytes(&matrix.to_bytes())?;
+        let fp = matrix.fingerprint();
         let path = self.path_for(&fp);
         let tmp = path.with_extension("spasm3.tmp");
         std::fs::write(&tmp, &bytes)?;

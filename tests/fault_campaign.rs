@@ -166,8 +166,8 @@ fn campaign_on_a_just_spliced_stream_is_never_silent() {
     // A structural delta splices the value/encoding streams in place;
     // seeded strikes landing on the freshly spliced stream must still be
     // caught by the verify-and-heal ladder, and the golden fallback must
-    // recompute against the *mutated* matrix (the lazily-rebuilt golden
-    // CSR), never the pre-delta values.
+    // recompute against the *mutated* matrix (the golden CSR the splice
+    // merged the delta into), never the pre-delta values.
     let pristine = prepare(IntegrityPolicy::full());
 
     // campaign_matrix row 0 holds entries at columns {0, 13, 26, 39, 52}
@@ -183,7 +183,7 @@ fn campaign_on_a_just_spliced_stream_is_never_silent() {
         "three touched submatrices must splice, got {outcome:?}"
     );
 
-    // The lazily-rebuilt golden CSR must describe the mutated matrix.
+    // The merged golden CSR must describe the mutated matrix.
     let mutated = {
         let mut t: Vec<(u32, u32, f32)> = campaign_matrix()
             .iter()

@@ -10,7 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use spasm::{IntegrityPolicy, Pipeline, PipelineOptions, Prepared};
+use spasm::{DeltaOutcome, IntegrityPolicy, Pipeline, PipelineOptions, Prepared};
+use spasm_format::MatrixFingerprint;
 use spasm_hw::HwConfig;
 use spasm_patterns::TemplateSet;
 use spasm_serve::loadgen::{seeded_x, TraceEvent, TraceGen};
@@ -19,6 +20,7 @@ use spasm_serve::{
     ServeError, ServerConfig, SpmvServer, Tick,
 };
 use spasm_sparse::Coo;
+use spasm_workloads::{changesets, ChangesetConfig};
 
 /// An `n`×`n` scattered matrix, a few entries per row, `salt`-dependent
 /// structure and values so distinct salts give distinct streams.
@@ -714,4 +716,63 @@ fn wire_ingest_skips_resident_plans_and_maps_v3_without_preparing() {
         bits(&want),
         "mapped v3 plan diverged in serving"
     );
+}
+
+/// After every delta the key the server hands back is the from-scratch
+/// fingerprint of the plan's canonical stream: values-only patches move
+/// the cached payload CRC, splices and re-prepares recompute it, and no
+/// path leaves a stale key. Both ingest paths are driven: a prepared COO
+/// and a wire-v3 container, whose CRC the decoder seeded.
+#[test]
+fn delta_keys_equal_a_from_scratch_fingerprint() {
+    let base = scatter(96, 3, 11);
+    let v3 = {
+        let p = pinned_pipeline().prepare(&base).expect("prepare");
+        spasm_store::save_v3(&p.encoded, &p.plan).expect("save_v3")
+    };
+    let (by_coo, by_wire) = (server(4, 8, 1), server(4, 8, 1));
+    let ingested = [
+        (&by_coo, by_coo.ingest_coo(&base).expect("coo ingest")),
+        (&by_wire, by_wire.ingest_wire(&v3).expect("v3 ingest")),
+    ];
+    let sequences = [
+        ChangesetConfig::default().values_only(),
+        ChangesetConfig::default().structural_only(),
+        // Touches far more than the drift threshold of the submatrices.
+        ChangesetConfig {
+            deltas: 1,
+            ops_per_delta: 160,
+            ..ChangesetConfig::default().structural_only()
+        },
+    ];
+    for (s, mut fp) in ingested {
+        let mut outcomes = Vec::new();
+        for (seed, config) in sequences.iter().enumerate() {
+            let current = s
+                .with_prepared(fp, |p| p.encoded.to_coo())
+                .expect("plan resident");
+            for (_, delta) in changesets(&current, seed as u64, config) {
+                let (key, outcome) = s.apply_delta(&fp, &delta).expect("apply delta");
+                let stream = s
+                    .with_prepared(key, |p| p.encoded.to_bytes())
+                    .expect("re-keyed plan resident");
+                assert_eq!(
+                    key,
+                    MatrixFingerprint::of_wire_bytes(&stream).expect("v2 stream"),
+                    "stale key after {outcome:?}"
+                );
+                outcomes.push(outcome);
+                fp = key;
+            }
+        }
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, DeltaOutcome::Patched { .. })));
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, DeltaOutcome::Spliced { .. })));
+        assert!(outcomes
+            .iter()
+            .any(|o| matches!(o, DeltaOutcome::Reprepared { .. })));
+    }
 }
