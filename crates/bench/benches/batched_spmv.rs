@@ -8,8 +8,8 @@
 //! lane block) instead of once per vector, and (under the `parallel`
 //! feature) the fan-out spans those pairs.
 //!
-//! All batched outputs are asserted bit-identical to the looped path
-//! before timing. Results are printed as a table and written to
+//! All batched outputs are asserted bit-identical to the looped path,
+//! before timing and again at every timed batch width. Results are printed as a table and written to
 //! `BENCH_batched_spmv.json` for the perf trajectory.
 //!
 //! Run with `cargo bench -p spasm-bench --bench batched_spmv`
@@ -23,7 +23,9 @@ use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_bench::timing::is_smoke;
 use spasm_workloads::Workload;
 
-const BATCH_SIZES: [usize; 3] = [2, 4, 8];
+/// Batch widths timed against the looped path: every padded width (2,
+/// 4, 8), plus 3, 5 and 7, which run with pad lanes.
+const BATCH_SIZES: [usize; 6] = [2, 3, 4, 5, 7, 8];
 
 /// Batch width for the large-batch comparison: big enough that the
 /// reference's per-vector walk re-streams the instance stream many times
@@ -128,6 +130,13 @@ fn main() {
                 }
                 plan.run_batch(xs_b, &mut ys_b).expect("run_batch");
             });
+            for (j, (g, ww)) in ys_b.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{w}: batch-{batch} vector {j} diverged from looped plan.run"
+                );
+            }
             let row = Row {
                 workload: w.to_string(),
                 nnz: m.nnz(),

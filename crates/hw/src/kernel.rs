@@ -23,13 +23,20 @@
 //!    ops), so the window is **bit-identical** to the reference, signed
 //!    zeros and NaN payloads included; no ULP bound is needed.
 //!
-//! 3. **Monomorphised lane loops.** The body is generic over the lane
-//!    count `L` in `1..=LANE_BLOCK`, so every lane loop has a
-//!    compile-time trip count, and the opcode is predigested into a
-//!    [`ClassKernel`] of mux indices, so the body is branch-free. At
-//!    `L = 8` the lane loops compile to packed `mulps`/`addps` at the
-//!    x86_64 SSE2 baseline: the lane loop is the SIMD datapath, with no
-//!    intrinsics and no `unsafe`.
+//! 3. **Monomorphised lane loops at power-of-two widths.** A lane block
+//!    of `n` vectors runs at the padded width `P = n.next_power_of_two()`
+//!    (1, 2, 4 or [`LANE_BLOCK`]): the `P - n` pad lanes hold a zeroed x,
+//!    are computed alongside the real ones and are never read back. The
+//!    body is generic over `P`, so every lane loop has a compile-time trip
+//!    count and only four bodies exist, and the opcode is predigested into
+//!    a [`ClassKernel`] of mux indices, so the body is branch-free. At
+//!    `P = 4` and `P = 8` the lane loops compile to packed
+//!    `mulps`/`addps` at the x86_64 SSE2 baseline: the lane loop is the
+//!    SIMD datapath, with no intrinsics and no `unsafe`. An odd width
+//!    such as 3 or 7 would fall back to scalar tails and cost more than
+//!    the next power of two. Lanes never interact, so a pad lane cannot
+//!    change a real lane's bits (not even through a NaN it computes from
+//!    `0·inf`).
 //!
 //! The prepare-time pattern-class bucketing ([`build_buckets`]: each tile
 //! row's span cut into [`EXEC_BLOCK`]-instance blocks whose indices are
@@ -45,28 +52,34 @@ use crate::valu::{OutNode, ValuOpcode};
 pub const EXEC_BLOCK: usize = 256;
 
 /// Batch vectors fused per instance walk: the width of one lane block.
-/// Larger batches run in lane blocks of this size (the last may be
-/// narrower).
+/// Larger batches run in lane blocks of this size; the last may hold
+/// fewer vectors and then runs at its [`padded_width`].
 pub const LANE_BLOCK: usize = 8;
 
-/// Calls `$f::<L>(..)` for the runtime lane count `$lanes`: one
-/// monomorphised body per lane-block width `1..=LANE_BLOCK`.
+/// The padded width a lane block of `lanes` real vectors runs at: the
+/// next power of two, so every block is one of the four monomorphised
+/// widths `with_lanes!` dispatches to.
+pub(crate) fn padded_width(lanes: usize) -> usize {
+    lanes.next_power_of_two()
+}
+
+/// Calls `$f::<P>(..)` for the runtime padded width `$width`: one
+/// monomorphised body per power-of-two width up to `LANE_BLOCK`.
 macro_rules! with_lanes {
-    ($lanes:expr, $f:ident($($arg:expr),*)) => {
-        match $lanes {
+    ($width:expr, $f:ident($($arg:expr),*)) => {
+        match $width {
             1 => $f::<1>($($arg),*),
             2 => $f::<2>($($arg),*),
-            3 => $f::<3>($($arg),*),
             4 => $f::<4>($($arg),*),
-            5 => $f::<5>($($arg),*),
-            6 => $f::<6>($($arg),*),
-            7 => $f::<7>($($arg),*),
             8 => $f::<8>($($arg),*),
-            n => unreachable!("lane count {n} outside 1..=LANE_BLOCK"),
+            n => unreachable!("lane width {n} is not a power of two up to LANE_BLOCK"),
         }
     };
 }
-const _: () = assert!(LANE_BLOCK == 8, "with_lanes! covers 1..=8");
+const _: () = assert!(
+    LANE_BLOCK == 8,
+    "with_lanes! covers the padded widths 1, 2, 4 and 8"
+);
 
 /// One class-sorted run inside a bucketing block: instances
 /// `bucket_idx[start..end]` all dispatch through opcode class `class`.
@@ -180,13 +193,13 @@ pub(crate) fn build_buckets(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Bu
     (bucket_idx, class_runs, block_runs, row_blocks)
 }
 
-/// Executes the instance span `span` (one tile row) for the `lanes`
-/// vectors of one lane block, accumulating into their zeroed window.
+/// Executes the instance span `span` (one tile row) for one lane block
+/// at padded width `width`, accumulating into its zeroed window.
 ///
 /// * `xs` is the block's interleaved padded x: column `c` of lane `l` at
-///   `c·lanes + l`.
+///   `c·width + l`.
 /// * `window` is the block's row-major window: row `k` of lane `l` at
-///   `k·lanes + l`.
+///   `k·width + l`.
 ///
 /// Each lane's accumulation into every y element is stream order —
 /// bit-identical to the per-instance reference loop.
@@ -194,20 +207,20 @@ pub(crate) fn execute_row(
     soa: SoaRef<'_>,
     span: (usize, usize),
     xs: &[f32],
-    lanes: usize,
+    width: usize,
     window: &mut [f32],
 ) {
-    with_lanes!(lanes, row(soa, span, xs, window))
+    with_lanes!(width, row(soa, span, xs, window))
 }
 
-/// [`execute_row`] at a compile-time lane count. The x-mux and output-mux
+/// [`execute_row`] at a compile-time width `P`. The x-mux and output-mux
 /// indices are masked to their ranges (a no-op on valid kernels) so the
 /// lane loops carry no bounds checks.
-fn row<const L: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
-    let (xcols, _) = xs.as_chunks::<L>();
-    let (rows, _) = window.as_chunks_mut::<L>();
+fn row<const P: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
+    let (xcols, _) = xs.as_chunks::<P>();
+    let (rows, _) = window.as_chunks_mut::<P>();
     // Node 7 is the VALU's zero output and is never written.
-    let mut nodes = [[0.0f32; L]; 8];
+    let mut nodes = [[0.0f32; P]; 8];
     for i in i0..i1 {
         let ClassKernel { col, sel } = soa.kernels[usize::from(soa.op_idx[i])];
         let c = soa.x_base[i] as usize;
@@ -215,7 +228,7 @@ fn row<const L: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], wi
         let [x0, x1, x2, x3] = col.map(|c| &x[c & 3]);
         let v = &soa.values[4 * i..4 * i + 4];
         let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
-        for l in 0..L {
+        for l in 0..P {
             let p0 = v0 * x0[l];
             let p1 = v1 * x1[l];
             let p2 = v2 * x2[l];
@@ -239,39 +252,43 @@ fn row<const L: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], wi
     }
 }
 
-/// Writes one lane block's x vectors into `dst` interleaved
-/// column-outer, `dst[c·L + l] = xs[l][c]`, for `L = xs.len()` lanes and
-/// every column of the (equally long) vectors.
+/// Writes one lane block's `xs.len()` vectors into `dst` interleaved
+/// column-outer at padded width `P = padded_width(xs.len())`:
+/// `dst[c·P + l] = xs[l][c]` for every column of the (equally long)
+/// vectors, and `0.0` in the pad lanes `xs.len()..P`.
 pub(crate) fn interleave(xs: &[impl AsRef<[f32]>], dst: &mut [f32]) {
-    with_lanes!(xs.len(), interleave_lanes(xs, dst))
+    with_lanes!(padded_width(xs.len()), interleave_lanes(xs, dst))
 }
 
-fn interleave_lanes<const L: usize>(xs: &[impl AsRef<[f32]>], dst: &mut [f32]) {
-    let src: [&[f32]; L] = std::array::from_fn(|l| xs[l].as_ref());
-    let (cols, _) = dst[..L * src[0].len()].as_chunks_mut::<L>();
+fn interleave_lanes<const P: usize>(xs: &[impl AsRef<[f32]>], dst: &mut [f32]) {
+    let n = xs.len();
+    // Pad lanes copy lane 0 and are zeroed afterwards, so the copy loop
+    // keeps its compile-time trip count.
+    let src: [&[f32]; P] = std::array::from_fn(|l| xs[l.min(n - 1)].as_ref());
+    let (cols, _) = dst[..P * src[0].len()].as_chunks_mut::<P>();
     for (c, col) in cols.iter_mut().enumerate() {
         for (d, s) in col.iter_mut().zip(&src) {
             *d = s[c];
         }
     }
+    if n < P {
+        cols.iter_mut().for_each(|col| col[n..].fill(0.0));
+    }
 }
 
-/// Adds a row-major window into its `L = ys.len()` vectors:
-/// `ys[l][rows.start + k] += window[k·L + l]` for every row of `rows`.
+/// Adds a row-major window of padded width `P = padded_width(ys.len())`
+/// into its vectors: `ys[l][rows.start + k] += window[k·P + l]` for every
+/// row of `rows`; the pad lanes are never read.
 pub(crate) fn fold(window: &[f32], ys: &mut [impl AsMut<[f32]>], rows: Range<usize>) {
-    with_lanes!(ys.len(), fold_lanes(window, ys, rows))
+    with_lanes!(padded_width(ys.len()), fold_lanes(window, ys, rows))
 }
 
-fn fold_lanes<const L: usize>(window: &[f32], ys: &mut [impl AsMut<[f32]>], rows: Range<usize>) {
-    let mut it = ys.iter_mut();
-    let mut dst: [&mut [f32]; L] = std::array::from_fn(|_| {
-        it.next()
-            .map_or(&mut [][..], |y| &mut y.as_mut()[rows.clone()])
-    });
-    let (src, _) = window.as_chunks::<L>();
-    for (k, row) in src[..rows.len()].iter().enumerate() {
-        for (d, s) in dst.iter_mut().zip(row) {
-            d[k] += *s;
+fn fold_lanes<const P: usize>(window: &[f32], ys: &mut [impl AsMut<[f32]>], rows: Range<usize>) {
+    let (src, _) = window.as_chunks::<P>();
+    let src = &src[..rows.len()];
+    for (l, y) in ys.iter_mut().enumerate() {
+        for (d, s) in y.as_mut()[rows.clone()].iter_mut().zip(src) {
+            *d += s[l];
         }
     }
 }

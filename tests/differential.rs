@@ -19,8 +19,10 @@ use spasm_format::SpasmMatrix;
 use spasm_hw::Accelerator;
 use spasm_sparse::{Bsr, Coo, Csc, Csr, Dia, Ell, SpMv};
 
-/// Batch sizes every batched-equivalence assertion sweeps.
-const BATCH_SIZES: [usize; 4] = [1, 2, 3, 8];
+/// Batch sizes every batched-equivalence assertion sweeps: every lane
+/// count up to one lane block, so each padded width (1, 2, 4, 8) runs
+/// with and without pad lanes.
+const BATCH_SIZES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// A family of distinct x vectors derived from the probe (multiples of
 /// 0.25, so partial sums stay exactly representable).
@@ -318,6 +320,99 @@ fn execute_batch_matches_looped_execute_under_every_policy() {
                 assert_eq!(bits(g), bits(w), "vector {j} of batch {batch}");
             }
             assert_eq!(prepared.batch_health().len(), batch);
+        }
+    }
+}
+
+#[test]
+fn mixed_policy_batch_matches_batch_one_under_each_policy() {
+    // One batch, each vector under its own policy — two sampled seeds
+    // among them — must give every vector the bits and the health of a
+    // batch-1 execute_into under that vector's own policy. The plan's own
+    // policy is never consulted.
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_0018);
+    let m = random_coo(&mut rng, 72, 72, 260);
+    let n = m.rows() as usize;
+    let base =
+        Pipeline::with_options(PipelineOptions::default().integrity(IntegrityPolicy::full()))
+            .prepare(&m)
+            .unwrap();
+    let cycle = [
+        IntegrityPolicy::sampled(8, 7),
+        IntegrityPolicy::off(),
+        IntegrityPolicy::full(),
+        IntegrityPolicy::sampled(5, 0xBEEF),
+        IntegrityPolicy::off().with_fallback(false),
+        IntegrityPolicy::sampled(8, 7).with_tolerance(1e-2),
+    ];
+    for batch in BATCH_SIZES.into_iter().chain([11]) {
+        let policies: Vec<IntegrityPolicy> = (0..batch).map(|j| cycle[j % cycle.len()]).collect();
+        let xs = probe_batch(m.cols(), batch);
+        let mut single = base.clone();
+        let mut want = vec![vec![0.5f32; n]; batch];
+        let mut want_health = Vec::new();
+        for ((xj, yj), &policy) in xs.iter().zip(want.iter_mut()).zip(&policies) {
+            single.set_integrity(policy);
+            want_health.push(single.execute_into(xj, yj).unwrap().health);
+        }
+        let mut prepared = base.clone();
+        let mut got = vec![vec![0.5f32; n]; batch];
+        prepared
+            .execute_batch_with(&xs, &mut got, &policies)
+            .unwrap();
+        assert_eq!(prepared.batch_health(), &want_health[..], "batch {batch}");
+        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(bits(g), bits(w), "vector {j} of mixed batch {batch}");
+        }
+    }
+}
+
+#[test]
+fn infinite_values_never_leak_from_pad_lanes() {
+    // A matrix holding ±inf: a pad lane's zeroed x meets an infinite
+    // value and computes NaN (0·inf). Each row holds at most one infinity
+    // and every x entry is positive, so no real lane may ever see a NaN,
+    // at every padded width, unverified or verified.
+    let n = 40u32;
+    let coo = Coo::from_triplets(
+        n,
+        n,
+        (0..n)
+            .flat_map(|i| {
+                let v = match i % 4 {
+                    0 => f32::INFINITY,
+                    1 => f32::NEG_INFINITY,
+                    _ => 0.25 * i as f32,
+                };
+                [(i, i, v), (i, (i * 7 + 3) % n, -0.5)]
+            })
+            .filter(|&(r, c, _)| r != c || r % 4 != 3)
+            .collect(),
+    )
+    .unwrap();
+    for policy in [IntegrityPolicy::off(), IntegrityPolicy::full()] {
+        let opts = PipelineOptions::default().integrity(policy);
+        let mut prepared = Pipeline::with_options(opts).prepare(&coo).unwrap();
+        for batch in BATCH_SIZES {
+            let xs: Vec<Vec<f32>> = (0..batch)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| 0.5 + ((i as usize + j) % 5) as f32)
+                        .collect()
+                })
+                .collect();
+            let mut want = vec![vec![0.0f32; n as usize]; batch];
+            for (xj, yj) in xs.iter().zip(want.iter_mut()) {
+                prepared.execute_into(xj, yj).unwrap();
+            }
+            let mut got = vec![vec![0.0f32; n as usize]; batch];
+            prepared.execute_batch_into(&xs, &mut got).unwrap();
+            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                let label = format!("vector {j} of batch {batch}, {:?}", policy.mode);
+                assert_eq!(bits(g), bits(w), "{label}");
+                assert!(g.iter().all(|v| !v.is_nan()), "{label}: NaN leaked");
+                assert!(g.iter().any(|v| v.is_infinite()), "{label}: no infinity");
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Fault isolation in coalesced serving: a poisoned vector inside a
-//! coalesced batch degrades (golden-CSR fallback) only its own request;
-//! sibling requests in the same batch stay pristine and bit-identical to
-//! an unfaulted run. A worker panic is contained at the batch boundary
+//! coalesced batch — of one policy or of mixed policies — degrades
+//! (golden-CSR fallback) or, with fallback disabled, fails only its own
+//! request; sibling requests in the same batch stay pristine and
+//! bit-identical to an unfaulted run. A worker panic is contained at the batch boundary
 //! (retried once, bit-identical; a second panic fails the batch typed),
 //! and a persistently faulty plan walks the full circuit-breaker cycle:
 //! trip → quarantined golden serving → half-open probe → recovery.
@@ -12,7 +13,7 @@
 use spasm::hw::fault::{FaultPlan, FaultSpec};
 use spasm::hw::HwConfig;
 use spasm::sparse::{Coo, SpMv};
-use spasm::{IntegrityPolicy, Pipeline, PipelineOptions};
+use spasm::{IntegrityPolicy, Pipeline, PipelineError, PipelineOptions};
 use spasm_patterns::TemplateSet;
 use spasm_serve::loadgen::seeded_x;
 use spasm_serve::{BreakerConfig, BreakerState, QueueConfig, ServeError, ServerConfig, SpmvServer};
@@ -138,6 +139,153 @@ fn poisoned_vector_degrades_only_its_own_request() {
         let out = c.result.as_ref().expect("serves clean");
         assert!(out.health.is_clean(), "vector {k} after disarm");
         assert_eq!(bits(&out.y), clean[k], "vector {k} bits after disarm");
+    }
+}
+
+/// Serves one batch of `policies.len()` requests against a fresh pinned
+/// server, with `spec`'s faults armed for batch vector `target` before
+/// the flush. Returns the completions in id order.
+fn serve_faulted_batch(
+    m: &Coo,
+    xs: &[Vec<f32>],
+    policies: &[IntegrityPolicy],
+    spec: &FaultSpec,
+    target: usize,
+) -> Vec<spasm_serve::Completion> {
+    let server = SpmvServer::with_pipeline(
+        ServerConfig {
+            queue: QueueConfig {
+                max_batch: 8,
+                max_delay: 1_000,
+                ..QueueConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+        pinned_pipeline(),
+    );
+    let fp = server.ingest_coo(m).expect("ingest");
+    server
+        .with_prepared(fp, |p| {
+            p.plan
+                .arm_faults_for_vector(FaultPlan::seeded(9, spec, p.plan.n_instances()), target);
+        })
+        .expect("plan resident");
+    for (x, &policy) in xs.iter().zip(policies) {
+        let (_, c) = server.submit(fp, x.clone(), policy).expect("submit");
+        assert!(c.is_empty(), "no policy class fills a batch");
+    }
+    let done = server.drain();
+    assert_eq!(done.len(), policies.len());
+    assert_eq!(server.batch_log().len(), 1, "every policy in one batch");
+    done
+}
+
+/// A targeted fault on the `full()` lane of a mixed-policy batch heals
+/// (transient stream flips) or falls back to the golden CSR (persistent
+/// lane faults) alone; the `off()` and `sampled` siblings sharing the
+/// executor pass match an unfaulted run bit for bit.
+#[test]
+fn faulted_full_lane_of_a_mixed_batch_heals_or_falls_back_alone() {
+    let m = matrix();
+    let n = m.cols() as usize;
+    let xs: Vec<Vec<f32>> = (0..4).map(|k| seeded_x(n, 400 + k)).collect();
+    let policies = [
+        IntegrityPolicy::off(),
+        IntegrityPolicy::full(),
+        IntegrityPolicy::off(),
+        IntegrityPolicy::sampled(16, 3),
+    ];
+    let mut oracle = pinned_pipeline().prepare(&m).expect("prepare oracle");
+    let clean: Vec<Vec<u32>> = xs
+        .iter()
+        .map(|x| {
+            let mut y = vec![0.0f32; n];
+            oracle.execute(x, &mut y).expect("oracle execute");
+            bits(&y)
+        })
+        .collect();
+    let mut y_csr = vec![0.0f32; n];
+    oracle.golden().spmv(&xs[1], &mut y_csr).expect("csr spmv");
+
+    let persistent = FaultSpec {
+        lane_faults: 4,
+        ..FaultSpec::default()
+    };
+    let transient = FaultSpec {
+        encoding_flips: 3,
+        value_flips: 3,
+        ..FaultSpec::default()
+    };
+    for (spec, falls_back) in [(persistent, true), (transient, false)] {
+        let done = serve_faulted_batch(&m, &xs, &policies, &spec, 1);
+        for (k, c) in done.iter().enumerate() {
+            let out = c.result.as_ref().expect("every request serves");
+            assert_eq!(out.batch_size, policies.len());
+            if k == 1 {
+                assert!(out.health.faults_injected > 0, "the full lane was struck");
+                assert_eq!(out.health.fallback, falls_back, "{:?}", out.health);
+                if falls_back {
+                    assert_eq!(bits(&out.y), bits(&y_csr), "fallback bits");
+                } else {
+                    assert!(out.health.tile_rows_quarantined > 0, "{:?}", out.health);
+                    assert_eq!(
+                        out.health.tile_rows_corrected,
+                        out.health.tile_rows_quarantined
+                    );
+                    assert_eq!(bits(&out.y), clean[1], "healed bits");
+                }
+            } else {
+                assert!(out.health.is_clean(), "vector {k}: {:?}", out.health);
+                assert_eq!(out.health.faults_injected, 0, "vector {k} struck");
+                assert_eq!(bits(&out.y), clean[k], "vector {k} bits");
+            }
+        }
+    }
+}
+
+/// With fallback disabled, a lane corrupted beyond repair fails only its
+/// own request with a typed integrity error; every sibling in the batch
+/// — unverified, sampled or fully verified — is still served bit-clean.
+#[test]
+fn unrepairable_lane_without_fallback_fails_only_its_own_request() {
+    let m = matrix();
+    let n = m.cols() as usize;
+    let xs: Vec<Vec<f32>> = (0..4).map(|k| seeded_x(n, 500 + k)).collect();
+    let policies = [
+        IntegrityPolicy::off(),
+        IntegrityPolicy::full(),
+        IntegrityPolicy::full().with_fallback(false),
+        IntegrityPolicy::sampled(16, 5),
+    ];
+    let mut oracle = pinned_pipeline().prepare(&m).expect("prepare oracle");
+    let clean: Vec<Vec<u32>> = xs
+        .iter()
+        .map(|x| {
+            let mut y = vec![0.0f32; n];
+            oracle.execute(x, &mut y).expect("oracle execute");
+            bits(&y)
+        })
+        .collect();
+    let spec = FaultSpec {
+        lane_faults: 4,
+        ..FaultSpec::default()
+    };
+    let done = serve_faulted_batch(&m, &xs, &policies, &spec, 2);
+    for (k, c) in done.iter().enumerate() {
+        if k == 2 {
+            assert!(
+                matches!(
+                    c.result,
+                    Err(ServeError::Pipeline(PipelineError::Integrity { .. }))
+                ),
+                "the unrepairable lane fails typed, got {:?}",
+                c.result.as_ref().map(|o| o.health)
+            );
+        } else {
+            let out = c.result.as_ref().expect("siblings still serve");
+            assert!(out.health.is_clean(), "vector {k}: {:?}", out.health);
+            assert_eq!(bits(&out.y), clean[k], "vector {k} bits");
+        }
     }
 }
 
