@@ -5,7 +5,8 @@
 //!
 //! * **apply** — clone the resident plan and apply the delta in place
 //!   (values-only deltas take the copy-on-write patch path; structural
-//!   deltas re-encode only the touched tiles and splice the streams);
+//!   deltas re-encode only the touched submatrices and splice them into
+//!   the streams, copying every other instance verbatim);
 //! * **re-prepare** — run the whole pipeline (analysis, selection,
 //!   decomposition, schedule search, plan build) on the mutated matrix,
 //!   the cost a serving node pays without the update path.

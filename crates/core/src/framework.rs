@@ -466,8 +466,9 @@ pub enum DeltaOutcome {
         entries: usize,
     },
     /// Structural, within the drift threshold: the touched 4×4
-    /// submatrices were re-encoded and their tiles spliced into the
-    /// stream; untouched tiles' decoded spans were reused.
+    /// submatrices were re-encoded and spliced into their tiles' runs of
+    /// the stream; every other instance was copied verbatim and
+    /// untouched tiles' decoded spans were reused.
     Spliced {
         /// Number of 4×4 submatrices re-encoded.
         submatrices: usize,
@@ -1026,8 +1027,9 @@ impl Prepared {
     ///   buffer under a bumped [`ExecutionPlan::version`] — executions
     ///   (or plan clones) already in flight keep reading the old buffer;
     /// * **structural** deltas (any insert/delete) re-encode only the
-    ///   touched 4×4 submatrices and splice the affected tiles into the
-    ///   stream, reusing the decoded spans of every untouched tile;
+    ///   touched 4×4 submatrices and splice them into the stream, copying
+    ///   every other instance verbatim and reusing the decoded spans of
+    ///   every untouched tile;
     /// * when the update drifts past
     ///   [`PipelineOptions::drift_threshold`] — or shifts the local
     ///   pattern histogram enough that step ② would now select a
@@ -1172,7 +1174,7 @@ impl Prepared {
             });
         }
 
-        // Splice path: re-encode touched tiles, reuse everything else.
+        // Splice path: re-encode touched submatrices, reuse everything else.
         // Both steps build out-of-place; the plan is untouched on error.
         let new_encoded = self.encoded.spliced(&replacements, &self.selection.table)?;
         let subs_per_tile = self.encoded.tile_size() / 4;

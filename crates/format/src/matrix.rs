@@ -1,7 +1,7 @@
 //! The encoded SPASM matrix: global tile directory + per-tile instance
 //! streams.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use spasm_patterns::DecompositionTable;
@@ -155,8 +155,9 @@ impl SpasmMatrix {
     ///
     /// Running this over any instance stream consistent with `tiles`
     /// yields exactly the flag assignment [`SpasmMatrix::encode`]
-    /// produces, which is what lets [`SpasmMatrix::spliced`] copy
-    /// untouched tile spans verbatim and restamp afterwards.
+    /// produces, which is what lets [`SpasmMatrix::spliced`] copy every
+    /// untouched instance run verbatim — whole tiles, and the submatrices
+    /// around each replaced one — and restamp afterwards.
     fn stamp_boundaries(tiles: &[Tile], encodings: &mut [PositionEncoding]) {
         for e in encodings.iter_mut() {
             *e = PositionEncoding::new(e.c_idx(), e.r_idx(), false, false, e.t_idx());
@@ -515,55 +516,22 @@ impl SpasmMatrix {
         Ok(next)
     }
 
-    /// Reconstructs the occupied submatrices of one tile from its
-    /// instance stream, in `(sub_r, sub_c)` order.
-    ///
-    /// Padding slots (value 0.0) are not part of any mask, so a
-    /// reconstructed block's mask covers exactly the stored entries.
-    fn decode_tile_blocks(&self, tile: &Tile) -> Vec<SubBlock> {
-        let spt = self.tile_size / PATTERN_EDGE;
-        let mut out: Vec<SubBlock> = Vec::new();
-        for i in tile.first_instance..tile.first_instance + tile.n_instances {
-            let e = self.encodings[i];
-            let sub_r = tile.tile_row * spt + e.r_idx();
-            let sub_c = tile.tile_col * spt + e.c_idx();
-            if out.last().map(|b| (b.sub_r, b.sub_c)) != Some((sub_r, sub_c)) {
-                out.push(SubBlock {
-                    sub_r,
-                    sub_c,
-                    mask: 0,
-                    values: [0.0; 16],
-                });
-            }
-            if let Some(blk) = out.last_mut() {
-                let tmask = self.templates[e.t_idx() as usize];
-                let mut slot = 0usize;
-                for bit in 0..16u16 {
-                    if tmask & (1 << bit) != 0 {
-                        let v = self.values[i * 4 + slot];
-                        slot += 1;
-                        if v != 0.0 {
-                            blk.mask |= 1 << bit;
-                            blk.values[bit as usize] = v;
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Builds a new matrix with the given submatrices replaced,
-    /// re-encoding only the touched tiles and splicing the rest of the
-    /// stream through verbatim.
+    /// Builds a new matrix with the given submatrices replaced, in one
+    /// merge walk over the stream: work proportional to the replaced
+    /// submatrices plus one copy of everything else.
     ///
     /// Each replacement is the complete new state of one global 4×4
     /// submatrix (`sub_r`, `sub_c` are global submatrix coordinates); a
-    /// replacement with `mask == 0` removes the submatrix. Untouched
-    /// tiles contribute their encoding/value spans unchanged (then CE/RE
-    /// flags are restamped globally, exactly as [`SpasmMatrix::encode`]
-    /// assigns them), so the result is bit-identical to a from-scratch
-    /// encode of the mutated matrix.
+    /// replacement with `mask == 0` removes the submatrix, and of several
+    /// replacements of one submatrix the last wins. A submatrix's
+    /// instances are one run of its tile, ordered by `(r_idx, c_idx)`, so
+    /// runs of untouched tiles are copied verbatim with their
+    /// `first_instance` shifted, and inside a touched tile the instances
+    /// around each replaced run are copied verbatim too: only the
+    /// replacement itself is decomposed. CE/RE flags are then restamped
+    /// globally and `nnz`/`paddings` recounted from the new value stream,
+    /// exactly as [`SpasmMatrix::encode`] assigns them, so the result is
+    /// bit-identical to a from-scratch encode of the mutated matrix.
     ///
     /// `table` must be the decomposition table of the portfolio this
     /// matrix was encoded with (`template_masks()` equal) — the spliced
@@ -585,77 +553,90 @@ impl SpasmMatrix {
             "spliced requires the table this matrix was encoded with"
         );
         let spt = self.tile_size / PATTERN_EDGE;
-        let mut touched: BTreeMap<(u32, u32), Vec<&SubBlock>> = BTreeMap::new();
-        for b in replacements {
-            touched
-                .entry((b.sub_r / spt, b.sub_c / spt))
-                .or_default()
-                .push(b);
+        let tile_of = |b: &SubBlock| (b.sub_r / spt, b.sub_c / spt);
+        let local = |b: &SubBlock| (b.sub_r % spt, b.sub_c % spt);
+        let sub = |e: &PositionEncoding| (e.r_idx(), e.c_idx());
+        // In stream order; of equal keys the last replacement sorts first
+        // and survives the dedup.
+        let mut reps: Vec<(usize, &SubBlock)> = replacements.iter().enumerate().collect();
+        reps.sort_unstable_by_key(|&(i, b)| (tile_of(b), local(b), std::cmp::Reverse(i)));
+        reps.dedup_by_key(|&mut (_, b)| (tile_of(b), local(b)));
+        let mut grown = self.encodings.len();
+        for &(_, b) in &reps {
+            let n = table.instance_count(b.mask);
+            grown += n.ok_or(FormatError::UncoverablePattern { mask: b.mask })? as usize;
         }
 
-        let mut keys: Vec<(u32, u32)> = self
-            .tiles
-            .iter()
-            .map(|t| (t.tile_row, t.tile_col))
-            .chain(touched.keys().copied())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-
-        let mut tiles: Vec<Tile> = Vec::new();
-        let mut encodings: Vec<PositionEncoding> = Vec::new();
-        let mut values: Vec<f32> = Vec::new();
-
-        for key in keys {
-            let existing = self
-                .tiles
-                .binary_search_by_key(&key, |t| (t.tile_row, t.tile_col))
-                .ok()
-                .map(|i| &self.tiles[i]);
-            let first_instance = encodings.len();
-            match touched.get(&key) {
-                None => {
-                    // Untouched: splice the spans through verbatim.
-                    let t = existing.expect("key came from the tile directory");
-                    let span = t.first_instance..t.first_instance + t.n_instances;
-                    encodings.extend_from_slice(&self.encodings[span.clone()]);
-                    values.extend_from_slice(&self.values[span.start * 4..span.end * 4]);
-                }
-                Some(reps) => {
-                    // Touched: merge replacements over the decoded tile
-                    // and re-encode it wholesale.
-                    let mut blocks: BTreeMap<(u32, u32), SubBlock> = existing
-                        .map(|t| self.decode_tile_blocks(t))
-                        .unwrap_or_default()
-                        .into_iter()
-                        .map(|b| ((b.sub_r, b.sub_c), b))
-                        .collect();
-                    for r in reps {
-                        if r.mask == 0 {
-                            blocks.remove(&(r.sub_r, r.sub_c));
-                        } else {
-                            blocks.insert((r.sub_r, r.sub_c), (*r).clone());
-                        }
-                    }
-                    for b in blocks.values() {
-                        Self::encode_block(
-                            &self.templates,
-                            table,
-                            b,
-                            spt,
-                            &mut encodings,
-                            &mut values,
-                        )?;
-                    }
-                }
+        let mut tiles: Vec<Tile> = Vec::with_capacity(self.tiles.len() + reps.len());
+        let mut encodings: Vec<PositionEncoding> = Vec::with_capacity(grown);
+        let mut values: Vec<f32> = Vec::with_capacity(4 * grown);
+        let copy = |span: Range<usize>, encodings: &mut Vec<_>, values: &mut Vec<_>| {
+            values.extend_from_slice(&self.values[4 * span.start..4 * span.end]);
+            encodings.extend_from_slice(&self.encodings[span]);
+        };
+        let (mut t, mut r) = (0, 0);
+        loop {
+            // The run of untouched tiles before the next touched one.
+            let next = reps.get(r).map(|&(_, b)| tile_of(b));
+            let run = next.map_or(self.tiles.len() - t, |key| {
+                self.tiles[t..].partition_point(|o| (o.tile_row, o.tile_col) < key)
+            });
+            let untouched = &self.tiles[t..t + run];
+            if let (Some(first), Some(last)) = (untouched.first(), untouched.last()) {
+                let base = encodings.len();
+                tiles.extend(
+                    untouched
+                        .iter()
+                        .filter(|o| o.n_instances > 0)
+                        .map(|o| Tile {
+                            first_instance: o.first_instance - first.first_instance + base,
+                            ..*o
+                        }),
+                );
+                let span = first.first_instance..last.first_instance + last.n_instances;
+                copy(span, &mut encodings, &mut values);
             }
-            let n_instances = encodings.len() - first_instance;
-            if n_instances > 0 {
+            t += run;
+            let Some(key) = next else { break };
+
+            // The touched tile: its old instances, if it had any.
+            let mut old = 0..0;
+            if let Some(o) = self
+                .tiles
+                .get(t)
+                .filter(|o| (o.tile_row, o.tile_col) == key)
+            {
+                old = o.first_instance..o.first_instance + o.n_instances;
+                t += 1;
+            }
+            let first_instance = encodings.len();
+            while let Some(&(_, b)) = reps.get(r).filter(|&&(_, b)| tile_of(b) == key) {
+                let at = local(b);
+                let before =
+                    old.start + self.encodings[old.clone()].partition_point(|e| sub(e) < at);
+                let after =
+                    before + self.encodings[before..old.end].partition_point(|e| sub(e) == at);
+                copy(old.start..before, &mut encodings, &mut values);
+                if b.mask != 0 {
+                    Self::encode_block(
+                        &self.templates,
+                        table,
+                        b,
+                        spt,
+                        &mut encodings,
+                        &mut values,
+                    )?;
+                }
+                old.start = after;
+                r += 1;
+            }
+            copy(old, &mut encodings, &mut values);
+            if encodings.len() > first_instance {
                 tiles.push(Tile {
                     tile_row: key.0,
                     tile_col: key.1,
                     first_instance,
-                    n_instances,
+                    n_instances: encodings.len() - first_instance,
                 });
             }
         }

@@ -151,44 +151,54 @@ pub(crate) type Buckets = (Vec<u32>, Vec<ClassRun>, Vec<u32>, Vec<u32>);
 
 /// The prepare-time bucketing pass: cuts each tile row's instance span
 /// into [`EXEC_BLOCK`]-sized blocks and stably sorts each block's indices
-/// by opcode class.
-pub(crate) fn build_buckets(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Buckets {
+/// by opcode class with a counting sort over the `n_classes` classes.
+///
+/// Every `op_idx` entry must be below `n_classes` (`assemble` range-checks
+/// them against the portfolio first). A structural delta rebuilds these
+/// tables from the spliced stream in the same linear pass.
+pub(crate) fn build_buckets(
+    inst_ranges: &[(usize, usize)],
+    op_idx: &[u8],
+    n_classes: usize,
+) -> Buckets {
     let n: usize = inst_ranges.iter().map(|&(i0, i1)| i1 - i0).sum();
     let mut bucket_idx: Vec<u32> = Vec::with_capacity(n);
     let mut class_runs: Vec<ClassRun> = Vec::new();
     let mut block_runs: Vec<u32> = vec![0];
     let mut row_blocks: Vec<u32> = Vec::with_capacity(inst_ranges.len() + 1);
     row_blocks.push(0);
-    let mut scratch: Vec<u32> = Vec::with_capacity(EXEC_BLOCK);
-    let mut n_blocks = 0u32;
+    // Per class: its count in the block, then its next slot in `bucket_idx`.
+    let mut slots: Vec<u32> = vec![0; n_classes];
     for &(i0, i1) in inst_ranges {
-        let mut b0 = i0;
-        while b0 < i1 {
-            let b1 = (b0 + EXEC_BLOCK).min(i1);
-            scratch.clear();
-            scratch.extend((b0..b1).map(|i| i as u32));
-            // Stable: equal classes keep their stream order.
-            scratch.sort_by_key(|&i| op_idx[i as usize]);
-            let base = bucket_idx.len() as u32;
-            let mut run_start = 0usize;
-            for k in 1..=scratch.len() {
-                let boundary = k == scratch.len()
-                    || op_idx[scratch[k] as usize] != op_idx[scratch[run_start] as usize];
-                if boundary {
+        for b0 in (i0..i1).step_by(EXEC_BLOCK) {
+            let block = &op_idx[b0..(b0 + EXEC_BLOCK).min(i1)];
+            slots.fill(0);
+            for &c in block {
+                slots[usize::from(c)] += 1;
+            }
+            // One run per present class, in ascending class order.
+            let mut start = bucket_idx.len() as u32;
+            for (class, slot) in slots.iter_mut().enumerate() {
+                if *slot > 0 {
+                    let end = start + *slot;
                     class_runs.push(ClassRun {
-                        start: base + run_start as u32,
-                        end: base + k as u32,
-                        class: u32::from(op_idx[scratch[run_start] as usize]),
+                        start,
+                        end,
+                        class: class as u32,
                     });
-                    run_start = k;
+                    (*slot, start) = (start, end);
                 }
             }
-            bucket_idx.extend_from_slice(&scratch);
+            // Scatter in stream order: equal classes keep their order.
+            bucket_idx.resize(start as usize, 0);
+            for (i, &c) in (b0 as u32..).zip(block) {
+                let slot = &mut slots[usize::from(c)];
+                bucket_idx[*slot as usize] = i;
+                *slot += 1;
+            }
             block_runs.push(class_runs.len() as u32);
-            n_blocks += 1;
-            b0 = b1;
         }
-        row_blocks.push(n_blocks);
+        row_blocks.push((block_runs.len() - 1) as u32);
     }
     (bucket_idx, class_runs, block_runs, row_blocks)
 }
@@ -320,7 +330,7 @@ mod tests {
         // One row of 600 instances with interleaved classes 2,0,1,...
         let op_idx: Vec<u8> = (0..600u32).map(|i| ((i * 7 + 2) % 3) as u8).collect();
         let ranges = [(0usize, 600usize)];
-        let (bucket_idx, class_runs, block_runs, row_blocks) = build_buckets(&ranges, &op_idx);
+        let (bucket_idx, class_runs, block_runs, row_blocks) = build_buckets(&ranges, &op_idx, 3);
         assert_eq!(row_blocks, vec![0, 3]); // 256 + 256 + 88
         assert_eq!(bucket_idx.len(), 600);
         for b in 0..3usize {
@@ -353,6 +363,62 @@ mod tests {
                 assert!(run.iter().all(|&i| u32::from(op_idx[i as usize]) == c));
             }
             assert_eq!(cursor, blk_i1 as u32);
+        }
+    }
+
+    /// The bucketing tables by a stable comparison sort of each block,
+    /// one run per maximal equal-class stretch of the sorted block.
+    fn stable_sort_reference(inst_ranges: &[(usize, usize)], op_idx: &[u8]) -> Buckets {
+        let (mut bucket_idx, mut class_runs) = (Vec::<u32>::new(), Vec::new());
+        let (mut block_runs, mut row_blocks) = (vec![0], vec![0]);
+        for &(i0, i1) in inst_ranges {
+            for b0 in (i0..i1).step_by(EXEC_BLOCK) {
+                let mut block: Vec<u32> = (b0 as u32..(b0 + EXEC_BLOCK).min(i1) as u32).collect();
+                block.sort_by_key(|&i| op_idx[i as usize]);
+                for run in block.chunk_by(|&a, &b| op_idx[a as usize] == op_idx[b as usize]) {
+                    let start = bucket_idx.len() as u32;
+                    bucket_idx.extend_from_slice(run);
+                    class_runs.push(ClassRun {
+                        start,
+                        end: bucket_idx.len() as u32,
+                        class: u32::from(op_idx[run[0] as usize]),
+                    });
+                }
+                block_runs.push(class_runs.len() as u32);
+            }
+            row_blocks.push((block_runs.len() - 1) as u32);
+        }
+        (bucket_idx, class_runs, block_runs, row_blocks)
+    }
+
+    #[test]
+    fn counting_sort_buckets_equal_a_stable_sort() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Tile rows of 0, 1, partial-block, whole-block and
+            // multi-block lengths.
+            let mut inst_ranges = Vec::new();
+            let mut n = 0;
+            for _ in 0..rng.gen_range(0..8) {
+                let len = match rng.gen_range(0..5u32) {
+                    0 => 0,
+                    1 => 1,
+                    2 => EXEC_BLOCK,
+                    _ => rng.gen_range(2..3 * EXEC_BLOCK + 7),
+                };
+                inst_ranges.push((n, n + len));
+                n += len;
+            }
+            // All 16 classes, a few, or one per stream.
+            let n_classes = [16, rng.gen_range(1..=16), 1][rng.gen_range(0..3)];
+            let op_idx: Vec<u8> = (0..n).map(|_| rng.gen_range(0..n_classes as u8)).collect();
+            assert_eq!(
+                build_buckets(&inst_ranges, &op_idx, n_classes),
+                stable_sort_reference(&inst_ranges, &op_idx),
+                "seed {seed}"
+            );
         }
     }
 }

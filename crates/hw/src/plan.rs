@@ -531,7 +531,8 @@ impl ExecutionPlan {
         let (bucket_idx, class_runs, block_runs, row_blocks) = match buckets {
             Some(frozen) => frozen,
             None => {
-                let (idx, runs, blocks, row_blocks) = kernel::build_buckets(&inst_ranges, ops);
+                let (idx, runs, blocks, row_blocks) =
+                    kernel::build_buckets(&inst_ranges, ops, template_masks.len());
                 (
                     Stream::from_vec(idx),
                     Stream::from_vec(runs),
@@ -647,14 +648,15 @@ impl ExecutionPlan {
     /// `matrix` is the spliced encoding (`SpasmMatrix::spliced`),
     /// `old_tiles` the *pre-splice* tile directory (the plan itself keeps
     /// no directory), and `touched` the `(tile_row, tile_col)` keys of
-    /// re-encoded tiles. Untouched tiles' x/y-base and opcode-class
-    /// spans are copied from this plan verbatim — their decode is a pure
-    /// function of tile-local content, which did not change; CE/RE
-    /// boundary flags are not part of the SoA form, so global restamping
-    /// does not invalidate the spans. Touched tiles are decoded from the
-    /// new stream. Everything else goes through the same constructor as a
-    /// fresh prepare, so the result is bit-identical to preparing the
-    /// mutated matrix from scratch, with the version bumped.
+    /// tiles holding a replaced submatrix. Untouched tiles' x/y-base and
+    /// opcode-class spans are copied from this plan verbatim — their
+    /// decode is a pure function of tile-local content, which did not
+    /// change; CE/RE boundary flags are not part of the SoA form, so
+    /// global restamping does not invalidate the spans. Touched tiles are
+    /// decoded from the new stream. Everything else, the class buckets
+    /// included, goes through the same constructor as a fresh prepare, so
+    /// the result is bit-identical to preparing the mutated matrix from
+    /// scratch, with the version bumped.
     ///
     /// # Errors
     ///
@@ -2123,14 +2125,21 @@ mod tests {
         let acc = Accelerator::new(HwConfig::spasm_4_1());
         let plan = acc.prepare(&m).unwrap();
 
-        // Structural mutation: drop one entry, add two (one in a fresh
-        // tile region).
+        // Structural mutation over four tiles: drop one entry, add two
+        // (one in a fresh tile region), and empty tile (0, 2).
         let mut t: Vec<_> = coo.iter().collect();
         t.retain(|&(r, c, _)| (r, c) != (5, 5));
+        t.retain(|&(r, c, _)| r >= 32 || c < 64);
         t.push((90, 2, 3.25));
         t.push((6, 60, -0.75));
         let mutated = Coo::from_triplets(96, 96, t).unwrap();
         let fresh_m = encode(&mutated, 32);
+        let has_tile =
+            |m: &SpasmMatrix| m.tiles().iter().any(|t| (t.tile_row, t.tile_col) == (0, 2));
+        assert!(
+            has_tile(&m) && !has_tile(&fresh_m),
+            "tile (0, 2) is emptied"
+        );
 
         // Replacement blocks for every changed submatrix.
         let (old_map, new_map) = (
@@ -2173,10 +2182,22 @@ mod tests {
             keys.dedup();
             keys
         };
+        assert!(touched.len() >= 4, "touches several tiles");
         let mut spliced_plan = plan.respliced(&spliced_m, m.tiles(), &touched).unwrap();
         assert_eq!(spliced_plan.version(), 1);
 
         let mut fresh_plan = acc.prepare(&fresh_m).unwrap();
+        // Every stream section, the class buckets included, equals a
+        // fresh prepare's.
+        let (got_s, want_s) = (spliced_plan.streams(), fresh_plan.streams());
+        assert_eq!(got_s.x_base, want_s.x_base);
+        assert_eq!(got_s.y_base, want_s.y_base);
+        assert_eq!(got_s.op_idx, want_s.op_idx);
+        assert_eq!(bits(got_s.values), bits(want_s.values));
+        assert_eq!(got_s.bucket_idx, want_s.bucket_idx);
+        assert_eq!(got_s.class_runs, want_s.class_runs);
+        assert_eq!(got_s.block_runs, want_s.block_runs);
+        assert_eq!(got_s.row_blocks, want_s.row_blocks);
         let x: Vec<f32> = (0..96).map(|i| ((i % 13) as f32) * 0.5 - 3.0).collect();
         let (mut got, mut want) = (vec![0.0f32; 96], vec![0.0f32; 96]);
         let got_rep = spliced_plan.run(&x, &mut got).unwrap().clone();

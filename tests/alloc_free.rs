@@ -9,6 +9,11 @@
 //! pollute the count. The window runs under a serial worker budget:
 //! spawning OS threads inherently allocates, and the contract is about
 //! per-call *work*, not about the fan-out machinery.
+//!
+//! The same counter bounds the update paths: a values-only delta moves a
+//! few copies of the value stream at most, and a structural splice of
+//! one submatrix allocates equally often however many tiles the matrix
+//! holds.
 
 mod support;
 
@@ -256,4 +261,58 @@ fn prepared_plans_share_the_value_stream_without_copying() {
         "matrix clone moved {clone_bytes} bytes — value stream ({value_bytes} bytes) was copied"
     );
     drop(plan);
+}
+
+#[test]
+fn splicing_one_submatrix_allocates_independently_of_matrix_size() {
+    use spasm::format::{SpasmMatrix, SubBlock, SubmatrixMap};
+    use spasm::patterns::{DecompositionTable, TemplateSet};
+
+    // A block-diagonal matrix with `tiles` occupied 16×16 tiles, each
+    // holding four diagonal 4×4 submatrices.
+    let table = DecompositionTable::build(&TemplateSet::table_v_set(0));
+    let diagonal = |tiles: u32| {
+        let n = 16 * tiles;
+        let t = (0..n).map(|i| (i, i, 1.0 + (i % 7) as f32)).collect();
+        let a = spasm_sparse::Coo::from_triplets(n, n, t).unwrap();
+        SpasmMatrix::encode(&SubmatrixMap::from_coo(&a), &table, 16).unwrap()
+    };
+    let block = |sub_r, sub_c, mask: u16| {
+        let mut values = [0.0f32; 16];
+        for (bit, v) in values.iter_mut().enumerate() {
+            if mask & (1 << bit) != 0 {
+                *v = 2.0 + bit as f32;
+            }
+        }
+        SubBlock {
+            sub_r,
+            sub_c,
+            mask,
+            values,
+        }
+    };
+    // Rewrite a present submatrix, delete one, and open a new tile.
+    let edits = [
+        block(5, 5, 0x8421 | 0x0002),
+        block(6, 6, 0),
+        block(1, 7, 0x0100),
+    ];
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let (small, large) = (diagonal(10), diagonal(1000));
+    assert_eq!((small.tiles().len(), large.tiles().len()), (10, 1000));
+    pool.install(|| {
+        for edit in &edits {
+            let reps = std::slice::from_ref(edit);
+            let count = |m: &SpasmMatrix| count_allocs(|| m.spliced(reps, &table).unwrap()).0;
+            let (a, b) = (count(&small), count(&large));
+            assert_eq!(
+                a, b,
+                "splicing one submatrix allocated {a} times at 10 tiles but {b} at 1000"
+            );
+        }
+    });
 }
