@@ -122,13 +122,16 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// The concrete worker-thread cap this variant resolves to.
+    /// The concrete worker-thread cap this variant resolves to. The
+    /// host's available parallelism is read once per process: reading it
+    /// can mean reading cgroup files, and `Auto` resolves on every
+    /// execute.
     pub fn resolved_threads(self) -> usize {
+        static HOST_THREADS: OnceLock<usize> = OnceLock::new();
         match self {
             Parallelism::Serial => 1,
-            Parallelism::Auto | Parallelism::Threads(0) => {
-                std::thread::available_parallelism().map_or(1, usize::from)
-            }
+            Parallelism::Auto | Parallelism::Threads(0) => *HOST_THREADS
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
             Parallelism::Threads(n) => n,
         }
     }
@@ -1136,26 +1139,10 @@ impl Prepared {
         // Advance the local-pattern histogram incrementally and check for
         // drift: would step ② still pick the same portfolio, and is the
         // touched fraction under the threshold?
-        let mut counts: BTreeMap<u16, u64> = self
+        let new_histogram = self
             .histogram
             .get_or_insert_with(|| SubmatrixMap::from_coo(&self.encoded.to_coo()).histogram())
-            .iter()
-            .map(|(m, f)| (*m, *f))
-            .collect();
-        for &(old_mask, new_mask) in &mask_changes {
-            if old_mask != 0 {
-                if let Some(f) = counts.get_mut(&old_mask) {
-                    *f = f.saturating_sub(1);
-                    if *f == 0 {
-                        counts.remove(&old_mask);
-                    }
-                }
-            }
-            if new_mask != 0 {
-                *counts.entry(new_mask).or_insert(0) += 1;
-            }
-        }
-        let new_histogram = PatternHistogram::from_counts(GridSize::S4, counts);
+            .with_changes(&mask_changes);
         // A single candidate (pinned options, every restored plan) is
         // the only set step ② can pick, so its table is not rebuilt.
         let reselected = match self.options.candidates.as_slice() {

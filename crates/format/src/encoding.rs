@@ -115,6 +115,14 @@ impl PositionEncoding {
     pub fn t_idx(self) -> u8 {
         (self.0 >> Self::TID_SHIFT) as u8
     }
+
+    /// The same word with its CE and RE flags set to `ce` and `re`.
+    pub(crate) fn with_flags(self, ce: bool, re: bool) -> Self {
+        let flags = (1 << Self::CE_BIT) | (1 << Self::RE_BIT);
+        PositionEncoding(
+            self.0 & !flags | (ce as u32) << Self::CE_BIT | (re as u32) << Self::RE_BIT,
+        )
+    }
 }
 
 impl fmt::Display for PositionEncoding {

@@ -16,10 +16,16 @@
 //!
 //! The fingerprint is *defined* over the canonical bytes, but
 //! [`SpasmMatrix::fingerprint`] never builds them: the matrix caches its
-//! payload CRC. Decoding a v2 stream seeds the cache with the CRC the
-//! decoder verified; a values-only patch moves it by CRC-32 linearity
-//! in O(patched slots · log n); every other change starts it empty, and
-//! the next fingerprint streams the sections through the CRC once.
+//! payload CRC, and the CRC of each tile's run of stream records as a
+//! segment that `crc32_combine` algebra folds onto the sections before
+//! the stream, one step per tile. Decoding a v2 stream seeds the payload
+//! CRC with the one the decoder verified. A values-only patch moves the
+//! payload CRC and the patched tile's segment, whichever are known, by
+//! CRC-32 linearity in O(patched slots · log n). A
+//! splice carries the segments of untouched tiles over and checksums
+//! only the re-encoded tiles, so re-keying a structural delta reads
+//! the touched tiles, not the whole stream. Segments missing after an
+//! encode or a cold load are filled in one pass on first use.
 
 use crate::crc::crc32;
 use crate::matrix::SpasmMatrix;
@@ -125,11 +131,15 @@ impl SpasmMatrix {
     /// and the length come straight from the matrix, and the payload CRC
     /// is cached inside it. A matrix decoded by
     /// [`SpasmMatrix::from_bytes`] starts with the CRC the decoder
-    /// verified; [`SpasmMatrix::patch_values`] moves a cached CRC by
-    /// CRC-32 linearity (rewriting the 4-byte slot at payload offset `o`
-    /// of an `L`-byte payload XORs in the old/new difference shifted
-    /// past the `L - o - 4` bytes after it); otherwise the first call
-    /// streams the canonical sections through the CRC once.
+    /// verified. Otherwise the CRC is folded from per-tile segments: the
+    /// CRC of the header, template and tile-directory sections, then per
+    /// tile its records' CRC shifted in by `crc32_combine` algebra. The
+    /// segments survive [`SpasmMatrix::spliced`] for every tile it does
+    /// not re-encode, and [`SpasmMatrix::patch_values`] moves them by
+    /// CRC-32 linearity (rewriting a 4-byte slot with `t` bytes after it
+    /// in its segment XORs in the old/new difference shifted past those
+    /// `t` bytes). Only a matrix with no segments yet (a fresh encode)
+    /// pays one pass over the stream, on its first fingerprint.
     pub fn fingerprint(&self) -> MatrixFingerprint {
         MatrixFingerprint {
             crc: self.payload_crc(),

@@ -10,6 +10,7 @@ use spasm_sparse::{Coo, Csr};
 use crate::crc;
 use crate::encoding::{subs_per_tile, PositionEncoding, PATTERN_EDGE};
 use crate::error::FormatError;
+use crate::serialize::record_words;
 use crate::submatrix::{SubBlock, SubmatrixMap};
 use crate::tiling::group_by_tile;
 
@@ -57,21 +58,39 @@ pub struct SpasmMatrix {
     /// copying `4 × n_instances` floats per plan; the stream is immutable
     /// after encoding, so sharing is free.
     values: Arc<[f32]>,
-    /// The CRC-32 of the canonical v2 payload, once known (see
-    /// [`SpasmMatrix::fingerprint`]).
+    /// The CRC-32 of the canonical v2 payload and its per-tile parts,
+    /// once known (see [`SpasmMatrix::fingerprint`]).
     payload_crc: PayloadCrc,
 }
 
 /// A cache of the CRC-32 over a matrix's canonical v2 payload.
 ///
+/// The payload is the header, template and tile-directory sections (a
+/// few bytes per tile) followed by each tile's run of 20-byte stream
+/// records. `tiles` holds, parallel to the tile directory, a
+/// [`crc::Segment`] per tile: the raw CRC of its records and their
+/// length shift. Given the segments, `whole` is one fold: the CRC of the
+/// sections before the stream, then one `multmodp` per tile.
+///
 /// Every mutation goes through the matrix's own methods, which keep it
-/// coherent: [`SpasmMatrix::from_bytes`] seeds it with the CRC it has just
-/// verified, [`SpasmMatrix::patch_values`] moves a known value by CRC
-/// linearity, every other constructor starts it empty, and
-/// [`SpasmMatrix::fingerprint`] fills it on first use. It is derived
-/// state, so it never takes part in matrix equality.
+/// coherent:
+///
+/// * [`SpasmMatrix::from_bytes`] seeds `whole` with the CRC it has just
+///   verified; [`SpasmMatrix::encode`] starts both empty;
+/// * [`SpasmMatrix::patch_values`] moves whichever of `whole` and the
+///   patched tiles' segments are known, by CRC linearity;
+/// * [`SpasmMatrix::spliced`] carries every untouched tile's segment
+///   over, patches the one flag word of a tile whose RE flag flipped, and
+///   checksums only the re-encoded tiles;
+/// * the first splice or fingerprint that needs the segments fills them
+///   in one pass.
+///
+/// It is derived state, so it never takes part in matrix equality.
 #[derive(Debug, Clone, Default)]
-struct PayloadCrc(OnceLock<u32>);
+struct PayloadCrc {
+    whole: OnceLock<u32>,
+    tiles: OnceLock<Vec<crc::Segment>>,
+}
 
 impl PartialEq for PayloadCrc {
     fn eq(&self, _: &Self) -> bool {
@@ -120,8 +139,10 @@ impl SpasmMatrix {
                         table,
                         &map.blocks()[i],
                         spt,
-                        &mut encodings,
-                        &mut values,
+                        &mut |e, v| {
+                            encodings.push(e);
+                            values.extend_from_slice(&v);
+                        },
                     )?);
                 }
                 tiles.push(Tile {
@@ -134,7 +155,7 @@ impl SpasmMatrix {
             },
         )?;
 
-        Self::stamp_boundaries(&tiles, &mut encodings);
+        Self::stamp_tile_ends(&tiles, &mut encodings, |_, _, _| {});
 
         Ok(SpasmMatrix {
             rows: map.rows(),
@@ -150,31 +171,38 @@ impl SpasmMatrix {
         })
     }
 
-    /// Clears every CE/RE flag, then stamps CE on each tile's last
-    /// instance and RE on the last tile of each tile row.
+    /// Stamps CE on each tile's last instance, and RE as well when the
+    /// tile is the last of its tile row, leaving every other instance
+    /// as it is. `restamped(t, old, new)` hears of each last word of tile
+    /// `t` that changed.
     ///
-    /// Running this over any instance stream consistent with `tiles`
-    /// yields exactly the flag assignment [`SpasmMatrix::encode`]
-    /// produces, which is what lets [`SpasmMatrix::spliced`] copy every
-    /// untouched instance run verbatim — whole tiles, and the submatrices
-    /// around each replaced one — and restamp afterwards.
-    fn stamp_boundaries(tiles: &[Tile], encodings: &mut [PositionEncoding]) {
-        for e in encodings.iter_mut() {
-            *e = PositionEncoding::new(e.c_idx(), e.r_idx(), false, false, e.t_idx());
-        }
+    /// Over a stream whose other instances carry no flags this yields
+    /// exactly the flag assignment [`SpasmMatrix::encode`] produces.
+    /// [`SpasmMatrix::spliced`] relies on that: a copied tile's records
+    /// keep their bytes except, at most, its last word, whose RE flag
+    /// flips when a later tile of its row appears or empties.
+    fn stamp_tile_ends(
+        tiles: &[Tile],
+        encodings: &mut [PositionEncoding],
+        mut restamped: impl FnMut(usize, u32, u32),
+    ) {
         for (t, tile) in tiles.iter().enumerate() {
             if tile.n_instances == 0 {
                 continue;
             }
             let last = tile.first_instance + tile.n_instances - 1;
-            let e = encodings[last];
             let row_end = t + 1 == tiles.len() || tiles[t + 1].tile_row != tile.tile_row;
-            encodings[last] = PositionEncoding::new(e.c_idx(), e.r_idx(), true, row_end, e.t_idx());
+            let (old, new) = (encodings[last], encodings[last].with_flags(true, row_end));
+            if new != old {
+                encodings[last] = new;
+                restamped(t, old.bits(), new.bits());
+            }
         }
     }
 
-    /// Decomposes one occupied submatrix and appends its template
-    /// instances to the stream, returning the padding slots introduced.
+    /// Decomposes one occupied submatrix and hands its template
+    /// instances to `emit` (flags clear), returning the padding slots
+    /// introduced.
     ///
     /// The shared inner loop of [`SpasmMatrix::encode`] and
     /// [`SpasmMatrix::spliced`]: the first template instance covering a
@@ -184,8 +212,7 @@ impl SpasmMatrix {
         table: &DecompositionTable,
         b: &SubBlock,
         subs_per_tile: u32,
-        encodings: &mut Vec<PositionEncoding>,
-        values: &mut Vec<f32>,
+        emit: &mut impl FnMut(PositionEncoding, [f32; 4]),
     ) -> Result<u32, FormatError> {
         let ids = table
             .template_ids(b.mask)
@@ -209,8 +236,10 @@ impl SpasmMatrix {
                 slot += 1;
             }
             debug_assert_eq!(slot, 4, "templates have exactly 4 cells");
-            encodings.push(PositionEncoding::new(c_idx, r_idx, false, false, t_id));
-            values.extend_from_slice(&slot_values);
+            emit(
+                PositionEncoding::new(c_idx, r_idx, false, false, t_id),
+                slot_values,
+            );
             instances += 1;
         }
         Ok(instances * table.template_len() - b.mask.count_ones())
@@ -243,14 +272,42 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
-            payload_crc: PayloadCrc(payload_crc.map_or_else(OnceLock::new, OnceLock::from)),
+            payload_crc: PayloadCrc {
+                whole: payload_crc.map_or_else(OnceLock::new, OnceLock::from),
+                tiles: OnceLock::new(),
+            },
         }
     }
 
-    /// The CRC-32 of the canonical v2 payload, computed by one streamed
-    /// pass over the sections on first use and cached after that.
+    /// The CRC-32 of the canonical v2 payload, cached. An unknown one is
+    /// folded from the tile segments: the sections before the stream,
+    /// then one shift-and-xor per tile.
     pub(crate) fn payload_crc(&self) -> u32 {
-        *self.payload_crc.0.get_or_init(|| self.canonical_crc())
+        *self.payload_crc.whole.get_or_init(|| {
+            let crc = self
+                .segments()
+                .iter()
+                .fold(self.prefix_crc(), |crc, s| s.append_to(crc));
+            !crc
+        })
+    }
+
+    /// The tile segments, parallel to [`SpasmMatrix::tiles`]; filled in
+    /// one pass over the stream on first use.
+    fn segments(&self) -> &[crc::Segment] {
+        self.payload_crc
+            .tiles
+            .get_or_init(|| self.tiles.iter().map(|t| self.tile_segment(t)).collect())
+    }
+
+    /// The segment of `tile`'s stream records.
+    fn tile_segment(&self, tile: &Tile) -> crc::Segment {
+        let span = tile.first_instance..tile.first_instance + tile.n_instances;
+        let records = self.encodings[span.clone()]
+            .iter()
+            .zip(self.values[4 * span.start..4 * span.end].chunks_exact(4))
+            .flat_map(|(&e, v)| record_words(e, v));
+        crc::Segment::new(crc::update_words(0, records), 20 * tile.n_instances as u64)
     }
 
     /// Number of matrix rows.
@@ -415,8 +472,8 @@ impl SpasmMatrix {
         Ok(y)
     }
 
-    /// Finds the `(instance, slot)` carrying the stored value of cell
-    /// `(r, c)`: the first instance (in decomposition order) of the
+    /// Finds the `(tile, instance, slot)` carrying the stored value of
+    /// cell `(r, c)`: the first instance (in decomposition order) of the
     /// cell's 4×4 submatrix whose template mask covers the cell, with
     /// the slot being the cell bit's rank within that mask.
     ///
@@ -425,7 +482,7 @@ impl SpasmMatrix {
     /// *padding* (value 0.0) when the cell itself holds no entry —
     /// callers distinguish via the slot value, which is only 0.0 for
     /// padding (explicit stored zeros are dropped at encode time).
-    fn locate_slot(&self, r: u32, c: u32) -> Option<(usize, usize)> {
+    fn locate_slot(&self, r: u32, c: u32) -> Option<(usize, usize, usize)> {
         if r >= self.rows || c >= self.cols {
             return None;
         }
@@ -447,7 +504,7 @@ impl SpasmMatrix {
             let tmask = self.templates[e.t_idx() as usize];
             if tmask & (1 << bit) != 0 {
                 let slot = (tmask & ((1u16 << bit) - 1)).count_ones() as usize;
-                return Some((i, slot));
+                return Some((t, i, slot));
             }
         }
         None
@@ -456,7 +513,7 @@ impl SpasmMatrix {
     /// The stored value at `(r, c)`, or `None` when the cell holds no
     /// entry.
     pub fn get(&self, r: u32, c: u32) -> Option<f32> {
-        let (i, slot) = self.locate_slot(r, c)?;
+        let (_, i, slot) = self.locate_slot(r, c)?;
         let v = self.values[i * 4 + slot];
         (v != 0.0).then_some(v)
     }
@@ -471,8 +528,9 @@ impl SpasmMatrix {
     /// `spasm_hw::ExecutionPlan::adopt_values` for the hand-over.
     ///
     /// Validation is transactional: on any error the matrix is
-    /// untouched. A cached payload CRC is moved by CRC linearity, one
-    /// O(log n) step per patched slot, so the next
+    /// untouched. Whatever payload CRC is cached is moved by CRC
+    /// linearity, one O(log n) step per patched slot each for the whole
+    /// payload's CRC and the patched tile's segment, so the next
     /// [`SpasmMatrix::fingerprint`] costs nothing extra.
     ///
     /// # Errors
@@ -486,7 +544,7 @@ impl SpasmMatrix {
             if v == 0.0 {
                 return Err(FormatError::ZeroPatch { row: r, col: c });
             }
-            let (i, slot) = self
+            let (t, i, slot) = self
                 .locate_slot(r, c)
                 .ok_or(FormatError::AbsentCell { row: r, col: c })?;
             let at = i * 4 + slot;
@@ -495,19 +553,25 @@ impl SpasmMatrix {
                 // cell itself holds no entry.
                 return Err(FormatError::AbsentCell { row: r, col: c });
             }
-            slots.push((at, v));
+            slots.push((t, at, v));
         }
         let mut next: Arc<[f32]> = Arc::from(&self.values[..]);
         let stream = self.stream_offset();
         let payload = stream + 20 * self.n_instances();
-        let mut crc = self.payload_crc.0.get_mut();
+        let PayloadCrc { whole, tiles } = &mut self.payload_crc;
+        let (mut whole, mut segments) = (whole.get_mut(), tiles.get_mut());
         if let Some(buf) = Arc::get_mut(&mut next) {
-            for (at, v) in slots {
-                if let Some(crc) = crc.as_deref_mut() {
-                    // Slot `at % 4` of record `at / 4`, past its position word.
-                    let offset = stream + 20 * (at / 4) + 4 + 4 * (at % 4);
-                    let tail = (payload - offset - 4) as u64;
-                    *crc = crc::patch_word(*crc, buf[at].to_bits(), v.to_bits(), tail);
+            for (t, at, v) in slots {
+                let (old, new) = (buf[at].to_bits(), v.to_bits());
+                // Slot `at % 4` of record `at / 4`, past its position word.
+                let end = 20 * (at / 4) + 4 + 4 * (at % 4) + 4;
+                if let Some(crc) = whole.as_deref_mut() {
+                    *crc = crc::patch_word(*crc, old, new, (payload - stream - end) as u64);
+                }
+                if let Some(segments) = segments.as_deref_mut() {
+                    let tile = &self.tiles[t];
+                    let tail = 20 * (tile.first_instance + tile.n_instances) - end;
+                    segments[t].patch_word(old, new, tail as u64);
                 }
                 buf[at] = v;
             }
@@ -528,10 +592,17 @@ impl SpasmMatrix {
     /// runs of untouched tiles are copied verbatim with their
     /// `first_instance` shifted, and inside a touched tile the instances
     /// around each replaced run are copied verbatim too: only the
-    /// replacement itself is decomposed. CE/RE flags are then restamped
-    /// globally and `nnz`/`paddings` recounted from the new value stream,
-    /// exactly as [`SpasmMatrix::encode`] assigns them, so the result is
-    /// bit-identical to a from-scratch encode of the mutated matrix.
+    /// replacement itself is decomposed. The CE/RE flags of re-encoded
+    /// tiles are stamped afresh, every other tile has at most its last
+    /// word restamped, and `nnz`/`paddings` move by the replaced runs
+    /// only, exactly as [`SpasmMatrix::encode`] assigns them, so the
+    /// result is bit-identical to a from-scratch encode of the mutated
+    /// matrix.
+    ///
+    /// The result's payload CRC is ready to fold: every untouched tile
+    /// keeps its CRC segment (one word patched when its RE flag flipped),
+    /// and only re-encoded tiles are checksummed. A matrix without
+    /// segments fills its own first, in one pass.
     ///
     /// `table` must be the decomposition table of the portfolio this
     /// matrix was encoded with (`template_masks()` equal) — the spliced
@@ -556,111 +627,139 @@ impl SpasmMatrix {
         let tile_of = |b: &SubBlock| (b.sub_r / spt, b.sub_c / spt);
         let local = |b: &SubBlock| (b.sub_r % spt, b.sub_c % spt);
         let sub = |e: &PositionEncoding| (e.r_idx(), e.c_idx());
+        let key = |o: &Tile| (o.tile_row, o.tile_col);
+        let span = |o: &Tile| o.first_instance..o.first_instance + o.n_instances;
         // In stream order; of equal keys the last replacement sorts first
         // and survives the dedup.
         let mut reps: Vec<(usize, &SubBlock)> = replacements.iter().enumerate().collect();
         reps.sort_unstable_by_key(|&(i, b)| (tile_of(b), local(b), std::cmp::Reverse(i)));
         reps.dedup_by_key(|&mut (_, b)| (tile_of(b), local(b)));
-        let mut grown = self.encodings.len();
+
+        // Each replacement's old instance run (empty for a new
+        // submatrix), and the result's exact size and slot counts.
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(reps.len());
+        let mut n = self.encodings.len();
+        let (mut nnz, mut paddings) = (self.nnz as u64, self.paddings);
+        let (mut t, mut old, mut in_tile) = (0, 0..0, None);
         for &(_, b) in &reps {
-            let n = table.instance_count(b.mask);
-            grown += n.ok_or(FormatError::UncoverablePattern { mask: b.mask })? as usize;
+            let added = table
+                .instance_count(b.mask)
+                .ok_or(FormatError::UncoverablePattern { mask: b.mask })?;
+            if in_tile != Some(tile_of(b)) {
+                in_tile = Some(tile_of(b));
+                t += self.tiles[t..].partition_point(|o| key(o) < tile_of(b));
+                old = self
+                    .tiles
+                    .get(t)
+                    .filter(|o| key(o) == tile_of(b))
+                    .map_or(0..0, span);
+            }
+            // The tile's instances not yet passed; runs never overlap,
+            // even in a decoded stream whose instances are out of order.
+            let at = local(b);
+            let before = old.start + self.encodings[old.clone()].partition_point(|e| sub(e) < at);
+            let after = before + self.encodings[before..old.end].partition_point(|e| sub(e) == at);
+            old.start = after;
+            let run_values = &self.values[4 * before..4 * after];
+            let removed = run_values.iter().filter(|v| **v != 0.0).count() as u64;
+            let (removed_slots, added_slots) = (4 * (after - before) as u64, 4 * u64::from(added));
+            let set = u64::from(b.mask.count_ones());
+            nnz = (nnz + set).saturating_sub(removed);
+            paddings = (paddings + added_slots - set).saturating_sub(removed_slots - removed);
+            n = n + added as usize - (after - before);
+            runs.push(before..after);
         }
 
+        let old_segments = self.segments();
         let mut tiles: Vec<Tile> = Vec::with_capacity(self.tiles.len() + reps.len());
-        let mut encodings: Vec<PositionEncoding> = Vec::with_capacity(grown);
-        let mut values: Vec<f32> = Vec::with_capacity(4 * grown);
-        let copy = |span: Range<usize>, encodings: &mut Vec<_>, values: &mut Vec<_>| {
-            values.extend_from_slice(&self.values[4 * span.start..4 * span.end]);
-            encodings.extend_from_slice(&self.encodings[span]);
+        let mut segments: Vec<crc::Segment> = Vec::with_capacity(tiles.capacity());
+        let mut touched: Vec<usize> = Vec::with_capacity(reps.len());
+        let mut values: Arc<[f32]> = std::iter::repeat_n(0.0, 4 * n).collect();
+        let mut out = Streams {
+            encodings: Vec::with_capacity(n),
+            values: Arc::get_mut(&mut values).expect("a fresh buffer is unshared"),
         };
         let (mut t, mut r) = (0, 0);
         loop {
             // The run of untouched tiles before the next touched one.
             let next = reps.get(r).map(|&(_, b)| tile_of(b));
-            let run = next.map_or(self.tiles.len() - t, |key| {
-                self.tiles[t..].partition_point(|o| (o.tile_row, o.tile_col) < key)
+            let run = next.map_or(self.tiles.len() - t, |k| {
+                self.tiles[t..].partition_point(|o| key(o) < k)
             });
             let untouched = &self.tiles[t..t + run];
             if let (Some(first), Some(last)) = (untouched.first(), untouched.last()) {
-                let base = encodings.len();
-                tiles.extend(
-                    untouched
-                        .iter()
-                        .filter(|o| o.n_instances > 0)
-                        .map(|o| Tile {
+                let base = out.len();
+                for (o, s) in untouched.iter().zip(&old_segments[t..t + run]) {
+                    if o.n_instances > 0 {
+                        tiles.push(Tile {
                             first_instance: o.first_instance - first.first_instance + base,
                             ..*o
-                        }),
+                        });
+                        segments.push(*s);
+                    }
+                }
+                out.copy(
+                    self,
+                    first.first_instance..last.first_instance + last.n_instances,
                 );
-                let span = first.first_instance..last.first_instance + last.n_instances;
-                copy(span, &mut encodings, &mut values);
             }
             t += run;
-            let Some(key) = next else { break };
+            let Some(k) = next else { break };
 
             // The touched tile: its old instances, if it had any.
             let mut old = 0..0;
-            if let Some(o) = self
-                .tiles
-                .get(t)
-                .filter(|o| (o.tile_row, o.tile_col) == key)
-            {
-                old = o.first_instance..o.first_instance + o.n_instances;
+            if let Some(o) = self.tiles.get(t).filter(|o| key(o) == k) {
+                old = span(o);
                 t += 1;
             }
-            let first_instance = encodings.len();
-            while let Some(&(_, b)) = reps.get(r).filter(|&&(_, b)| tile_of(b) == key) {
-                let at = local(b);
-                let before =
-                    old.start + self.encodings[old.clone()].partition_point(|e| sub(e) < at);
-                let after =
-                    before + self.encodings[before..old.end].partition_point(|e| sub(e) == at);
-                copy(old.start..before, &mut encodings, &mut values);
+            let first_instance = out.len();
+            while let Some(&(_, b)) = reps.get(r).filter(|&&(_, b)| tile_of(b) == k) {
+                out.copy(self, old.start..runs[r].start);
                 if b.mask != 0 {
-                    Self::encode_block(
-                        &self.templates,
-                        table,
-                        b,
-                        spt,
-                        &mut encodings,
-                        &mut values,
-                    )?;
+                    Self::encode_block(&self.templates, table, b, spt, &mut |e, v| out.push(e, v))?;
                 }
-                old.start = after;
+                old.start = runs[r].end;
                 r += 1;
             }
-            copy(old, &mut encodings, &mut values);
-            if encodings.len() > first_instance {
+            out.copy(self, old);
+            if out.len() > first_instance {
+                let fresh = first_instance..out.len();
+                // Copied instances may carry their old tile-end flags.
+                for e in &mut out.encodings[fresh.clone()] {
+                    *e = e.with_flags(false, false);
+                }
+                touched.push(tiles.len());
                 tiles.push(Tile {
-                    tile_row: key.0,
-                    tile_col: key.1,
+                    tile_row: k.0,
+                    tile_col: k.1,
                     first_instance,
-                    n_instances: encodings.len() - first_instance,
+                    n_instances: fresh.len(),
                 });
+                segments.push(crc::Segment::default());
             }
         }
+        let mut encodings = out.encodings;
+        Self::stamp_tile_ends(&tiles, &mut encodings, |t, old, new| {
+            segments[t].patch_word(old, new, 16);
+        });
 
-        Self::stamp_boundaries(&tiles, &mut encodings);
-
-        // The paddings invariant: every instance has 4 slots, and a slot
-        // is padding exactly when it holds 0.0 (stored zeros are never
-        // encoded), so nnz is the non-zero slot count.
-        let nnz = values.iter().filter(|v| **v != 0.0).count();
-        let paddings = encodings.len() as u64 * 4 - nnz as u64;
-
-        Ok(SpasmMatrix {
+        let mut spliced = SpasmMatrix {
             rows: self.rows,
             cols: self.cols,
             tile_size: self.tile_size,
-            nnz,
+            nnz: nnz as usize,
             paddings,
             templates: self.templates.clone(),
             tiles,
             encodings,
-            values: values.into(),
+            values,
             payload_crc: PayloadCrc::default(),
-        })
+        };
+        for t in touched {
+            segments[t] = spliced.tile_segment(&spliced.tiles[t]);
+        }
+        spliced.payload_crc.tiles = OnceLock::from(segments);
+        Ok(spliced)
     }
 
     /// Decodes the matrix to CSR in one counting pass: count each row's
@@ -707,6 +806,36 @@ impl SpasmMatrix {
     /// dropped).
     pub fn to_coo(&self) -> Coo {
         Coo::from(&self.to_csr())
+    }
+}
+
+/// The instance and value streams of a splice under construction: the
+/// value buffer is allocated at its final size up front and filled in
+/// stream order.
+struct Streams<'a> {
+    encodings: Vec<PositionEncoding>,
+    values: &'a mut [f32],
+}
+
+impl Streams<'_> {
+    /// Instances written so far.
+    fn len(&self) -> usize {
+        self.encodings.len()
+    }
+
+    /// Appends `from`'s instances in `span` verbatim.
+    fn copy(&mut self, from: &SpasmMatrix, span: Range<usize>) {
+        let at = 4 * self.len();
+        self.values[at..at + 4 * span.len()]
+            .copy_from_slice(&from.values[4 * span.start..4 * span.end]);
+        self.encodings.extend_from_slice(&from.encodings[span]);
+    }
+
+    /// Appends one instance.
+    fn push(&mut self, e: PositionEncoding, v: [f32; 4]) {
+        let at = 4 * self.len();
+        self.values[at..at + 4].copy_from_slice(&v);
+        self.encodings.push(e);
     }
 }
 
@@ -900,19 +1029,29 @@ mod tests {
         assert_eq!(m.to_bytes(), fresh_enc.to_bytes());
     }
 
-    /// Which constructor leaves the payload CRC known, and that a patch
-    /// moves a known one to the CRC of the patched stream.
+    /// Which constructor leaves the payload CRC and the tile segments
+    /// known, and that every mutation keeps whatever is known equal to
+    /// the CRC of the mutated stream.
     #[test]
     fn payload_crc_cache_follows_every_mutation() {
-        let cached = |m: &SpasmMatrix| m.payload_crc.0.get().copied();
+        let cached = |m: &SpasmMatrix| m.payload_crc.whole.get().copied();
+        let segmented = |m: &SpasmMatrix| m.payload_crc.tiles.get().is_some();
         let canonical = |m: &SpasmMatrix| {
             let b = m.to_bytes();
             crate::crc32(&b[..b.len() - crate::CHECKSUM_BYTES])
         };
+        // Known segments are exactly those of each tile's records now.
+        let assert_segments_current = |m: &SpasmMatrix, what: &str| {
+            let segments = m.payload_crc.tiles.get().expect(what);
+            let fresh: Vec<_> = m.tiles.iter().map(|t| m.tile_segment(t)).collect();
+            assert_eq!(segments, &fresh, "{what}");
+        };
         let mut cold = encode(&sample(), 8);
         assert_eq!(cached(&cold), None, "encode starts empty");
+        assert!(!segmented(&cold), "encode starts without segments");
         let mut warm = SpasmMatrix::from_bytes(&cold.to_bytes()).unwrap();
         assert_eq!(cached(&warm), Some(canonical(&cold)), "from_bytes seeds");
+        assert!(!segmented(&warm), "a cold load reads no segments");
 
         let patch = [(0, 0, 9.0), (14, 2, 2.5), (0, 0, -1.0)];
         cold.patch_values(&patch).unwrap();
@@ -923,16 +1062,48 @@ mod tests {
             Some(canonical(&warm)),
             "a patch moves a known CRC"
         );
+        assert!(!segmented(&warm), "a patch does not fill segments");
         assert_eq!(cold.fingerprint().crc(), canonical(&cold));
         assert_eq!(cached(&cold), Some(canonical(&cold)), "fingerprint fills");
+        assert_segments_current(&cold, "fingerprint folds filled segments");
 
-        let reps = [SubBlock {
-            sub_r: 1,
-            sub_c: 1,
-            mask: 1,
-            values: [3.0; 16],
-        }];
-        assert_eq!(cached(&warm.spliced(&reps, &table()).unwrap()), None);
+        // Replacements that empty tile (1, 1), making (1, 0) its row's
+        // last, and create (0, 1), so (0, 0) no longer is: both untouched
+        // tiles flip their RE flag.
+        let empty = |sub_r, sub_c| SubBlock {
+            sub_r,
+            sub_c,
+            mask: 0,
+            values: [0.0; 16],
+        };
+        let reps = [
+            empty(2, 2),
+            empty(3, 3),
+            SubBlock {
+                sub_r: 1,
+                sub_c: 2,
+                mask: 1,
+                values: [3.0; 16],
+            },
+        ];
+        let mut spliced = warm.spliced(&reps, &table()).unwrap();
+        assert_segments_current(&warm, "a splice fills its source's segments");
+        assert_segments_current(&spliced, "a splice carries segments over");
+        assert_eq!(cached(&spliced), None, "a splice leaves the fold lazy");
+        assert_eq!(spliced.fingerprint().crc(), canonical(&spliced));
+
+        spliced.patch_values(&[(4, 8, -4.0), (3, 3, 0.5)]).unwrap();
+        assert_eq!(
+            cached(&spliced),
+            Some(canonical(&spliced)),
+            "a patch moves the folded CRC"
+        );
+        assert_segments_current(&spliced, "a patch moves the tile's segment");
+        assert_eq!(spliced.fingerprint().crc(), canonical(&spliced));
+
+        let copy = spliced.clone();
+        assert_eq!(cached(&copy), Some(canonical(&spliced)), "clones keep it");
+        assert_segments_current(&copy, "clones keep the segments");
     }
 
     /// Splicing a replacement set must produce exactly the bytes a

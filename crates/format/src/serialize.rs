@@ -137,12 +137,20 @@ impl SpasmMatrix {
         buf.freeze()
     }
 
-    /// The CRC-32 of the canonical v2 payload, streamed from the section
-    /// walker without building the byte buffer.
-    pub(crate) fn canonical_crc(&self) -> u32 {
+    /// The raw CRC register after the canonical v2 header, template and
+    /// tile-directory sections: what the instance stream's records are
+    /// folded onto. Streamed from the section walker, so no buffer is
+    /// built.
+    pub(crate) fn prefix_crc(&self) -> u32 {
         let mut crc = u32::MAX;
-        self.walk_sections(VERSION, &mut |chunk| crc = crc::update(crc, chunk));
-        !crc
+        let mut out = Chunker {
+            buf: [0; CHUNK_BYTES],
+            len: 0,
+            sink: &mut |chunk: &[u8]| crc = crc::update(crc, chunk),
+        };
+        self.put_prefix(VERSION, &mut out);
+        out.finish();
+        crc
     }
 
     /// Byte offset of the instance stream: the header, the padded
@@ -160,15 +168,30 @@ impl SpasmMatrix {
     /// Walks the header, template, tile and stream sections, with
     /// `version` stamped in the header, and hands their bytes to `sink`
     /// in chunks of [`CHUNK_BYTES`] (the last one shorter). This is the
-    /// one definition of the canonical byte layout: [`SpasmMatrix::to_bytes`]
-    /// collects the chunks and the cold fingerprint CRCs them as they
-    /// arrive.
+    /// one definition of the canonical byte layout, with
+    /// [`record_words`] for the stream: [`SpasmMatrix::to_bytes`]
+    /// collects the chunks, and the fingerprint CRCs the sections before
+    /// the stream as they arrive and each tile's records word by word.
     fn walk_sections(&self, version: u32, sink: &mut impl FnMut(&[u8])) {
         let mut out = Chunker {
             buf: [0; CHUNK_BYTES],
             len: 0,
             sink,
         };
+        self.put_prefix(version, &mut out);
+        for (&e, v) in self.encodings().iter().zip(self.values().chunks_exact(4)) {
+            let mut record = [0u8; 20];
+            for (k, w) in record_words(e, v).into_iter().enumerate() {
+                record[4 * k..4 * k + 4].copy_from_slice(&w.to_le_bytes());
+            }
+            out.put(&record);
+        }
+        out.finish();
+    }
+
+    /// Puts the header, template and tile-directory sections: everything
+    /// before the instance stream.
+    fn put_prefix<F: FnMut(&[u8])>(&self, version: u32, out: &mut Chunker<'_, F>) {
         out.put(&MAGIC);
         out.put(&version.to_le_bytes());
         out.put(&self.rows().to_le_bytes());
@@ -192,15 +215,6 @@ impl SpasmMatrix {
             record[8..12].copy_from_slice(&(t.n_instances as u32).to_le_bytes());
             out.put(&record);
         }
-        for (e, v) in self.encodings().iter().zip(self.values().chunks_exact(4)) {
-            let mut record = [0u8; 20];
-            record[0..4].copy_from_slice(&e.bits().to_le_bytes());
-            for (k, &x) in v.iter().enumerate() {
-                record[4 + 4 * k..8 + 4 * k].copy_from_slice(&x.to_le_bytes());
-            }
-            out.put(&record);
-        }
-        out.finish();
     }
 
     /// Reconstructs a matrix from its wire layout (versions 1 and 2).
@@ -354,6 +368,18 @@ impl SpasmMatrix {
             verified_crc.filter(|_| pad == 0),
         ))
     }
+}
+
+/// One 20-byte stream record as the five little-endian words it is
+/// written as: the position word, then the four value slots.
+pub(crate) fn record_words(e: PositionEncoding, v: &[f32]) -> [u32; 5] {
+    [
+        e.bits(),
+        v[0].to_bits(),
+        v[1].to_bits(),
+        v[2].to_bits(),
+        v[3].to_bits(),
+    ]
 }
 
 /// Bytes per chunk handed out by the section walker: a multiple of 8, so

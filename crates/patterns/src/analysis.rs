@@ -148,6 +148,40 @@ impl PatternHistogram {
         PatternHistogram { size, freq, total }
     }
 
+    /// This histogram after occupied blocks changed pattern: each
+    /// `(old, new)` pair moves one block from `old` to `new`, where a
+    /// zero mask means no block (a block appeared or emptied). Removing
+    /// a block of a pattern the histogram does not hold is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new mask has bits outside the grid.
+    pub fn with_changes(&self, changes: &[(Mask, Mask)]) -> Self {
+        let mut next = self.clone();
+        for &(old, new) in changes {
+            if old != 0 {
+                if let Some(f) = next.freq.get_mut(&old) {
+                    *f -= 1;
+                    next.total -= 1;
+                    if *f == 0 {
+                        next.freq.remove(&old);
+                    }
+                }
+            }
+            if new != 0 {
+                assert_eq!(
+                    new & !self.size.full_mask(),
+                    0,
+                    "mask outside {} grid",
+                    self.size
+                );
+                *next.freq.entry(new).or_insert(0) += 1;
+                next.total += 1;
+            }
+        }
+        next
+    }
+
     /// The grid size used for the analysis.
     pub fn size(&self) -> GridSize {
         self.size
@@ -231,6 +265,18 @@ impl PatternHistogram {
 mod tests {
     use super::*;
     use spasm_sparse::Coo;
+
+    /// Moving blocks between patterns equals histogramming the moved
+    /// block set from scratch.
+    #[test]
+    fn with_changes_matches_a_fresh_histogram() {
+        let h = PatternHistogram::from_masks(GridSize::S4, [1, 1, 3, 0xFFFF]);
+        let changes = [(1, 3), (0xFFFF, 0), (0, 7), (3, 3), (5, 0)];
+        let want = PatternHistogram::from_masks(GridSize::S4, [1, 3, 3, 7]);
+        assert_eq!(h.with_changes(&changes), want);
+        assert_eq!(h.with_changes(&changes).total_blocks(), 4);
+        assert_eq!(h.with_changes(&[]), h);
+    }
 
     /// 8x8 matrix: a full 4x4 block at (0,0), a main diagonal in the (4..8,
     /// 4..8) submatrix, and a single entry in the (0..4, 4..8) submatrix.

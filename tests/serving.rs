@@ -776,3 +776,55 @@ fn delta_keys_equal_a_from_scratch_fingerprint() {
             .any(|o| matches!(o, DeltaOutcome::Reprepared { .. })));
     }
 }
+
+/// Structural deltas re-key from per-tile CRC segments, and a values
+/// patch that follows one moves the patched tile's segment: alternating
+/// the two kinds, every key the server hands back is still the
+/// from-scratch fingerprint of the plan's canonical stream, on both
+/// ingest paths.
+#[test]
+fn alternating_structural_and_values_deltas_keep_exact_keys() {
+    // 16 tiles of 256, so most tiles a patch moves are not re-encoded
+    // by the splice after it.
+    let base = scatter(1024, 3, 5);
+    let v3 = {
+        let p = pinned_pipeline().prepare(&base).expect("prepare");
+        spasm_store::save_v3(&p.encoded, &p.plan).expect("save_v3")
+    };
+    let (by_coo, by_wire) = (server(4, 8, 1), server(4, 8, 1));
+    let ingested = [
+        (&by_coo, by_coo.ingest_coo(&base).expect("coo ingest")),
+        (&by_wire, by_wire.ingest_wire(&v3).expect("v3 ingest")),
+    ];
+    for (s, mut fp) in ingested {
+        let mut spliced = 0;
+        for round in 0..12u64 {
+            let config = if round % 2 == 0 {
+                ChangesetConfig::default().structural_only()
+            } else {
+                ChangesetConfig::default().values_only()
+            };
+            let current = s
+                .with_prepared(fp, |p| p.encoded.to_coo())
+                .expect("plan resident");
+            let config = ChangesetConfig {
+                deltas: 1,
+                ..config
+            };
+            for (_, delta) in changesets(&current, 40 + round, &config) {
+                let (key, outcome) = s.apply_delta(&fp, &delta).expect("apply delta");
+                let stream = s
+                    .with_prepared(key, |p| p.encoded.to_bytes())
+                    .expect("re-keyed plan resident");
+                assert_eq!(
+                    key,
+                    MatrixFingerprint::of_wire_bytes(&stream).expect("v2 stream"),
+                    "stale key after {outcome:?} in round {round}"
+                );
+                spliced += usize::from(matches!(outcome, DeltaOutcome::Spliced { .. }));
+                fp = key;
+            }
+        }
+        assert!(spliced >= 3, "only {spliced} deltas took the splice path");
+    }
+}
