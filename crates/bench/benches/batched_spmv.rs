@@ -3,10 +3,10 @@
 //! batched layer exists for.
 //!
 //! Both paths reuse the same prepared plan; the comparison isolates what
-//! batching itself buys: the x vectors are padded once, the pre-decoded
-//! instance stream is streamed through the cache once per (tile row ×
-//! lane block) instead of once per vector, and (under the `parallel`
-//! feature) the fan-out spans those pairs.
+//! batching itself buys: the x vectors are padded once, and the
+//! pre-decoded instance stream is streamed through the cache once per
+//! (tile row × lane block) instead of once per vector. Both run on the
+//! calling thread.
 //!
 //! All batched outputs are asserted bit-identical to the looped path,
 //! before timing and again at every timed batch width. Results are printed as a table and written to
@@ -170,13 +170,8 @@ fn main() {
     // instance stream once per (tile row, vector) window; the executor
     // (`run_batch`) walks it once per (tile row, lane block) and applies
     // each instance to up to `LANE_BLOCK` vectors at once. Both are
-    // asserted bit-identical and timed on one worker (the reference never
-    // fans out).
+    // asserted bit-identical, then timed.
     let large_iters: u32 = if is_smoke() { 1 } else { 10 };
-    let serial = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("one-worker pool");
     let mut large_rows: Vec<(String, usize, f64, f64)> = Vec::new();
     for w in picks {
         let m = w.generate(scale);
@@ -212,20 +207,17 @@ fn main() {
         }
 
         let mut ys = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        let (reference_s, executor_s) = serial.install(|| {
-            let reference_s = time_per_vector(large_iters, LARGE_BATCH, || {
-                for y in ys.iter_mut() {
-                    y.fill(0.0);
-                }
-                plan.run_reference(&xs, &mut ys).expect("run_reference");
-            });
-            let executor_s = time_per_vector(large_iters, LARGE_BATCH, || {
-                for y in ys.iter_mut() {
-                    y.fill(0.0);
-                }
-                plan.run_batch(&xs, &mut ys).expect("run_batch");
-            });
-            (reference_s, executor_s)
+        let reference_s = time_per_vector(large_iters, LARGE_BATCH, || {
+            for y in ys.iter_mut() {
+                y.fill(0.0);
+            }
+            plan.run_reference(&xs, &mut ys).expect("run_reference");
+        });
+        let executor_s = time_per_vector(large_iters, LARGE_BATCH, || {
+            for y in ys.iter_mut() {
+                y.fill(0.0);
+            }
+            plan.run_batch(&xs, &mut ys).expect("run_batch");
         });
         println!(
             "{:<14} {:>9} nnz  batch {:>3}  reference {:>9.1} us/vec  \

@@ -1,7 +1,7 @@
 //! Lane-kernel benchmark: the plan's executor (`ExecutionPlan::run_batch`)
 //! against its scalar per-instance reference
-//! (`ExecutionPlan::run_reference`) on the same prepared plan, both timed
-//! on one worker so the comparison is kernel against kernel.
+//! (`ExecutionPlan::run_reference`) on the same prepared plan, both on the
+//! calling thread, so the comparison is kernel against kernel.
 //!
 //! The comparison isolates what the executor's hot loop buys: the
 //! vector-blocked batch scratch, where one instance's x segment and
@@ -68,10 +68,6 @@ fn main() {
         Workload::Cfd2,
     ];
     let iters: u32 = if is_smoke() { 1 } else { 50 };
-    let serial = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("one-worker pool");
 
     let mut rows: Vec<Row> = Vec::new();
     for w in picks {
@@ -109,23 +105,18 @@ fn main() {
             );
         }
 
-        // Both sides on one worker: the reference never fans out, so the
-        // executor must not either for a like-for-like comparison.
         let mut ys = vec![vec![0.0f32; n_rows]; BATCH];
-        let (per_instance_s, classed_s) = serial.install(|| {
-            let per_instance_s = time_batch(iters, || {
-                for y in ys.iter_mut() {
-                    y.fill(0.0);
-                }
-                plan.run_reference(&xs, &mut ys).expect("run_reference");
-            });
-            let classed_s = time_batch(iters, || {
-                for y in ys.iter_mut() {
-                    y.fill(0.0);
-                }
-                plan.run_batch(&xs, &mut ys).expect("run_batch");
-            });
-            (per_instance_s, classed_s)
+        let per_instance_s = time_batch(iters, || {
+            for y in ys.iter_mut() {
+                y.fill(0.0);
+            }
+            plan.run_reference(&xs, &mut ys).expect("run_reference");
+        });
+        let classed_s = time_batch(iters, || {
+            for y in ys.iter_mut() {
+                y.fill(0.0);
+            }
+            plan.run_batch(&xs, &mut ys).expect("run_batch");
         });
 
         let row = Row {

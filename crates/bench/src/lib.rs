@@ -136,7 +136,7 @@ pub mod timing {
 
     static SMOKE: AtomicBool = AtomicBool::new(false);
 
-    /// Switches the harness to smoke mode: every [`bench`] runs exactly one
+    /// Switches the harness to smoke mode: every [`bench()`] runs exactly one
     /// measured iteration (after the warm-up call) instead of calibrating a
     /// ~200 ms window. For CI liveness checks, not for measurement.
     pub fn set_smoke(smoke: bool) {

@@ -125,7 +125,7 @@ impl Parallelism {
     /// The concrete worker-thread cap this variant resolves to. The
     /// host's available parallelism is read once per process: reading it
     /// can mean reading cgroup files, and `Auto` resolves on every
-    /// execute.
+    /// prepare.
     pub fn resolved_threads(self) -> usize {
         static HOST_THREADS: OnceLock<usize> = OnceLock::new();
         match self {
@@ -373,7 +373,6 @@ impl Pipeline {
             encoded,
             timings,
             plan,
-            parallelism: self.options.parallelism,
             golden: Golden::seeded(Csr::from(matrix)),
             integrity: self.options.integrity,
             options: self.options.clone(),
@@ -507,9 +506,6 @@ pub struct Prepared {
     /// Built once in `prepare`; [`Prepared::execute`] reuses it on every
     /// call.
     pub plan: ExecutionPlan,
-    /// The thread budget `execute` runs the plan under (inherited from the
-    /// pipeline options at prepare time).
-    parallelism: Parallelism,
     /// The bit-exact CSR reference of the input matrix: the oracle for the
     /// sampled residual cross-check and the last rung of the degradation
     /// ladder. Lazy — restored plans materialise it only if verification
@@ -594,7 +590,6 @@ impl Prepared {
             encoded,
             timings: StageTimings::default(),
             plan,
-            parallelism,
             golden: Golden::default(),
             integrity,
             options,
@@ -610,8 +605,8 @@ impl Prepared {
     /// (step ⑥), reusing the prepared [`ExecutionPlan`] — no per-call
     /// decode, scheduling or scratch allocation.
     ///
-    /// Results are bit-identical to a freshly prepared plan's for every
-    /// thread budget (see `tests/determinism.rs`).
+    /// Results are bit-identical to a freshly prepared plan's (see
+    /// `tests/determinism.rs`).
     ///
     /// This clones the cached report; hot loops should prefer
     /// [`Prepared::execute_into`], which hands back a borrow instead.
@@ -644,12 +639,7 @@ impl Prepared {
     /// policy's fallback is disabled.
     pub fn execute_into(&mut self, x: &[f32], y: &mut [f32]) -> Result<&ExecReport, PipelineError> {
         match self.integrity.mode {
-            IntegrityMode::Off => {
-                let parallelism = self.parallelism;
-                let plan = &mut self.plan;
-                with_parallelism(parallelism, || plan.run(x, y).map(|_| ()))?;
-                Ok(self.plan.report())
-            }
+            IntegrityMode::Off => Ok(self.plan.run(x, y)?),
             IntegrityMode::Sampled(_) | IntegrityMode::Full => {
                 let (rows, cols) = (self.plan.rows() as usize, self.plan.cols() as usize);
                 for (len, expected, operand) in [(x.len(), cols, "x"), (y.len(), rows, "y")] {
@@ -695,10 +685,8 @@ impl Prepared {
     /// With the default [`IntegrityPolicy::off`] the whole batch runs
     /// through [`ExecutionPlan::run_batch`]: the x vectors are padded once,
     /// the pre-decoded instance stream is walked once per (tile row × lane
-    /// block) across the batch, and the parallel fan-out spans those
-    /// pairs. Each output is bit-identical to looped
-    /// [`Prepared::execute_into`] calls, for every batch size and thread
-    /// count.
+    /// block) across the batch. Each output is bit-identical to looped
+    /// [`Prepared::execute_into`] calls, for every batch size.
     ///
     /// # Errors
     ///
@@ -814,9 +802,7 @@ impl Prepared {
             }
         }
         if (0..xs.len()).all(|j| policy(j).mode == IntegrityMode::Off) {
-            let parallelism = self.parallelism;
-            let plan = &mut self.plan;
-            with_parallelism(parallelism, || plan.run_batch(xs, ys).map(|_| ()))?;
+            self.plan.run_batch(xs, ys)?;
             // Unverified batches have nothing per-vector to report.
             self.batch_health.clear();
             self.batch_health.resize(xs.len(), HealthReport::default());
@@ -895,9 +881,7 @@ impl Prepared {
             LaneScope::Sampled { tiles: run, .. } => VerifyScope::TileRows(&tiles[run.clone()]),
         };
 
-        let parallelism = self.parallelism;
-        let plan = &mut self.plan;
-        let per_vector = with_parallelism(parallelism, move || plan.run_deferred(xs, scope))?;
+        let per_vector = self.plan.run_deferred(xs, scope)?;
         self.batch_health.clear();
         self.batch_health.extend_from_slice(per_vector);
 

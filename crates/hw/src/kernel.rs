@@ -132,9 +132,8 @@ impl ClassKernel {
 }
 
 /// Borrowed view of the plan's pre-decoded SoA instance stream, shared by
-/// every kernel call (Copy so the parallel fan-out can move it into
-/// scoped workers).
-#[derive(Debug, Clone, Copy)]
+/// every kernel call.
+#[derive(Debug)]
 pub(crate) struct SoaRef<'a> {
     pub x_base: &'a [u32],
     pub y_base: &'a [u32],
@@ -214,7 +213,7 @@ pub(crate) fn build_buckets(
 /// Each lane's accumulation into every y element is stream order —
 /// bit-identical to the per-instance reference loop.
 pub(crate) fn execute_row(
-    soa: SoaRef<'_>,
+    soa: &SoaRef<'_>,
     span: (usize, usize),
     xs: &[f32],
     width: usize,
@@ -226,7 +225,7 @@ pub(crate) fn execute_row(
 /// [`execute_row`] at a compile-time width `P`. The x-mux and output-mux
 /// indices are masked to their ranges (a no-op on valid kernels) so the
 /// lane loops carry no bounds checks.
-fn row<const P: usize>(soa: SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
+fn row<const P: usize>(soa: &SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
     let (xcols, _) = xs.as_chunks::<P>();
     let (rows, _) = window.as_chunks_mut::<P>();
     // Node 7 is the VALU's zero output and is never written.

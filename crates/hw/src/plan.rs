@@ -36,29 +36,26 @@
 //!
 //! Every forward execution — [`ExecutionPlan::run`] (a batch of one),
 //! [`ExecutionPlan::run_batch`] and [`ExecutionPlan::run_deferred`] — goes
-//! through one loop over (tile-row × lane-block) pairs, and each pair
-//! walks one tile row's span of the SoA stream in stream order, applying
-//! every instance to the up to [`ExecutionPlan::LANE_BLOCK`] vectors of
-//! its lane block at once. A lane block runs at padded width `P`, the
-//! next power of two of its vector count (1, 2, 4 or 8): its pad lanes
-//! hold a zeroed x and are never verified or folded, so a 3- or 7-vector
-//! block runs on the packed 4- or 8-wide datapath instead of scalar
-//! tails. The batch scratch is vector-blocked: inside a lane block,
-//! column `c` of the padded x holds its `P` lanes contiguously, and each
-//! pair's window is row-major, row `k`'s `P` lanes side by side — so one
-//! instance's x segment and output rows are contiguous across lanes.
-//! Every pair's window is one contiguous span of the packed scratch. Under the `parallel` feature the pairs
-//! are chunked contiguously, balanced by instance weight, one scoped
-//! worker per chunk (the ambient budget is `rayon::current_num_threads`
-//! from the vendored shim — the same budget `Parallelism` installs); at
-//! budget 1 the single chunk runs inline. Windows are disjoint and each lane accumulates in
-//! stream order whichever worker computes it, so the output is
-//! bit-identical for every batch size and thread count, to looped single
-//! runs, and to the per-instance walk, which survives only as the
-//! verification oracle and as [`ExecutionPlan::run_reference`]. The
-//! value stream itself is an `Arc<[f32]>` shared with the owning
-//! [`SpasmMatrix`], so preparing several plans — or cloning one per batch
-//! worker — does not duplicate the multi-GB buffer.
+//! through one loop over (tile-row × lane-block) pairs on the caller's
+//! thread, and each pair walks one tile row's span of the SoA stream in
+//! stream order, applying every instance to the up to
+//! [`ExecutionPlan::LANE_BLOCK`] vectors of its lane block at once. A
+//! lane block runs at padded width `P`, the next power of two of its
+//! vector count (1, 2, 4 or 8): its pad lanes hold a zeroed x and are
+//! never verified or folded, so a 3- or 7-vector block runs on the packed
+//! 4- or 8-wide datapath instead of scalar tails. The batch scratch is
+//! vector-blocked: inside a lane block, column `c` of the padded x holds
+//! its `P` lanes contiguously, and each pair's window is row-major, row
+//! `k`'s `P` lanes side by side — so one instance's x segment and output
+//! rows are contiguous across lanes. Each lane accumulates in stream
+//! order, so the output is bit-identical for every batch size, to looped
+//! single runs, and to the per-instance walk, which survives only as the
+//! verification oracle and as [`ExecutionPlan::run_reference`].
+//! Parallelism is the accelerator's: the PE groups the cycle model
+//! prices. Hosts that serve many requests run plans side by side, one
+//! per thread. The value stream itself is an `Arc<[f32]>` shared with
+//! the owning [`SpasmMatrix`], so preparing several plans — or cloning
+//! one per batch worker — does not duplicate the multi-GB buffer.
 //!
 //! # Integrity and fault tolerance
 //!
@@ -82,8 +79,7 @@
 //! Under the `fault-injection` cargo feature a seeded
 //! [`crate::fault::FaultPlan`] can be armed on the plan: the executor's
 //! per-(row, lane) hook re-decodes struck lanes from the raw encoding
-//! words, deterministically and on one thread; production builds carry
-//! none of that state.
+//! words, deterministically; production builds carry none of that state.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -104,11 +100,13 @@ use crate::fault::{Fault, FaultPlan};
 use spasm_format::PositionEncoding;
 
 /// Everything derivable from `(matrix, config)` alone, plus reusable
-/// scratch — see the [module docs](self) for the full inventory.
+/// scratch: the pre-decoded instance stream, the compiled portfolio, the
+/// tile-row layout, the LPT schedule, the cached report and the batch
+/// buffers.
 ///
 /// Build one with [`crate::Accelerator::prepare`], then call
-/// [`ExecutionPlan::run`] per SpMV. The output is bit-identical for every
-/// thread budget and however often the plan is reused.
+/// [`ExecutionPlan::run`] per SpMV. The output is bit-identical however
+/// often the plan is reused.
 ///
 /// # Examples
 ///
@@ -170,13 +168,11 @@ pub struct ExecutionPlan {
     block_runs: Stream<u32>,
     row_blocks: Stream<u32>,
     // Per worked tile row: instance span in the stream, y window in the
-    // padded output, the tile-row id, a prefix sum of instance counts for
-    // balanced chunking, and a prefix sum of window lengths addressing the
-    // packed output scratch `yb`.
+    // padded output, the tile-row id, and a prefix sum of window lengths
+    // addressing the packed output scratch `yb`.
     inst_ranges: Vec<(usize, usize)>,
     window_spans: Vec<(usize, usize)>,
     tile_row_ids: Vec<u32>,
-    cum_instances: Vec<usize>,
     window_prefix: Vec<usize>,
     // Scheduling state, for introspection and the cached report.
     assignment: Vec<Vec<TileJob>>,
@@ -188,18 +184,17 @@ pub struct ExecutionPlan {
     // LANE_BLOCK * xstride + c * P + l`; `yb` holds pair (tile row `r`,
     // block `b`) at `window_prefix[r] * width + b * LANE_BLOCK *
     // window_len(r)`, row-major inside (row `k`, lane `l` at `k * P +
-    // l`), so chunks of pairs own contiguous ascending spans; `batch` is
-    // how many vectors they hold and `width` how many lanes, pad lanes
-    // included. `chunks` keeps the fan-out's pair boundaries, `vp` (the
-    // largest window) the verification oracle, `vq` (the largest window
-    // times `LANE_BLOCK`) the quarantine retry of a whole lane block,
-    // `health` the per-vector outcome of the last deferred run.
+    // l`), so the pairs' windows follow one another in pair order;
+    // `batch` is how many vectors they hold and `width` how many lanes,
+    // pad lanes included. `vp` (the largest window) holds the
+    // verification oracle, `vq` (the largest window times `LANE_BLOCK`)
+    // the quarantine retry of a whole lane block, `health` the per-vector
+    // outcome of the last deferred run.
     xstride: usize,
     xb: Vec<f32>,
     yb: Vec<f32>,
     batch: usize,
     width: usize,
-    chunks: Vec<usize>,
     vp: Vec<f32>,
     vq: Vec<f32>,
     health: Vec<HealthReport>,
@@ -502,9 +497,8 @@ impl ExecutionPlan {
 
         // Tile-row layout: each run of same-row tiles (contiguous in the
         // stream) is one worked tile row with an instance span and a
-        // disjoint y window over the padded scratch, plus prefix sums of
-        // instance counts (balanced chunking) and window lengths
-        // (addressing the packed `yb`).
+        // disjoint y window over the padded scratch, plus a prefix sum of
+        // window lengths (addressing the packed `yb`).
         let mut inst_ranges: Vec<(usize, usize)> = Vec::new();
         let mut window_spans = Vec::new();
         let mut tile_row_ids: Vec<u32> = Vec::new();
@@ -520,7 +514,6 @@ impl ExecutionPlan {
                 }
             }
         }
-        let cum_instances = prefix_sums(inst_ranges.iter().map(|&(i0, i1)| i1 - i0));
         let window_prefix = prefix_sums(window_spans.iter().map(|&(w0, w1)| w1 - w0));
         let max_window = window_spans
             .iter()
@@ -584,14 +577,12 @@ impl ExecutionPlan {
             inst_ranges,
             window_spans,
             tile_row_ids,
-            cum_instances,
             window_prefix,
             assignment,
             report,
             xstride: xp_len,
             batch: 0,
             width: 0,
-            chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
             vq: vec![0.0; max_window * kernel::LANE_BLOCK],
             health: Vec::new(),
@@ -962,10 +953,8 @@ impl ExecutionPlan {
     /// [`ExecutionPlan::run_batch`], with the report's batch stamp cleared.
     ///
     /// Bit-identical to a fresh plan of the same matrix and configuration
-    /// and to [`ExecutionPlan::run_reference`], for every thread budget.
-    /// Performs no heap allocation
-    /// at steady state when running serially (the parallel fan-out spawns
-    /// scoped threads, which allocate their stacks).
+    /// and to [`ExecutionPlan::run_reference`]. Performs no heap
+    /// allocation at steady state.
     ///
     /// This is the unguarded path: armed faults (under the
     /// `fault-injection` feature) strike the execution and are *not*
@@ -991,20 +980,17 @@ impl ExecutionPlan {
     /// pre-decoded instance stream is then walked once per (tile row ×
     /// lane block) and applied to up to [`ExecutionPlan::LANE_BLOCK`]
     /// vectors while it is hot in cache, instead of being re-streamed per
-    /// vector. Under the `parallel` feature the fan-out chunks those pairs
-    /// balanced by instance weight, so a small matrix with a large batch
-    /// still saturates threads. Each output is bit-identical to a looped
-    /// [`ExecutionPlan::run`] over the same vectors, for every batch size
-    /// and thread count, and the scratch is reused: after the first call
-    /// at a given batch size the steady state performs no heap allocation
-    /// (when running serially).
+    /// vector. Each output is bit-identical to a looped
+    /// [`ExecutionPlan::run`] over the same vectors, for every batch size,
+    /// and the scratch is reused: after the first call at a given batch
+    /// size the steady state performs no heap allocation.
     ///
     /// On success the cached report carries a [`BatchReport`] with the
     /// amortised batch pricing (initialisation and the matrix stream are
     /// paid once per batch).
     ///
     /// Armed faults (under the `fault-injection` feature) strike batched
-    /// execution too, on one thread: plans armed via
+    /// execution too: plans armed via
     /// `arm_faults_for_vector` strike only their target vector.
     ///
     /// # Errors
@@ -1030,8 +1016,8 @@ impl ExecutionPlan {
     /// the portfolio LUT — the per-instance walk the verification oracle
     /// uses. Bit-identical to [`ExecutionPlan::run_batch`] (the
     /// differential suite asserts it); kept as the baseline for tests and
-    /// benchmarks. Never fans out and ignores armed faults. Stamps the
-    /// report like `run_batch`.
+    /// benchmarks. Ignores armed faults. Stamps the report like
+    /// `run_batch`.
     ///
     /// # Errors
     ///
@@ -1218,9 +1204,7 @@ impl ExecutionPlan {
             + self.inst_ranges.len() * size_of::<(usize, usize)>()
             + self.window_spans.len() * size_of::<(usize, usize)>()
             + self.tile_row_ids.len() * size_of::<u32>()
-            + self.cum_instances.len() * size_of::<usize>()
             + self.window_prefix.len() * size_of::<usize>()
-            + self.chunks.len() * size_of::<usize>()
             + self.health.len() * size_of::<HealthReport>()
             + self
                 .assignment
@@ -1389,77 +1373,15 @@ impl ExecutionPlan {
     }
 
     /// The one forward pass over the loaded batch: every (tile-row ×
-    /// lane-block) pair, in pair order `p = r·lane_blocks + b`, chunked
-    /// contiguously by instance weight with one scoped worker per chunk —
-    /// or, at budget 1, one chunk run inline on the caller's thread. A
-    /// chunk's pair windows form one contiguous ascending span of `yb`,
-    /// handed out with `split_at_mut`; every lane accumulates in stream
-    /// order whichever chunk computes it, so the result is bit-identical
-    /// for every budget. Armed faults force budget 1.
+    /// lane-block) pair, each into its window of `yb`.
     fn execute(&mut self) {
-        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
-        let n_pairs = self.inst_ranges.len() * lane_blocks;
-        if n_pairs == 0 {
-            return;
-        }
-        #[cfg(feature = "fault-injection")]
-        let budget = if self.armed.is_some() {
-            1
-        } else {
-            worker_budget()
-        };
-        #[cfg(not(feature = "fault-injection"))]
-        let budget = worker_budget();
-        self.chunk_pairs(lane_blocks, n_pairs, budget.min(n_pairs));
-
         let (exec, s) = self.split();
-        let ys = &mut s.yb[..exec.pair_offset(n_pairs)];
-        if s.chunks.len() == 2 {
-            exec.run_pairs(0, n_pairs, ys);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = ys;
-            for w in s.chunks.windows(2) {
-                let (p0, p1) = (w[0], w[1]);
-                let len = exec.pair_offset(p1) - exec.pair_offset(p0);
-                let (chunk_y, tail) = rest.split_at_mut(len);
-                rest = tail;
-                scope.spawn(move || exec.run_pairs(p0, p1, chunk_y));
-            }
-        });
-    }
-
-    /// Fills `chunks` with `parts` contiguous pair ranges of roughly equal
-    /// instance weight (a pair weighs its row's instances times its padded
-    /// lanes): each boundary is binary-searched on the pairs' cumulative
-    /// weight, clamped strictly increasing.
-    fn chunk_pairs(&mut self, lane_blocks: usize, n_pairs: usize, parts: usize) {
-        let (width, cum) = (self.width, &self.cum_instances);
-        // Cumulative weight of the pairs before pair `p`.
-        let weight = |p: usize| {
-            let (r, b) = (p / lane_blocks, p % lane_blocks);
-            width * cum[r] + b * kernel::LANE_BLOCK * (cum[r + 1] - cum[r])
-        };
-        let total = width * cum.last().copied().unwrap_or(0);
-        self.chunks.clear();
-        self.chunks.push(0);
-        for t in 1..parts {
-            let target = total * t / parts;
-            let (mut lo, mut hi) = (0usize, n_pairs);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if weight(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            if self.chunks.last().is_some_and(|&last| lo > last) && lo < n_pairs {
-                self.chunks.push(lo);
+        for r in 0..exec.inst_ranges.len() {
+            for lane0 in (0..exec.batch).step_by(kernel::LANE_BLOCK) {
+                let (_, lanes) = lane_block(exec.batch, lane0);
+                exec.row_lanes(r, lane0, lanes, &mut s.yb[exec.pair_window(r, lane0)]);
             }
         }
-        self.chunks.push(n_pairs);
     }
 
     /// Injection-level health of vector `lane`: what is armed on the plan
@@ -1577,7 +1499,6 @@ impl ExecutionPlan {
             yb,
             batch,
             width,
-            chunks,
             vp,
             vq,
             health,
@@ -1614,13 +1535,7 @@ impl ExecutionPlan {
                 stream_faults: true,
             }),
         };
-        let scratch = Scratch {
-            yb,
-            chunks,
-            vp,
-            vq,
-            health,
-        };
+        let scratch = Scratch { yb, vp, vq, health };
         (exec, scratch)
     }
 }
@@ -1628,8 +1543,8 @@ impl ExecutionPlan {
 #[cfg(feature = "fault-injection")]
 impl ExecutionPlan {
     /// Arms a seeded fault plan: subsequent executions strike the decode
-    /// path with its faults (on one thread, deterministically). Replaces
-    /// any previously armed plan. Only available under the
+    /// path with its faults, deterministically. Replaces any previously
+    /// armed plan. Only available under the
     /// `fault-injection` cargo feature.
     pub fn arm_faults(&mut self, plan: FaultPlan) {
         self.armed = Some(ArmedFaults::from_plan(plan));
@@ -1745,9 +1660,7 @@ impl ArmedFaults {
 
 /// Shared, read-only view of one [`ExecutionPlan`] for the executor (see
 /// [`ExecutionPlan::split`]): the pre-decoded stream, portfolio tables,
-/// tile-row and window layout and the loaded x vectors. `Copy`, so the
-/// fan-out hands one to every scoped worker.
-#[derive(Clone, Copy)]
+/// tile-row and window layout and the loaded x vectors.
 struct Exec<'a> {
     rows: usize,
     soa: SoaRef<'a>,
@@ -1766,7 +1679,6 @@ struct Exec<'a> {
 /// The plan's mutable scratch, borrowed alongside an [`Exec`].
 struct Scratch<'a> {
     yb: &'a mut [f32],
-    chunks: &'a [usize],
     vp: &'a mut [f32],
     vq: &'a mut [f32],
     health: &'a mut [HealthReport],
@@ -1777,7 +1689,6 @@ struct Scratch<'a> {
 /// cleared for the quarantine retry, which re-reads the pristine stream,
 /// so only persistent lane faults strike it.
 #[cfg(feature = "fault-injection")]
-#[derive(Clone, Copy)]
 struct FaultHook<'a> {
     armed: &'a ArmedFaults,
     enc_bits: &'a [u32],
@@ -1794,18 +1705,6 @@ impl Exec<'_> {
         let (_, lanes) = lane_block(self.batch, lane0);
         let start = self.window_prefix[r] * self.width + lane0 * (w1 - w0);
         start..start + lanes * (w1 - w0)
-    }
-
-    /// Where pair `p`'s window starts in `yb`; the pair count maps to the
-    /// end of the active region.
-    fn pair_offset(&self, p: usize) -> usize {
-        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
-        let r = p / lane_blocks;
-        if r == self.window_spans.len() {
-            return self.window_prefix[r] * self.width;
-        }
-        self.pair_window(r, p % lane_blocks * kernel::LANE_BLOCK)
-            .start
     }
 
     /// Folds the loaded batch from `yb` into `ys` (`ys[j] += A·xs[j]`),
@@ -1860,24 +1759,6 @@ impl Exec<'_> {
         &self.xb[lane0 * self.xstride..(lane0 + lanes) * self.xstride]
     }
 
-    /// Runs pairs `p0..p1` into `ys`, their contiguous span of `yb`.
-    fn run_pairs(&self, p0: usize, p1: usize, ys: &mut [f32]) {
-        let lane_blocks = self.batch.div_ceil(kernel::LANE_BLOCK);
-        let (mut r, mut lane0) = (p0 / lane_blocks, p0 % lane_blocks * kernel::LANE_BLOCK);
-        let mut rest = ys;
-        for _ in p0..p1 {
-            let (_, lanes) = lane_block(self.batch, lane0);
-            let (w0, w1) = self.window_spans[r];
-            let (out, tail) = std::mem::take(&mut rest).split_at_mut(lanes * (w1 - w0));
-            rest = tail;
-            self.row_lanes(r, lane0, lanes, out);
-            lane0 += lanes;
-            if lane0 >= self.batch {
-                (r, lane0) = (r + 1, 0);
-            }
-        }
-    }
-
     /// Tile row `r` for the lane block starting at vector `lane0`, at
     /// padded width `lanes`, into its zeroed row-major window `out` — the
     /// executor's one call into the lane kernel. Under `fault-injection`
@@ -1885,7 +1766,7 @@ impl Exec<'_> {
     /// plan strikes are recomputed through the faulted decoder.
     fn row_lanes(&self, r: usize, lane0: usize, lanes: usize, out: &mut [f32]) {
         let xs = self.x_block(lane0, lanes);
-        kernel::execute_row(self.soa, self.inst_ranges[r], xs, lanes, out);
+        kernel::execute_row(&self.soa, self.inst_ranges[r], xs, lanes, out);
         #[cfg(feature = "fault-injection")]
         if let Some(hook) = &self.faults {
             for l in 0..lanes.min(self.batch - lane0) {
@@ -1896,17 +1777,6 @@ impl Exec<'_> {
             }
         }
     }
-}
-
-/// The worker budget the fan-out may use (always 1 in serial builds).
-#[cfg(feature = "parallel")]
-fn worker_budget() -> usize {
-    rayon::current_num_threads()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn worker_budget() -> usize {
-    1
 }
 
 /// Vector `j`'s lane block in a batch of `batch`: its first vector and

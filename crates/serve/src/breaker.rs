@@ -92,7 +92,7 @@ pub enum BreakerState {
 }
 
 /// A state-machine transition observed while recording outcomes, for the
-/// server's overload counters and the load generator's campaign report.
+/// server's overload counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerEvent {
     /// Healthy (or a failed probe) tripped into quarantine.

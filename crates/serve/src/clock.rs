@@ -4,8 +4,7 @@
 //! of a [`VirtualClock`], not wall time: the clock only moves when a
 //! driver advances it, so a seeded arrival trace replays to the exact
 //! same flush schedule on every run, on any machine, with no sleeps.
-//! By convention one tick is one microsecond of virtual time (see
-//! [`crate::loadgen::TICKS_PER_SECOND`]).
+//! By convention one tick is one microsecond of virtual time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

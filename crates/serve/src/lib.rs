@@ -24,10 +24,10 @@
 //!   optionally across worker threads (which can change throughput but
 //!   never batch composition or results), with deadline-aware load
 //!   shedding, panic isolation at the batch boundary and graceful
-//!   drain on [`SpmvServer::shutdown`];
-//! * [`loadgen`] — seeded open/closed-loop load generation with
-//!   Zipf-skewed matrix popularity, behind the `loadgen` binary
-//!   (including an `--overload` campaign).
+//!   drain on [`SpmvServer::shutdown`].
+//!
+//! Serving cost is measured in wall-clock time by the end-to-end
+//! benchmark (`perfbench --workload serve`), not modelled here.
 //!
 //! Determinism is the design spine: a fixed seed and virtual-clock
 //! schedule produce the same batch compositions, the same rejections,
@@ -41,7 +41,6 @@
 pub mod breaker;
 mod catalog;
 mod clock;
-pub mod loadgen;
 mod queue;
 mod server;
 

@@ -6,9 +6,9 @@
 //! A counting global allocator (`tests/support`) is armed only around the
 //! measured window, and only for the measuring thread, so neither the
 //! (allocation-heavy) build phase nor concurrently running sibling tests
-//! pollute the count. The window runs under a serial worker budget:
-//! spawning OS threads inherently allocates, and the contract is about
-//! per-call *work*, not about the fan-out machinery.
+//! pollute the count. The executor never leaves the calling thread, so
+//! the steady-state windows hold at every worker budget: each runs once
+//! serially and once at the host's available parallelism.
 //!
 //! The same counter bounds the update paths: a values-only delta moves a
 //! few copies of the value stream at most, and a structural splice of
@@ -17,9 +17,28 @@
 
 mod support;
 
+use spasm::hw::HwConfig;
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_sparse::SpMv;
 use support::count_allocs;
+
+/// The worker budgets the steady-state windows run under: serial, and
+/// every core of the host.
+fn budgets() -> [usize; 2] {
+    [
+        1,
+        std::thread::available_parallelism().map_or(1, usize::from),
+    ]
+}
+
+/// Runs `f` under an ambient worker budget of `threads`.
+fn with_budget(threads: usize, f: impl FnOnce()) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
 
 #[test]
 fn plan_run_is_allocation_free_at_steady_state() {
@@ -32,36 +51,41 @@ fn plan_run_is_allocation_free_at_steady_state() {
         }
     }
     let a = spasm_sparse::Coo::from_triplets(256, 256, t).unwrap();
-    let prepared =
-        Pipeline::with_options(PipelineOptions::default().parallelism(Parallelism::Serial))
-            .prepare(&a)
-            .unwrap();
+    // 64-row tiles: four tile rows, so a plan that split its tile rows
+    // over worker threads would do so here.
+    let prepared = Pipeline::with_options(
+        PipelineOptions::default()
+            .parallelism(Parallelism::Serial)
+            .fixed_schedule(64, HwConfig::spasm_4_1()),
+    )
+    .prepare(&a)
+    .unwrap();
     let mut plan = prepared.accelerator().prepare(&prepared.encoded).unwrap();
+    assert_eq!(plan.n_tile_rows(), 4);
 
     let x: Vec<f32> = (0..256).map(|i| ((i % 9) as f32) * 0.5 - 2.0).collect();
     let mut y = vec![0.0f32; 256];
 
-    // Pin the plan to a serial budget for the measured window, and warm it
-    // up (the very first run is already allocation-free, but the warm-up
-    // keeps the test about steady state, not first-call behaviour).
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    pool.install(|| {
-        for _ in 0..3 {
-            plan.run(&x, &mut y).unwrap();
-        }
-        let (allocs, _, ()) = count_allocs(|| {
-            for _ in 0..50 {
+    // Warm the plan up under each budget (the very first run is already
+    // allocation-free, but the warm-up keeps the test about steady state,
+    // not first-call behaviour), then count.
+    for threads in budgets() {
+        with_budget(threads, || {
+            for _ in 0..3 {
                 plan.run(&x, &mut y).unwrap();
             }
+            let (allocs, _, ()) = count_allocs(|| {
+                for _ in 0..50 {
+                    plan.run(&x, &mut y).unwrap();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "ExecutionPlan::run allocated {allocs} times over 50 steady-state calls \
+                 at budget {threads}"
+            );
         });
-        assert_eq!(
-            allocs, 0,
-            "ExecutionPlan::run allocated {allocs} times over 50 steady-state calls"
-        );
-    });
+    }
 
     // The outputs stay correct after the counted window (sanity check that
     // the runs above actually did work).
@@ -91,7 +115,7 @@ fn run_batch_is_allocation_free_at_steady_state() {
             .unwrap();
     let mut plan = prepared.accelerator().prepare(&prepared.encoded).unwrap();
 
-    let batch = 8usize;
+    let batch = 16usize;
     let xs: Vec<Vec<f32>> = (0..batch)
         .map(|j| {
             (0..192)
@@ -101,37 +125,39 @@ fn run_batch_is_allocation_free_at_steady_state() {
         .collect();
     let mut ys = vec![vec![0.0f32; 192]; batch];
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    pool.install(|| {
-        // First call grows xb/yb; from then on the batch path must be
-        // allocation-free.
-        for _ in 0..3 {
-            plan.run_batch(&xs, &mut ys).unwrap();
-        }
-        let (allocs, _, ()) = count_allocs(|| {
-            for _ in 0..50 {
+    for threads in budgets() {
+        with_budget(threads, || {
+            // First call grows xb/yb; from then on the batch path must be
+            // allocation-free.
+            for _ in 0..3 {
                 plan.run_batch(&xs, &mut ys).unwrap();
             }
-        });
-        assert_eq!(
-            allocs, 0,
-            "ExecutionPlan::run_batch allocated {allocs} times over 50 steady-state calls"
-        );
+            let (allocs, _, ()) = count_allocs(|| {
+                for _ in 0..50 {
+                    plan.run_batch(&xs, &mut ys).unwrap();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "ExecutionPlan::run_batch allocated {allocs} times over 50 steady-state \
+                 calls at budget {threads}"
+            );
 
-        // Smaller batches reuse the already-grown scratch: still zero.
-        let xs_small = &xs[..3];
-        let mut ys_small = vec![vec![0.0f32; 192]; 3];
-        plan.run_batch(xs_small, &mut ys_small).unwrap();
-        let (allocs, _, ()) = count_allocs(|| {
-            for _ in 0..20 {
-                plan.run_batch(xs_small, &mut ys_small).unwrap();
-            }
+            // Smaller batches reuse the already-grown scratch: still zero.
+            let xs_small = &xs[..3];
+            let mut ys_small = vec![vec![0.0f32; 192]; 3];
+            plan.run_batch(xs_small, &mut ys_small).unwrap();
+            let (allocs, _, ()) = count_allocs(|| {
+                for _ in 0..20 {
+                    plan.run_batch(xs_small, &mut ys_small).unwrap();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "shrunk-batch run_batch allocated {allocs} times at budget {threads}"
+            );
         });
-        assert_eq!(allocs, 0, "shrunk-batch run_batch allocated {allocs} times");
-    });
+    }
 }
 
 #[test]

@@ -189,8 +189,8 @@ fn skewed_csr_spmv_parallel_is_bit_exact() {
 
 #[test]
 fn plan_run_is_thread_count_invariant() {
-    // The prepared plan's tile-row fan-out must be invisible: y bits and
-    // the ExecReport must match a serial run for every budget.
+    // Budget invariance: whatever worker budget is installed around it,
+    // a plan run's y bits and ExecReport must match a serial run.
     let m = random_coo(0xDE7_0008, 220, 160, 1_800);
     let prepared = pipeline(Parallelism::Serial).prepare(&m).unwrap();
     let acc = prepared.accelerator();
@@ -243,8 +243,8 @@ fn plan_reuse_has_no_drift() {
 
 #[test]
 fn pipeline_execute_is_thread_count_invariant() {
-    // Prepared::execute runs the plan under the pipeline's own budget;
-    // every budget must produce the serial bits.
+    // A pipeline prepared under any budget must execute to the serial
+    // bits.
     let m = random_coo(0xDE7_000A, 150, 150, 1_200);
     let x: Vec<f32> = (0..150).map(|i| ((i % 7) as f32) * 0.5 - 1.0).collect();
 
@@ -267,8 +267,8 @@ fn pipeline_execute_is_thread_count_invariant() {
 
 #[test]
 fn plan_run_batch_is_thread_count_invariant() {
-    // The batched fan-out spans (tile-row × lane-block) pairs; the chunk
-    // boundaries move with the budget but the bits must not. Serial looped
+    // Budget invariance for batches: the installed worker budget must not
+    // move a bit of any (tile-row × lane-block) pair. Serial looped
     // plan.run is the oracle.
     let m = random_coo(0xDE7_000B, 180, 140, 1_500);
     let prepared = pipeline(Parallelism::Serial).prepare(&m).unwrap();

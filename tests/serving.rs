@@ -10,17 +10,107 @@
 
 use std::collections::BTreeMap;
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use spasm::{DeltaOutcome, IntegrityPolicy, Pipeline, PipelineOptions, Prepared};
 use spasm_format::MatrixFingerprint;
 use spasm_hw::HwConfig;
 use spasm_patterns::TemplateSet;
-use spasm_serve::loadgen::{seeded_x, TraceEvent, TraceGen};
 use spasm_serve::{
-    BatchRecord, BreakerState, Completion, Deadline, FlushTrigger, Output, QueueConfig, Rejected,
-    ServeError, ServerConfig, SpmvServer, Tick,
+    BatchRecord, BreakerState, Completion, Deadline, FlushTrigger, Output, OverloadStats,
+    QueueConfig, Rejected, ServeError, ServerConfig, SpmvServer, Tick,
 };
 use spasm_sparse::Coo;
 use spasm_workloads::{changesets, ChangesetConfig};
+
+/// One arrival in a request trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceEvent {
+    /// Absolute virtual arrival tick.
+    at: Tick,
+    /// Index of the target matrix in the corpus.
+    matrix: usize,
+    /// Seed for the request's input vector.
+    x_seed: u64,
+}
+
+/// An infinite, seeded request stream: uniform interarrival gaps with
+/// mean `mean_gap` ticks and Zipf-skewed matrix popularity (matrix 0 is
+/// the hottest).
+struct TraceGen {
+    rng: SmallRng,
+    /// Cumulative Zipf(`zipf_s`) probabilities over the corpus.
+    cumulative: Vec<f64>,
+    mean_gap: Tick,
+    now: Tick,
+}
+
+impl TraceGen {
+    /// A trace over `matrices` corpus entries.
+    fn new(seed: u64, matrices: usize, zipf_s: f64, mean_gap: Tick) -> Self {
+        let weights: Vec<f64> = (1..=matrices.max(1))
+            .map(|rank| (rank as f64).powf(-zipf_s))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        let cumulative = weights
+            .iter()
+            .map(|w| {
+                acc += w / total;
+                acc
+            })
+            .collect();
+        TraceGen {
+            rng: SmallRng::seed_from_u64(seed),
+            cumulative,
+            mean_gap,
+            now: 0,
+        }
+    }
+}
+
+impl Iterator for TraceGen {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        let gap = self.rng.gen_range(0..=self.mean_gap.saturating_mul(2));
+        self.now = self.now.saturating_add(gap);
+        let u: f64 = self.rng.gen_range(0.0..1.0);
+        let matrix = self
+            .cumulative
+            .partition_point(|&c| c < u)
+            .min(self.cumulative.len() - 1);
+        let x_seed = self.rng.gen_range(0..u64::MAX);
+        Some(TraceEvent {
+            at: self.now,
+            matrix,
+            x_seed,
+        })
+    }
+}
+
+/// A deterministic request vector of length `cols` for `seed`.
+fn seeded_x(cols: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
+
+#[test]
+fn traces_are_seed_deterministic() {
+    let a: Vec<TraceEvent> = TraceGen::new(42, 4, 1.0, 50).take(64).collect();
+    let b: Vec<TraceEvent> = TraceGen::new(42, 4, 1.0, 50).take(64).collect();
+    let c: Vec<TraceEvent> = TraceGen::new(43, 4, 1.0, 50).take(64).collect();
+    assert_eq!(a, b);
+    assert_ne!(a, c);
+    assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
+}
+
+#[test]
+fn seeded_vectors_are_stable() {
+    assert_eq!(seeded_x(32, 9), seeded_x(32, 9));
+    assert_ne!(seeded_x(32, 9), seeded_x(32, 10));
+    assert!(seeded_x(32, 9).iter().all(|v| (-1.0..1.0).contains(v)));
+}
 
 /// An `n`×`n` scattered matrix, a few entries per row, `salt`-dependent
 /// structure and values so distinct salts give distinct streams.
@@ -168,14 +258,15 @@ fn handcrafted_trace_flushes_exact_batches() {
 }
 
 /// Replays `events` against a fresh server with `workers` execution
-/// threads; returns the batch log and the per-request outputs. Request
-/// ids are assigned in submission order, so id `i` serves `events[i]`.
+/// threads; returns the batch log, the per-request outputs and the
+/// overload ledger. Request ids are assigned in submission order, so id
+/// `i` serves `events[i]`.
 fn serve_trace(
     workers: usize,
     events: &[TraceEvent],
     corpus: &[Coo],
     policy: IntegrityPolicy,
-) -> (Vec<BatchRecord>, BTreeMap<u64, Output>) {
+) -> (Vec<BatchRecord>, BTreeMap<u64, Output>, OverloadStats) {
     let s = server(3, 25, workers);
     let fps: Vec<_> = corpus
         .iter()
@@ -197,7 +288,7 @@ fn serve_trace(
         absorb(&mut outputs, s.advance_to(d));
     }
     absorb(&mut outputs, s.drain());
-    (s.batch_log(), outputs)
+    (s.batch_log(), outputs, s.overload_stats())
 }
 
 #[test]
@@ -224,8 +315,9 @@ fn seeded_trace_is_bit_identical_for_any_worker_count() {
         })
         .collect();
 
-    let (log1, out1) = serve_trace(1, &events, &corpus, IntegrityPolicy::off());
+    let (log1, out1, overload1) = serve_trace(1, &events, &corpus, IntegrityPolicy::off());
     assert_eq!(out1.len(), events.len(), "every request completes");
+    assert_eq!(overload1, OverloadStats::default(), "no overload activity");
     let mut coalesced = 0usize;
     for i in 0..events.len() {
         let out = &out1[&(i as u64)];
@@ -247,8 +339,13 @@ fn seeded_trace_is_bit_identical_for_any_worker_count() {
     // Worker threads may change execution concurrency, never batch
     // composition or a single output bit.
     for workers in [2usize, 7] {
-        let (log, out) = serve_trace(workers, &events, &corpus, IntegrityPolicy::off());
+        let (log, out, overload) = serve_trace(workers, &events, &corpus, IntegrityPolicy::off());
         assert_eq!(log, log1, "batch log differs with {workers} workers");
+        assert_eq!(
+            overload,
+            OverloadStats::default(),
+            "overload activity with {workers} workers"
+        );
         assert_eq!(out.len(), out1.len());
         for (id, o1) in &out1 {
             let o = &out[id];
@@ -261,7 +358,7 @@ fn seeded_trace_is_bit_identical_for_any_worker_count() {
 
     // Same seed + same virtual-clock schedule -> same compositions,
     // every run.
-    let (log_again, _) = serve_trace(1, &events, &corpus, IntegrityPolicy::off());
+    let (log_again, _, _) = serve_trace(1, &events, &corpus, IntegrityPolicy::off());
     assert_eq!(log_again, log1);
 }
 
@@ -272,7 +369,7 @@ struct OverloadRun {
     served: BTreeMap<u64, Output>,
     shed: BTreeMap<u64, Rejected>,
     rejected: BTreeMap<u64, Rejected>,
-    stats: spasm_serve::OverloadStats,
+    stats: OverloadStats,
     breaker_states: Vec<BreakerState>,
 }
 
@@ -520,8 +617,8 @@ fn full_integrity_policy_serves_clean_and_bit_identical() {
     let events: Vec<TraceEvent> = TraceGen::new(0xBEEF, corpus.len(), 1.0, 9)
         .take(24)
         .collect();
-    let (_, verified) = serve_trace(2, &events, &corpus, IntegrityPolicy::full());
-    let (_, unchecked) = serve_trace(2, &events, &corpus, IntegrityPolicy::off());
+    let (_, verified, _) = serve_trace(2, &events, &corpus, IntegrityPolicy::full());
+    let (_, unchecked, _) = serve_trace(2, &events, &corpus, IntegrityPolicy::off());
     assert_eq!(verified.len(), events.len());
     for (id, v) in &verified {
         assert!(v.health.is_clean(), "id {id} not clean: {:?}", v.health);

@@ -15,8 +15,15 @@ use spasm::hw::HwConfig;
 use spasm::sparse::{Coo, SpMv};
 use spasm::{IntegrityPolicy, Pipeline, PipelineError, PipelineOptions};
 use spasm_patterns::TemplateSet;
-use spasm_serve::loadgen::seeded_x;
 use spasm_serve::{BreakerConfig, BreakerState, QueueConfig, ServeError, ServerConfig, SpmvServer};
+
+/// A deterministic request vector of length `cols` for `seed` (the same
+/// stream as `seeded_x` in `tests/serving.rs`).
+fn seeded_x(cols: usize, seed: u64) -> Vec<f32> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    (0..cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+}
 
 /// A 300×300 scattered matrix spanning two 256-row tile rows under the
 /// pinned schedule, 5 entries per row.
