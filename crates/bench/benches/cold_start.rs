@@ -7,9 +7,10 @@
 //! * **v2** — `SpasmMatrix::from_bytes` + the full pipeline prepare
 //!   (selection, schedule search, plan build), the path a serving node
 //!   pays today for every matrix not already resident;
-//! * **v3** — one aligned buffer copy, container + plan validation, and
+//! * **v3** — one aligned buffer copy, container + plan validation, the
+//!   encoded matrix derived from the validated sections, and
 //!   `Prepared::restore` around streams that *borrow* the buffer. No
-//!   preprocessing re-runs and no stream bytes are copied.
+//!   preprocessing re-runs; the plan copies no stream bytes.
 //!
 //! Each thawed plan is asserted bit-identical to the freshly prepared
 //! one before timing. Results (plus owned-vs-mapped byte counters) go to
@@ -63,8 +64,7 @@ fn thaw_v2(bytes: &[u8], pipeline: &Pipeline) -> Prepared {
 /// The full v3 cold start: aligned copy, validate, map, restore.
 fn thaw_v3(bytes: &[u8]) -> Prepared {
     let frozen = FrozenPlan::open(PlanBuffer::from_bytes(bytes)).expect("v3 open");
-    let encoded = frozen.matrix().expect("v3 matrix");
-    let plan = frozen.into_plan().expect("v3 thaw");
+    let (encoded, plan) = frozen.thaw().expect("v3 thaw");
     Prepared::restore(
         encoded,
         plan,

@@ -10,7 +10,7 @@ use spasm_sparse::{Coo, Csr};
 use crate::crc;
 use crate::encoding::{subs_per_tile, PositionEncoding, PATTERN_EDGE};
 use crate::error::FormatError;
-use crate::serialize::record_words;
+use crate::serialize::{record_words, WireError};
 use crate::submatrix::{SubBlock, SubmatrixMap};
 use crate::tiling::group_by_tile;
 
@@ -76,7 +76,8 @@ pub struct SpasmMatrix {
 /// coherent:
 ///
 /// * [`SpasmMatrix::from_bytes`] seeds `whole` with the CRC it has just
-///   verified; [`SpasmMatrix::encode`] starts both empty;
+///   verified; [`SpasmMatrix::encode`] and [`SpasmMatrix::from_stream`]
+///   start both empty;
 /// * [`SpasmMatrix::patch_values`] moves whichever of `whole` and the
 ///   patched tiles' segments are known, by CRC linearity;
 /// * [`SpasmMatrix::spliced`] carries every untouched tile's segment
@@ -245,9 +246,10 @@ impl SpasmMatrix {
         Ok(instances * table.template_len() - b.mask.count_ones())
     }
 
-    /// Reassembles a matrix from pre-validated parts (wire
-    /// deserialisation). `payload_crc` is the CRC-32 of the matrix's
-    /// canonical v2 payload when the caller has verified it, else `None`.
+    /// Reassembles a matrix from decoded parts, words as given, checking
+    /// the rules [`SpasmMatrix::from_stream`] lists. `payload_crc` is the
+    /// CRC-32 of the matrix's canonical v2 payload when the caller has
+    /// verified it, else `None`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         rows: u32,
@@ -258,11 +260,44 @@ impl SpasmMatrix {
         templates: Vec<u16>,
         tiles: Vec<Tile>,
         encodings: Vec<PositionEncoding>,
-        values: Vec<f32>,
+        values: Arc<[f32]>,
         payload_crc: Option<u32>,
-    ) -> Self {
-        debug_assert_eq!(values.len(), encodings.len() * 4);
-        SpasmMatrix {
+    ) -> Result<Self, WireError> {
+        let n = encodings.len();
+        let inconsistent = |what| Err(WireError::Inconsistent(what));
+        if subs_per_tile(tile_size).is_err() {
+            return inconsistent("tile size out of range");
+        }
+        if templates.is_empty() || templates.len() > 16 {
+            return inconsistent("template count out of range");
+        }
+        if values.len() != 4 * n {
+            return inconsistent("value stream length disagrees with instance count");
+        }
+        if nnz > 4 * n {
+            return inconsistent("fewer value slots than non-zeros");
+        }
+        let key = |t: &Tile| (t.tile_row, t.tile_col);
+        if tiles.windows(2).any(|w| key(&w[0]) >= key(&w[1])) {
+            return inconsistent("tile directory not sorted");
+        }
+        let mut cursor = 0usize;
+        for t in &tiles {
+            if t.first_instance != cursor || t.n_instances > n - cursor {
+                return inconsistent("tile directory does not sum to stream");
+            }
+            cursor += t.n_instances;
+        }
+        if cursor != n {
+            return inconsistent("tile directory does not sum to stream");
+        }
+        if encodings
+            .iter()
+            .any(|e| usize::from(e.t_idx()) >= templates.len())
+        {
+            return inconsistent("t_idx beyond portfolio");
+        }
+        Ok(SpasmMatrix {
             rows,
             cols,
             tile_size,
@@ -271,12 +306,49 @@ impl SpasmMatrix {
             templates,
             tiles,
             encodings,
-            values: values.into(),
+            values,
             payload_crc: PayloadCrc {
                 whole: payload_crc.map_or_else(OnceLock::new, OnceLock::from),
                 tiles: OnceLock::new(),
             },
+        })
+    }
+
+    /// Assembles a matrix from its decoded parts: the tile directory in
+    /// stream order, one position word and four value slots per instance.
+    /// The words' CE/RE flags are ignored: they are stamped from the
+    /// directory exactly as [`SpasmMatrix::encode`] stamps them. The
+    /// payload CRC is unknown until the first
+    /// [`SpasmMatrix::fingerprint`], which computes it in one pass and
+    /// fills the per-tile CRC segments on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Inconsistent`] unless the tile size is valid, the
+    /// portfolio holds 1 to 16 templates, there are four value slots per
+    /// word and at least `nnz` of them, the directory tiles the stream
+    /// contiguously in strictly ascending `(tile_row, tile_col)` order
+    /// and every word names a template of the portfolio.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_stream(
+        rows: u32,
+        cols: u32,
+        tile_size: u32,
+        nnz: usize,
+        paddings: u64,
+        templates: Vec<u16>,
+        tiles: Vec<Tile>,
+        mut encodings: Vec<PositionEncoding>,
+        values: Arc<[f32]>,
+    ) -> Result<Self, WireError> {
+        for e in &mut encodings {
+            *e = e.with_flags(false, false);
         }
+        let mut m = Self::from_raw_parts(
+            rows, cols, tile_size, nnz, paddings, templates, tiles, encodings, values, None,
+        )?;
+        Self::stamp_tile_ends(&m.tiles, &mut m.encodings, |_, _, _| {});
+        Ok(m)
     }
 
     /// The CRC-32 of the canonical v2 payload, cached. An unknown one is

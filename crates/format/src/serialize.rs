@@ -257,16 +257,6 @@ impl SpasmMatrix {
         let n_tiles = data.get_u32_le() as usize;
         let n_instances64 = data.get_u64_le();
 
-        if tile_size == 0 || !tile_size.is_multiple_of(4) || tile_size > crate::MAX_TILE_SIZE {
-            return Err(WireError::Inconsistent("tile size out of range"));
-        }
-        if n_templates == 0 || n_templates > 16 {
-            return Err(WireError::Inconsistent("template count out of range"));
-        }
-        if u128::from(n_instances64) * 4 < nnz as u128 {
-            return Err(WireError::Inconsistent("fewer value slots than non-zeros"));
-        }
-
         // Sizes in u128 so hostile counts cannot overflow the arithmetic;
         // anything bigger than the buffer is simply truncated.
         let padded_templates = n_templates + n_templates % 2;
@@ -311,42 +301,24 @@ impl SpasmMatrix {
         need(data, n_tiles * 12, "tile directory")?;
         let mut tiles = Vec::with_capacity(n_tiles);
         let mut cursor = 0usize;
-        let mut last: Option<(u32, u32)> = None;
         for _ in 0..n_tiles {
             let tile_row = data.get_u32_le();
             let tile_col = data.get_u32_le();
             let count = data.get_u32_le() as usize;
-            if let Some(prev) = last {
-                if prev >= (tile_row, tile_col) {
-                    return Err(WireError::Inconsistent("tile directory not sorted"));
-                }
-            }
-            last = Some((tile_row, tile_col));
             tiles.push(Tile {
                 tile_row,
                 tile_col,
                 first_instance: cursor,
                 n_instances: count,
             });
-            cursor = cursor
-                .checked_add(count)
-                .ok_or(WireError::Inconsistent("tile directory overflows"))?;
-        }
-        if cursor != n_instances {
-            return Err(WireError::Inconsistent(
-                "tile directory does not sum to stream",
-            ));
+            cursor = cursor.saturating_add(count);
         }
 
         need(data, n_instances * 20, "instance stream")?;
         let mut encodings = Vec::with_capacity(n_instances);
         let mut values = Vec::with_capacity(n_instances * 4);
         for _ in 0..n_instances {
-            let e = PositionEncoding::from_bits(data.get_u32_le());
-            if usize::from(e.t_idx()) >= n_templates {
-                return Err(WireError::Inconsistent("t_idx beyond portfolio"));
-            }
-            encodings.push(e);
+            encodings.push(PositionEncoding::from_bits(data.get_u32_le()));
             for _ in 0..4 {
                 values.push(data.get_f32_le());
             }
@@ -355,7 +327,7 @@ impl SpasmMatrix {
         // Every field re-serialises verbatim except the alignment pad,
         // which the writer always zeroes: only a zero pad makes the
         // verified CRC the canonical payload's.
-        Ok(SpasmMatrix::from_raw_parts(
+        SpasmMatrix::from_raw_parts(
             rows,
             cols,
             tile_size,
@@ -364,9 +336,9 @@ impl SpasmMatrix {
             templates,
             tiles,
             encodings,
-            values,
+            values.into(),
             verified_crc.filter(|_| pad == 0),
-        ))
+        )
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use spasm_format::{
-    MatrixFingerprint, SpasmMatrix, SubmatrixMap, TileStats, TilingSummary, TILE_LANES,
+    is_v3, MatrixFingerprint, SpasmMatrix, SubmatrixMap, TileStats, TilingSummary, TILE_LANES,
 };
 use spasm_patterns::{DecompositionTable, GridSize, Mask, PatternHistogram, TemplateSet};
 use spasm_sparse::{Coo, Csr, SpMv};
@@ -265,13 +265,17 @@ proptest! {
 }
 
 /// Every committed golden stream decodes to the same CSR through the
-/// one-pass decode as through a sort-based one.
+/// one-pass decode as through a sort-based one. (The v3 plan container
+/// is not a matrix stream; `tests/wire_compat.rs` pins it.)
 #[test]
 fn to_csr_matches_sorted_decode_on_golden_streams() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden");
     let mut checked = 0;
     for entry in std::fs::read_dir(dir).unwrap() {
         let bytes = std::fs::read(entry.unwrap().path()).unwrap();
+        if is_v3(&bytes) {
+            continue;
+        }
         let spasm = SpasmMatrix::from_bytes(&bytes).unwrap();
         assert!(spasm.nnz() > 0);
         assert_eq!(spasm.to_csr(), reference_csr(&spasm));

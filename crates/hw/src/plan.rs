@@ -78,13 +78,15 @@
 //! [`ExecutionPlan::commit`] then folds a (healed) vector into its `y`.
 //! Under the `fault-injection` cargo feature a seeded
 //! [`crate::fault::FaultPlan`] can be armed on the plan: the executor's
-//! per-(row, lane) hook re-decodes struck lanes from the raw encoding
-//! words, deterministically; production builds carry none of that state.
+//! per-(row, lane) hook re-decodes struck lanes from their position
+//! words, which it derives from the SoA stream on the fly
+//! ([`ExecutionPlan::position_words`]), deterministically; production
+//! builds carry none of that state.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use spasm_format::SpasmMatrix;
+use spasm_format::{PositionEncoding, SpasmMatrix, MAX_TILE_SIZE};
 
 use crate::config::{HwConfig, PES_PER_GROUP};
 use crate::integrity::{merge_health, HealthReport, IntegrityCheck, VerifyScope};
@@ -96,8 +98,6 @@ use crate::valu::ValuOpcode;
 
 #[cfg(feature = "fault-injection")]
 use crate::fault::{Fault, FaultPlan};
-#[cfg(feature = "fault-injection")]
-use spasm_format::PositionEncoding;
 
 /// Everything derivable from `(matrix, config)` alone, plus reusable
 /// scratch: the pre-decoded instance stream, the compiled portfolio, the
@@ -198,13 +198,7 @@ pub struct ExecutionPlan {
     vp: Vec<f32>,
     vq: Vec<f32>,
     health: Vec<HealthReport>,
-    // Fault-injection state: the raw encoding words and per-instance tile
-    // column bases let the executor's fault hook re-decode the stream
-    // (against the shared `lut`) as the hardware would after a bit flip.
-    #[cfg(feature = "fault-injection")]
-    enc_bits: Vec<u32>,
-    #[cfg(feature = "fault-injection")]
-    col_base: Vec<u32>,
+    // The armed fault plan (see `FaultHook`).
     #[cfg(feature = "fault-injection")]
     armed: Option<ArmedFaults>,
 }
@@ -282,11 +276,6 @@ pub struct PlanParts {
     pub block_runs: Stream<u32>,
     /// Per tile row: prefix of block counts.
     pub row_blocks: Stream<u32>,
-    /// Raw 32-bit position-encoding words, one per instance. Required
-    /// (`Some` with matching length) by builds with the `fault-injection`
-    /// feature, whose fault hook re-decodes the raw stream; ignored
-    /// otherwise.
-    pub encodings: Option<Vec<u32>>,
 }
 
 /// The matrix shape and portfolio [`ExecutionPlan::assemble`] builds
@@ -326,8 +315,6 @@ struct Sections {
     // Frozen bucket tables to adopt (wire v3; `from_parts` checks them),
     // or `None` to build them from the layout.
     buckets: Option<BucketStreams>,
-    #[cfg(feature = "fault-injection")]
-    enc_bits: Vec<u32>,
 }
 
 impl Sections {
@@ -367,12 +354,17 @@ impl Sections {
             op_idx: Stream::from_vec(op_idx),
             values: Stream::owned(matrix.shared_values().clone()),
             buckets: None,
-            // Always from the current matrix: after a splice, CE/RE flags
-            // of untouched tiles may have changed.
-            #[cfg(feature = "fault-injection")]
-            enc_bits: encodings.iter().map(|e| e.bits()).collect(),
         }
     }
+}
+
+/// The inverse of [`Sections::decode`] for one instance of a validated
+/// stream: its position word, without the CE/RE flags, which only the
+/// tile directory knows. `assemble` has checked that `x_base` lies in its
+/// tile, `col · tile_size ≤ x_base < (col + 1) · tile_size`, so `x_base %
+/// tile_size` is `x_base − col · tile_size` and the column comes for free.
+fn position_word(tile_size: u32, x_base: u32, y_base: u32, op_idx: u8) -> PositionEncoding {
+    PositionEncoding::new(x_base % tile_size / 4, y_base / 4, false, false, op_idx)
 }
 
 impl ExecutionPlan {
@@ -454,8 +446,6 @@ impl ExecutionPlan {
             op_idx,
             values,
             buckets,
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
         } = sections(tiles);
         let (xs, ys, ops) = (&*x_base, &*y_base, &*op_idx);
         let mut jobs = Vec::with_capacity(tiles.len());
@@ -552,12 +542,6 @@ impl ExecutionPlan {
         let flops = 2.0 * nnz as f64 + f64::from(rows);
         let report = ExecReport::priced(&config, per_group_cycles, cycles, traffic, flops);
 
-        #[cfg(feature = "fault-injection")]
-        let col_base = tiles
-            .iter()
-            .flat_map(|t| std::iter::repeat_n(t.col * tile_size, t.n_instances))
-            .collect();
-
         Ok(ExecutionPlan {
             rows,
             cols,
@@ -586,10 +570,6 @@ impl ExecutionPlan {
             vp: vec![0.0; max_window],
             vq: vec![0.0; max_window * kernel::LANE_BLOCK],
             health: Vec::new(),
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
-            #[cfg(feature = "fault-injection")]
-            col_base,
             #[cfg(feature = "fault-injection")]
             armed: None,
             config,
@@ -711,10 +691,10 @@ impl ExecutionPlan {
     /// goes through the same constructor — and so the same directory and
     /// per-instance checks — as a fresh prepare; what only parts can get
     /// wrong is checked here: the configuration, tile size, portfolio
-    /// size, section lengths, `nnz`, the full bucket directory (blocks
+    /// size, section lengths, `nnz` and the full bucket directory (blocks
     /// partition each tile row, runs partition each block, indices are an
-    /// in-block permutation agreeing with `op_idx`) and, under
-    /// `fault-injection`, the encoding words. No mapped section is copied.
+    /// in-block permutation agreeing with `op_idx`). No mapped section is
+    /// copied.
     ///
     /// # Errors
     ///
@@ -738,11 +718,15 @@ impl ExecutionPlan {
             class_runs,
             block_runs,
             row_blocks,
-            encodings,
         } = parts;
         let config = config.checked().map_err(SimError::Plan)?;
         if tile_size == 0 || !tile_size.is_multiple_of(4) {
             return Err(SimError::Plan("tile size must be a positive multiple of 4"));
+        }
+        if tile_size > MAX_TILE_SIZE {
+            return Err(SimError::Plan(
+                "tile size exceeds the position word's range",
+            ));
         }
         if template_masks.is_empty() || template_masks.len() > 16 {
             return Err(SimError::Plan("portfolio must hold 1..=16 templates"));
@@ -755,20 +739,6 @@ impl ExecutionPlan {
         if nnz > 4 * n as u64 {
             return Err(SimError::Plan("nnz exceeds the stream's value slots"));
         }
-        // Fault-injection builds re-decode the raw encoding words; they
-        // are part of the frozen form there.
-        #[cfg(feature = "fault-injection")]
-        let enc_bits = match encodings {
-            Some(enc) if enc.len() == n => enc,
-            Some(_) => return Err(SimError::Plan("encoding-word section length disagrees")),
-            None => {
-                return Err(SimError::Plan(
-                    "fault-injection builds need the encoding words",
-                ))
-            }
-        };
-        #[cfg(not(feature = "fault-injection"))]
-        let _ = encodings;
 
         let shape = Shape {
             config,
@@ -784,8 +754,6 @@ impl ExecutionPlan {
             op_idx,
             values,
             buckets: Some((bucket_idx, class_runs, block_runs, row_blocks)),
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
         })?;
         plan.check_buckets()?;
         Ok(plan)
@@ -1189,7 +1157,7 @@ impl ExecutionPlan {
             }
         }
         let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.vq.len();
-        let bytes = size_of::<Self>()
+        size_of::<Self>()
             + f32s * size_of::<f32>()
             + owned(&self.values)
             + owned(&self.x_base)
@@ -1210,11 +1178,7 @@ impl ExecutionPlan {
                 .assignment
                 .iter()
                 .map(|jobs| size_of::<Vec<TileJob>>() + jobs.len() * size_of::<TileJob>())
-                .sum::<usize>();
-        #[cfg(feature = "fault-injection")]
-        let bytes =
-            bytes + self.enc_bits.len() * size_of::<u32>() + self.col_base.len() * size_of::<u32>();
-        bytes
+                .sum::<usize>()
     }
 
     /// Bytes this plan reads zero-copy out of a mapped wire-v3 buffer
@@ -1256,6 +1220,18 @@ impl ExecutionPlan {
             block_runs: &self.block_runs,
             row_blocks: &self.row_blocks,
         }
+    }
+
+    /// The position words of the plan's stream, in stream order, derived
+    /// from its SoA form: `c_idx = (x_base − col · tile_size) / 4`, `r_idx
+    /// = y_base / 4`, `t_idx = op_idx`. The CE/RE flags are clear; the
+    /// tile directory stamps them (`SpasmMatrix::from_stream`). With the
+    /// plan's value stream and the directory this is the whole encoded
+    /// matrix, so a wire-v3 file need not store it a second time.
+    pub fn position_words(&self) -> impl Iterator<Item = PositionEncoding> + '_ {
+        let ts = self.tile_size;
+        (0..self.op_idx.len())
+            .map(move |i| position_word(ts, self.x_base[i], self.y_base[i], self.op_idx[i]))
     }
 
     fn check_x(&self, x: &[f32]) -> Result<(), SimError> {
@@ -1485,6 +1461,8 @@ impl ExecutionPlan {
     fn split(&mut self) -> (Exec<'_>, Scratch<'_>) {
         let ExecutionPlan {
             rows,
+            #[cfg(feature = "fault-injection")]
+            tile_size,
             x_base,
             y_base,
             op_idx,
@@ -1502,10 +1480,6 @@ impl ExecutionPlan {
             vp,
             vq,
             health,
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
-            #[cfg(feature = "fault-injection")]
-            col_base,
             #[cfg(feature = "fault-injection")]
             armed,
             ..
@@ -1530,8 +1504,7 @@ impl ExecutionPlan {
             #[cfg(feature = "fault-injection")]
             faults: armed.as_ref().map(|armed| FaultHook {
                 armed,
-                enc_bits,
-                col_base,
+                tile_size: *tile_size,
                 stream_faults: true,
             }),
         };
@@ -1684,15 +1657,14 @@ struct Scratch<'a> {
     health: &'a mut [HealthReport],
 }
 
-/// An armed fault plan plus what the faulted decoder re-reads: the raw
-/// encoding words and per-instance tile column bases. `stream_faults` is
-/// cleared for the quarantine retry, which re-reads the pristine stream,
-/// so only persistent lane faults strike it.
+/// An armed fault plan plus the tile size the faulted decoder needs to
+/// re-derive each instance's position word. `stream_faults` is cleared
+/// for the quarantine retry, which re-reads the pristine stream, so only
+/// persistent lane faults strike it.
 #[cfg(feature = "fault-injection")]
 struct FaultHook<'a> {
     armed: &'a ArmedFaults,
-    enc_bits: &'a [u32],
-    col_base: &'a [u32],
+    tile_size: u32,
     stream_faults: bool,
 }
 
@@ -1866,8 +1838,9 @@ fn process_span(v: &Exec<'_>, r: usize, j: usize, window: &mut [f32], stride: us
 
 /// The faulted walk of tile row `r` for vector `j`, into `window` at
 /// row stride `stride` as [`process_span`]: re-decodes each instance
-/// from its raw encoding word (xor-struck when the hook's
-/// `stream_faults` is set), clamps all accesses the way the hardware's
+/// from its position word ([`position_word`], xor-struck when the hook's
+/// `stream_faults` is set; its CE/RE flags are never read), clamps all
+/// accesses the way the hardware's
 /// address decoders would — out-of-range x reads load zero,
 /// out-of-window y writes are dropped, out-of-portfolio template ids wrap
 /// the LUT — and applies value-slot flips and stuck-at-zero lanes.
@@ -1881,6 +1854,7 @@ fn process_span_faulted(
     stride: usize,
 ) {
     let (lut, values, af) = (v.lut, v.soa.values, hook.armed);
+    let (x_base, y_base, op_idx) = (v.soa.x_base, v.soa.y_base, v.soa.op_idx);
     if lut.is_empty() {
         return;
     }
@@ -1889,13 +1863,15 @@ fn process_span_faulted(
     let (w0, w1) = v.window_spans[r];
     let (i0, i1) = v.inst_ranges[r];
     for i in i0..i1 {
+        let word = position_word(hook.tile_size, x_base[i], y_base[i], op_idx[i]).bits();
         let bits = if hook.stream_faults {
-            hook.enc_bits[i] ^ af.enc_xor(i)
+            word ^ af.enc_xor(i)
         } else {
-            hook.enc_bits[i]
+            word
         };
         let e = PositionEncoding::from_bits(bits);
-        let c0 = hook.col_base[i] as usize + e.c_idx() as usize * 4;
+        let col_base = x_base[i] - x_base[i] % hook.tile_size;
+        let c0 = col_base as usize + e.c_idx() as usize * 4;
         let x_at = |c: usize| {
             if c < v.xstride {
                 xs[c * lanes]

@@ -107,7 +107,6 @@ fn parts(m: &SpasmMatrix, plan: &ExecutionPlan) -> PlanParts {
         class_runs: Stream::from_vec(s.class_runs.to_vec()),
         block_runs: Stream::from_vec(s.block_runs.to_vec()),
         row_blocks: Stream::from_vec(s.row_blocks.to_vec()),
-        encodings: Some(m.encodings().iter().map(|e| e.bits()).collect()),
     }
 }
 
@@ -148,7 +147,7 @@ type Case = (&'static str, Want, Box<dyn Fn(&mut PlanParts)>);
 fn cases() -> Vec<Case> {
     use IntegrityCheck::{EncodingRange, InstanceCount};
     use Want::{Integrity, Plan};
-    let mut c: Vec<Case> = vec![
+    vec![
         // Directory rules.
         (
             "first_instance off the running sum",
@@ -264,6 +263,11 @@ fn cases() -> Vec<Case> {
             "tile size not a multiple of 4",
             Plan("tile size must be a positive multiple of 4"),
             Box::new(|p| p.tile_size = 62),
+        ),
+        (
+            "tile size past the position word",
+            Plan("tile size exceeds the position word's range"),
+            Box::new(|p| p.tile_size = spasm_format::MAX_TILE_SIZE + 4),
         ),
         (
             "empty portfolio",
@@ -409,22 +413,7 @@ fn cases() -> Vec<Case> {
                 edit(&mut p.bucket_idx, |v| v[1] = v[0]);
             }),
         ),
-    ];
-    if cfg!(feature = "fault-injection") {
-        c.push((
-            "encoding words missing",
-            Plan("fault-injection builds need the encoding words"),
-            Box::new(|p| p.encodings = None),
-        ));
-        c.push((
-            "encoding words short",
-            Plan("encoding-word section length disagrees"),
-            Box::new(|p| {
-                p.encodings.as_mut().unwrap().pop();
-            }),
-        ));
-    }
-    c
+    ]
 }
 
 #[test]

@@ -398,15 +398,16 @@ impl PlanCatalog {
 
     /// Ingests a wire stream, keyed by the *ingested stream's* canonical
     /// fingerprint (which is what remote clients can compute), not the
-    /// re-encoded one. If the key is already resident this is a cheap
-    /// no-op — decided from the stream *header* alone, before any decode
-    /// or prepare work.
+    /// re-encoded one. If the key is already resident this is a no-op
+    /// that runs no prepare; for v2 it is decided from the stream
+    /// *header* alone, before any decode.
     ///
     /// Three stream generations route differently:
     ///
     /// * **v3** — the zero-copy fast path: the container is copied once
     ///   into an aligned buffer, validated, and the plan's streams point
-    ///   into it. No pipeline prepare runs.
+    ///   into it. The key is the fingerprint of the encoded matrix derived
+    ///   from the validated plan. No pipeline prepare runs.
     /// * **v2** — fingerprint from the header; on a miss, decode and
     ///   fully re-prepare through `pipeline`.
     /// * **v1** — no trailing CRC, so the fingerprint requires the full
@@ -452,7 +453,9 @@ impl PlanCatalog {
 
     /// The wire-v3 ingest fast path: one aligned copy of the container,
     /// container + plan validation, then a [`Prepared`] whose immutable
-    /// streams borrow the pinned buffer. No pipeline prepare runs.
+    /// streams borrow the pinned buffer. No pipeline prepare runs. The
+    /// key is the fingerprint of the matrix derived from the plan's own
+    /// sections, so a resident file costs one thaw to recognise.
     fn insert_wire_v3(
         &self,
         bytes: &[u8],
@@ -460,13 +463,12 @@ impl PlanCatalog {
     ) -> Result<MatrixFingerprint, CatalogError> {
         let buffer = PlanBuffer::from_bytes(bytes);
         let frozen = FrozenPlan::open(buffer).map_err(map_store)?;
-        let key = frozen.fingerprint().map_err(map_store)?;
+        let mapped = frozen.mapped_len();
+        let (encoded, plan) = frozen.thaw().map_err(map_store)?;
+        let key = encoded.fingerprint();
         if self.contains(&key) {
             return Ok(key);
         }
-        let mapped = frozen.mapped_len();
-        let encoded = frozen.matrix().map_err(map_store)?;
-        let plan = frozen.into_plan().map_err(map_store)?;
         let prepared = Prepared::restore(
             encoded,
             plan,

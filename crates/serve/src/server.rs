@@ -301,12 +301,13 @@ impl SpmvServer {
 
     /// Ingests a wire stream — keyed by the *ingested stream's*
     /// canonical fingerprint, which remote clients can compute locally.
-    /// Cheap no-op when already resident, decided from the stream header
-    /// before any decode or prepare work.
+    /// No-op when already resident, without any prepare work.
     ///
     /// Wire-v3 containers (`spasm-store`) take the zero-copy cold-start
-    /// path: validate and map, no pipeline prepare. v1/v2 streams
-    /// decode and re-prepare on a residency miss.
+    /// path: validate and map, no pipeline prepare; a resident one costs
+    /// that validation. v2 streams are recognised from their header
+    /// before any decode; v1/v2 streams decode and re-prepare on a
+    /// residency miss.
     ///
     /// # Errors
     ///

@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use spasm_format::{
-    crc32, Header3, MatrixFingerprint, SectionEntry, SpasmMatrix, Wire3Reader, WireError,
-};
+use spasm_format::{Header3, SpasmMatrix, Tile, Wire3Reader, WireError};
 use spasm_hw::{ClassRun, ExecutionPlan, FrozenTile, HwConfig, PlanParts, StableBytes, Stream};
 
 use crate::buffer::PlanBuffer;
@@ -14,21 +12,16 @@ use crate::StoreError;
 /// A wire-v3 container parsed over a pinned [`PlanBuffer`].
 ///
 /// [`FrozenPlan::open`] performs the cheap structural validation
-/// (header CRC, directory CRC, section layout); [`FrozenPlan::into_plan`]
+/// (header CRC, directory CRC, section layout). [`FrozenPlan::into_plan`]
 /// then checks every section's content CRC and reassembles an
 /// [`ExecutionPlan`] whose immutable streams *borrow* the buffer —
 /// nothing is copied out of the stream sections, owned allocations cover
-/// only mutable scratch.
-///
-/// Cheap accessors ([`FrozenPlan::fingerprint`], [`FrozenPlan::header`],
-/// [`FrozenPlan::config`]) work without touching the bulk sections, so a
-/// catalog can identify a container and early-exit on residency before
-/// paying for full validation.
+/// only mutable scratch. [`FrozenPlan::thaw`] does the same and also
+/// derives the encoded [`SpasmMatrix`] from the plan it validated, so
+/// the matrix, its fingerprint and the plan can never disagree.
 #[derive(Debug)]
 pub struct FrozenPlan {
     buffer: Arc<PlanBuffer>,
-    header: Header3,
-    entries: Vec<SectionEntry>,
 }
 
 impl FrozenPlan {
@@ -40,19 +33,8 @@ impl FrozenPlan {
     /// version, truncation, CRC mismatch on the header or directory,
     /// misaligned or overlapping sections, nonzero padding.
     pub fn open(buffer: Arc<PlanBuffer>) -> Result<FrozenPlan, StoreError> {
-        let reader = Wire3Reader::parse(buffer.bytes())?;
-        let header = *reader.header();
-        let entries = reader.entries().to_vec();
-        Ok(FrozenPlan {
-            buffer,
-            header,
-            entries,
-        })
-    }
-
-    /// The container header.
-    pub fn header(&self) -> &Header3 {
-        &self.header
+        Wire3Reader::parse(buffer.bytes())?;
+        Ok(FrozenPlan { buffer })
     }
 
     /// Total container size in bytes (what a catalog prices as mapped).
@@ -65,61 +47,13 @@ impl FrozenPlan {
         &self.buffer
     }
 
-    /// The bytes of section `id`, if present.
-    pub fn section(&self, id: u32) -> Option<&[u8]> {
-        self.entry(id)
-            .map(|e| &self.buffer.bytes()[e.offset as usize..(e.offset + e.len) as usize])
-    }
-
-    /// Checks every section's CRC-32 against its directory entry.
+    /// The hardware configuration the plan was frozen for, from the META
+    /// section's bytes `m`.
     ///
     /// # Errors
     ///
-    /// [`WireError::ChecksumMismatch`] (wrapped) on the first corrupted
-    /// section.
-    pub fn verify(&self) -> Result<(), StoreError> {
-        for e in &self.entries {
-            let bytes = &self.buffer.bytes()[e.offset as usize..(e.offset + e.len) as usize];
-            let computed = crc32(bytes);
-            if computed != e.crc {
-                return Err(StoreError::Wire(WireError::ChecksumMismatch {
-                    stored: e.crc,
-                    computed,
-                }));
-            }
-        }
-        Ok(())
-    }
-
-    /// The embedded canonical v2 wire stream of the encoded matrix.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::MissingSection`] (wrapped) when absent.
-    pub fn v2_stream(&self) -> Result<&[u8], StoreError> {
-        Ok(&self.buffer.bytes()[self.require(section::V2STREAM)?])
-    }
-
-    /// The matrix fingerprint, computed from the embedded v2 stream's
-    /// header without decoding the matrix — a frozen plan and a v2
-    /// ingest of the same matrix produce the same catalog key.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Wire`] when the v2 section is absent or its header
-    /// malformed.
-    pub fn fingerprint(&self) -> Result<MatrixFingerprint, StoreError> {
-        Ok(MatrixFingerprint::of_wire_bytes(self.v2_stream()?)?)
-    }
-
-    /// The hardware configuration the plan was frozen for.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Wire`] when the META section is absent or
-    /// malformed.
-    pub fn config(&self) -> Result<HwConfig, StoreError> {
-        let m = &self.buffer.bytes()[self.require(section::META)?];
+    /// [`StoreError::Wire`] when the section is malformed.
+    fn config(m: &[u8]) -> Result<HwConfig, StoreError> {
         if m.len() < 20 {
             return Err(StoreError::Wire(WireError::Truncated {
                 reading: "config section",
@@ -144,17 +78,6 @@ impl FrozenPlan {
         })
     }
 
-    /// Decodes the embedded v2 stream into an owned [`SpasmMatrix`]
-    /// (needed to restore prepare-layer state around a mapped plan; the
-    /// plan itself never requires it).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Wire`] when the v2 section is absent or corrupt.
-    pub fn matrix(&self) -> Result<SpasmMatrix, StoreError> {
-        Ok(SpasmMatrix::from_bytes(self.v2_stream()?)?)
-    }
-
     /// Verifies every section CRC, then reassembles an [`ExecutionPlan`]
     /// whose eight immutable streams borrow this container's buffer.
     ///
@@ -168,11 +91,70 @@ impl FrozenPlan {
     /// [`StoreError::Sim`] when the sections do not assemble into a
     /// structurally consistent plan. Never panics on hostile input.
     pub fn into_plan(self) -> Result<ExecutionPlan, StoreError> {
-        self.verify()?;
+        Ok(ExecutionPlan::from_parts(self.parts()?.1)?)
+    }
 
-        let masks_bytes = &self.buffer.bytes()[self.require(section::TEMPLATES)?];
+    /// [`FrozenPlan::into_plan`], plus the encoded matrix the plan
+    /// executes: what a serving layer needs around a mapped plan (the
+    /// catalog key, the golden CSR, the source of deltas).
+    ///
+    /// The matrix is derived from the sections the plan was validated
+    /// from: its position words from the SoA streams
+    /// ([`ExecutionPlan::position_words`]), with the CE/RE flags stamped
+    /// from the tile directory; its values, templates and tiles from
+    /// their sections; its shape, `nnz` and paddings from the header. It
+    /// owns a copy of the value stream; the plan keeps reading the
+    /// buffer. Its [`SpasmMatrix::fingerprint`] is the container's key.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrozenPlan::into_plan`]. Never panics on hostile input.
+    pub fn thaw(self) -> Result<(SpasmMatrix, ExecutionPlan), StoreError> {
+        let (header, parts) = self.parts()?;
+        let tiles = parts
+            .tiles
+            .iter()
+            .map(|t| Tile {
+                tile_row: t.row,
+                tile_col: t.col,
+                first_instance: t.first_instance,
+                n_instances: t.n_instances,
+            })
+            .collect();
+        let templates = parts.template_masks.clone();
+        let plan = ExecutionPlan::from_parts(parts)?;
+        let matrix = SpasmMatrix::from_stream(
+            plan.rows(),
+            plan.cols(),
+            plan.tile_size(),
+            // `from_parts` bounds it by the value stream's length.
+            header.nnz as usize,
+            header.paddings,
+            templates,
+            tiles,
+            plan.position_words().collect(),
+            Arc::from(plan.streams().values),
+        )?;
+        Ok((matrix, plan))
+    }
+
+    /// Verifies every section's CRC, those this reader does not know too
+    /// (a file that embeds a v2 stream keeps it, checked and never read),
+    /// and collects the header and the plan's parts, its streams mapped
+    /// out of the buffer.
+    fn parts(&self) -> Result<(Header3, PlanParts), StoreError> {
+        let reader = Wire3Reader::parse(self.buffer.bytes())?;
+        reader.verify_sections()?;
+        let header = *reader.header();
+        let bytes_of = |id| {
+            reader
+                .section(id)
+                .ok_or(StoreError::Wire(WireError::MissingSection { id }))
+        };
+
+        let masks_bytes = bytes_of(section::TEMPLATES)?;
         if !masks_bytes.len().is_multiple_of(2)
-            || masks_bytes.len() / 2 != self.header.n_templates as usize
+            || masks_bytes.len() / 2 != header.n_templates as usize
         {
             return Err(StoreError::Wire(WireError::Inconsistent(
                 "template section length disagrees with header",
@@ -183,15 +165,14 @@ impl FrozenPlan {
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
             .collect();
 
-        let tile_bytes = &self.buffer.bytes()[self.require(section::TILES)?];
-        if !tile_bytes.len().is_multiple_of(20)
-            || tile_bytes.len() / 20 != self.header.n_tiles as usize
+        let tile_bytes = bytes_of(section::TILES)?;
+        if !tile_bytes.len().is_multiple_of(20) || tile_bytes.len() / 20 != header.n_tiles as usize
         {
             return Err(StoreError::Wire(WireError::Inconsistent(
                 "tile section length disagrees with header",
             )));
         }
-        let mut tiles = Vec::with_capacity(self.header.n_tiles as usize);
+        let mut tiles = Vec::with_capacity(header.n_tiles as usize);
         for t in tile_bytes.chunks_exact(20) {
             let mut first = [0u8; 8];
             first.copy_from_slice(&t[8..16]);
@@ -206,37 +187,23 @@ impl FrozenPlan {
             });
         }
 
-        let n = usize::try_from(self.header.n_instances)
+        let n = usize::try_from(header.n_instances)
             .map_err(|_| StoreError::Wire(WireError::Inconsistent("instance count overflows")))?;
-        let x_base = self.map_stream::<u32>(section::XBASE, n)?;
-        let y_base = self.map_stream::<u32>(section::YBASE, n)?;
-        let op_idx = self.map_stream::<u8>(section::OPIDX, n)?;
-        let values = self.map_stream::<f32>(section::VALUES, 4 * n)?;
-        let bucket_idx = self.map_stream::<u32>(section::BUCKET_IDX, n)?;
-        let class_runs = self.map_any::<ClassRun>(section::CLASS_RUNS)?;
-        let block_runs = self.map_any::<u32>(section::BLOCK_RUNS)?;
-        let row_blocks = self.map_any::<u32>(section::ROW_BLOCKS)?;
-
-        // Fault-injection builds re-decode the raw position words, which
-        // live only in the embedded v2 stream; plain builds skip the
-        // decode (and its allocation) entirely.
-        #[cfg(feature = "fault-injection")]
-        let encodings = Some(
-            self.matrix()?
-                .encodings()
-                .iter()
-                .map(|e| e.bits())
-                .collect(),
-        );
-        #[cfg(not(feature = "fault-injection"))]
-        let encodings = None;
+        let x_base = self.map_stream::<u32>(&reader, section::XBASE, n)?;
+        let y_base = self.map_stream::<u32>(&reader, section::YBASE, n)?;
+        let op_idx = self.map_stream::<u8>(&reader, section::OPIDX, n)?;
+        let values = self.map_stream::<f32>(&reader, section::VALUES, 4 * n)?;
+        let bucket_idx = self.map_stream::<u32>(&reader, section::BUCKET_IDX, n)?;
+        let class_runs = self.map_any::<ClassRun>(&reader, section::CLASS_RUNS)?;
+        let block_runs = self.map_any::<u32>(&reader, section::BLOCK_RUNS)?;
+        let row_blocks = self.map_any::<u32>(&reader, section::ROW_BLOCKS)?;
 
         let parts = PlanParts {
-            config: self.config()?,
-            rows: self.header.rows,
-            cols: self.header.cols,
-            tile_size: self.header.tile_size,
-            nnz: self.header.nnz,
+            config: Self::config(bytes_of(section::META)?)?,
+            rows: header.rows,
+            cols: header.cols,
+            tile_size: header.tile_size,
+            nnz: header.nnz,
             template_masks,
             tiles,
             x_base,
@@ -247,25 +214,18 @@ impl FrozenPlan {
             class_runs,
             block_runs,
             row_blocks,
-            encodings,
         };
-        Ok(ExecutionPlan::from_parts(parts)?)
-    }
-
-    fn entry(&self, id: u32) -> Option<&SectionEntry> {
-        self.entries.iter().find(|e| e.id == id)
-    }
-
-    fn require(&self, id: u32) -> Result<std::ops::Range<usize>, StoreError> {
-        let e = self
-            .entry(id)
-            .ok_or(StoreError::Wire(WireError::MissingSection { id }))?;
-        Ok(e.offset as usize..(e.offset + e.len) as usize)
+        Ok((header, parts))
     }
 
     /// Maps section `id` as a typed stream of exactly `expect` records.
-    fn map_stream<T>(&self, id: u32, expect: usize) -> Result<Stream<T>, StoreError> {
-        let s = self.map_any::<T>(id)?;
+    fn map_stream<T>(
+        &self,
+        reader: &Wire3Reader<'_>,
+        id: u32,
+        expect: usize,
+    ) -> Result<Stream<T>, StoreError> {
+        let s = self.map_any::<T>(reader, id)?;
         if s.len() != expect {
             return Err(StoreError::Wire(WireError::Inconsistent(
                 "stream section length disagrees with header",
@@ -276,8 +236,13 @@ impl FrozenPlan {
 
     /// Maps section `id` as a typed stream, length taken from the
     /// section itself (prefix tables whose length the plan validates).
-    fn map_any<T>(&self, id: u32) -> Result<Stream<T>, StoreError> {
-        let range = self.require(id)?;
+    fn map_any<T>(&self, reader: &Wire3Reader<'_>, id: u32) -> Result<Stream<T>, StoreError> {
+        let e = reader
+            .entries()
+            .iter()
+            .find(|e| e.id == id)
+            .ok_or(StoreError::Wire(WireError::MissingSection { id }))?;
+        let range = e.offset as usize..(e.offset + e.len) as usize;
         let size = std::mem::size_of::<T>();
         if !range.len().is_multiple_of(size) {
             return Err(StoreError::Wire(WireError::Inconsistent(

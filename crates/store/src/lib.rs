@@ -8,7 +8,9 @@
 //! serialises the *plan*: its frozen structure-of-arrays streams are laid
 //! out on disk 64-byte aligned, exactly as the kernels read them, so a
 //! cold start is `open → validate → point` with zero bytes copied from
-//! the stream sections.
+//! the stream sections. The file holds the matrix once: the encoded
+//! matrix a server keeps beside the plan (its catalog key, golden CSR and
+//! delta source) is derived from the same validated sections.
 //!
 //! The pieces:
 //!
@@ -16,7 +18,8 @@
 //! * [`PlanBuffer`] — a 64-byte-aligned pinned buffer, heap- or
 //!   mmap-backed, implementing [`spasm_hw::StableBytes`];
 //! * [`FrozenPlan`] — a validated view over a buffer; [`FrozenPlan::into_plan`]
-//!   reassembles an [`ExecutionPlan`] whose streams borrow the buffer;
+//!   reassembles an [`ExecutionPlan`] whose streams borrow the buffer,
+//!   and [`FrozenPlan::thaw`] also derives the plan's encoded matrix;
 //! * [`PlanStore`] — a directory of v3 files keyed by matrix fingerprint,
 //!   written atomically and loaded via mmap.
 //!

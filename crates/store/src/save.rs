@@ -8,6 +8,12 @@ use crate::StoreError;
 /// Section ids of the v3 plan container. The container format
 /// (`spasm_format::Wire3Writer`/`Wire3Reader`) treats ids as opaque;
 /// these constants define what a *plan* container carries.
+///
+/// The sections hold the encoded matrix once: its position words are
+/// derived from XBASE, YBASE and OPIDX, and its CE/RE flags from TILES
+/// (see `FrozenPlan::thaw`). Files written before that carry a twelfth
+/// section, a copy of the matrix as a canonical v2 stream; a reader
+/// checks its CRC like any other section's and never reads it.
 pub mod section {
     /// Hardware configuration the plan was prepared for.
     pub const META: u32 = 1;
@@ -32,10 +38,6 @@ pub mod section {
     pub const BLOCK_RUNS: u32 = 10;
     /// Per tile row: prefix of block counts (`u32`, len rows+1).
     pub const ROW_BLOCKS: u32 = 11;
-    /// The canonical v2 wire stream of the encoded matrix: fingerprint
-    /// source, v2 interop, and the raw encodings fault injection
-    /// re-decodes.
-    pub const V2STREAM: u32 = 12;
 }
 
 fn le32(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
@@ -130,8 +132,6 @@ pub fn save_v3(matrix: &SpasmMatrix, plan: &ExecutionPlan) -> Result<Vec<u8>, St
     out.clear();
     le32(&mut out, s.row_blocks.iter().copied());
     w.section(section::ROW_BLOCKS, &out);
-
-    w.section(section::V2STREAM, &matrix.to_bytes());
 
     Ok(w.finish())
 }

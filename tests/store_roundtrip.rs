@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions, Prepared};
+use spasm_format::{Wire3Reader, Wire3Writer};
 use spasm_sparse::Coo;
 use spasm_store::{save_v3, FrozenPlan, PlanBuffer};
 use spasm_workloads::{Scale, Workload};
@@ -18,8 +19,7 @@ use spasm_workloads::{Scale, Workload};
 /// rendered to its display string; none of them may panic.
 fn thaw(bytes: &[u8], parallelism: Parallelism) -> Result<Prepared, String> {
     let frozen = FrozenPlan::open(PlanBuffer::from_bytes(bytes)).map_err(|e| e.to_string())?;
-    let encoded = frozen.matrix().map_err(|e| e.to_string())?;
-    let plan = frozen.into_plan().map_err(|e| e.to_string())?;
+    let (encoded, plan) = frozen.thaw().map_err(|e| e.to_string())?;
     Prepared::restore(encoded, plan, parallelism, IntegrityPolicy::off()).map_err(|e| e.to_string())
 }
 
@@ -63,14 +63,16 @@ fn assert_roundtrip(m: &Coo, pipeline: &Pipeline, budgets: &[Parallelism]) {
         }
     }
 
-    // The frozen container also carries the canonical v2 stream: the
-    // decoded matrix and its fingerprint must match the source.
+    // The matrix derived from the plan's sections is the source matrix
+    // byte for byte, so it keys the same catalog entry.
     let frozen = FrozenPlan::open(PlanBuffer::from_bytes(&v3)).expect("reopen");
+    let (encoded, _) = frozen.thaw().expect("thaw");
+    assert_eq!(encoded.to_bytes(), fresh.encoded.to_bytes());
     assert_eq!(
-        frozen.fingerprint().expect("fingerprint").token(),
+        encoded.fingerprint().token(),
         fresh.encoded.fingerprint().token()
     );
-    assert_eq!(frozen.matrix().expect("matrix").to_coo(), *m);
+    assert_eq!(encoded.to_coo(), *m);
 }
 
 /// Every Table II workload round-trips bit-identically, at both thread
@@ -148,6 +150,66 @@ fn corruption_is_always_detected() {
             FrozenPlan::open(PlanBuffer::from_bytes(&v3[..cut])).is_err(),
             "truncation to {cut} bytes was accepted"
         );
+    }
+}
+
+/// A file whose two copies of the matrix disagree: the plan's sections
+/// are matrix A's, and the canonical v2 stream that files once embedded
+/// as section 12 is a values-only variant B. The plan's sections are
+/// what executes, so the file must thaw as A: A's key, A's encoded bytes
+/// and A's answers under every integrity policy.
+#[test]
+fn an_embedded_v2_stream_cannot_rekey_the_plan() {
+    let n = 96u32;
+    let mut t = Vec::new();
+    for i in 0..n {
+        t.push((i, i, 2.0));
+        t.push((i, (i * 37 + 11) % n, ((i % 7) + 1) as f32 * 0.25));
+    }
+    let a = Coo::from_triplets(n, n, t).expect("valid triplets");
+    let pipeline =
+        Pipeline::with_options(PipelineOptions::default().parallelism(Parallelism::Serial));
+    let mut fresh = pipeline.prepare(&a).expect("pipeline prepare");
+    let mut b = fresh.encoded.clone();
+    let patches: Vec<(u32, u32, f32)> = fresh
+        .encoded
+        .to_coo()
+        .iter()
+        .map(|(r, c, v)| (r, c, v + 4.0))
+        .collect();
+    b.patch_values(&patches).expect("values-only variant");
+    let fp_a = fresh.encoded.fingerprint();
+    assert_ne!(b.fingerprint(), fp_a);
+
+    // The layout of a file that embeds a v2 stream, with B's in it.
+    let v3 = save_v3(&fresh.encoded, &fresh.plan).expect("save_v3");
+    let reader = Wire3Reader::parse(&v3).expect("parse");
+    let mut w = Wire3Writer::new(*reader.header());
+    for e in reader.entries() {
+        w.section(e.id, reader.section(e.id).expect("listed section"));
+    }
+    w.section(12, &b.to_bytes());
+    let mixed = w.finish();
+
+    let frozen = FrozenPlan::open(PlanBuffer::from_bytes(&mixed)).expect("open");
+    let (encoded, plan) = frozen.thaw().expect("thaw");
+    assert_eq!(encoded.fingerprint(), fp_a);
+    assert_eq!(encoded.to_bytes(), fresh.encoded.to_bytes());
+
+    let mut thawed = Prepared::restore(encoded, plan, Parallelism::Serial, IntegrityPolicy::off())
+        .expect("restore");
+    let x = &xs_for(n as usize, 1)[0];
+    for policy in [
+        IntegrityPolicy::off(),
+        IntegrityPolicy::sampled(8, 7),
+        IntegrityPolicy::full(),
+    ] {
+        fresh.set_integrity(policy);
+        thawed.set_integrity(policy);
+        let (mut want, mut got) = (vec![0.0f32; n as usize], vec![0.0f32; n as usize]);
+        fresh.execute(x, &mut want).expect("fresh execute");
+        thawed.execute(x, &mut got).expect("thawed execute");
+        assert_eq!(bits(&got), bits(&want), "{policy:?}: thawed file is not A");
     }
 }
 

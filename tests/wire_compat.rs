@@ -1,20 +1,21 @@
-//! Backward compatibility of the v1/v2 matrix wire formats, pinned
-//! against golden byte streams committed under `tests/golden/`. The
-//! golden files were produced by this same test with
+//! Backward compatibility of the v1/v2 matrix wire formats and of the
+//! v3 plan container, pinned against golden byte files committed under
+//! `tests/golden/`. The golden files were produced by this same test with
 //! `SPASM_REGEN_GOLDEN=1` and must never be regenerated casually: any
 //! byte-level change to the serializer that breaks these pins breaks
-//! every plan already at rest in a store.
+//! every plan already at rest in a store, so a v3 layout change shows
+//! up here as a deliberate update of `compat_v3.bin`.
 //!
 //! Registered in `crates/store` (`[[test]] name = "wire_compat"`).
 
 use std::path::PathBuf;
 
-use spasm::{Parallelism, Pipeline, PipelineOptions};
+use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions, Prepared};
 use spasm_format::{is_v3, SpasmMatrix, WireError};
 use spasm_hw::HwConfig;
 use spasm_patterns::TemplateSet;
 use spasm_sparse::Coo;
-use spasm_store::{FrozenPlan, PlanBuffer};
+use spasm_store::{save_v3, FrozenPlan, PlanBuffer};
 
 /// The fixed matrix behind the golden streams. Hand-rolled triplets, not
 /// a workload generator, so generator tweaks can never shift the pin.
@@ -29,10 +30,10 @@ fn golden_matrix() -> Coo {
     Coo::from_triplets(n, n, t).expect("valid triplets")
 }
 
-/// The encoded form of [`golden_matrix`], produced by a fully pinned
-/// pipeline (fixed portfolio, fixed schedule, serial) so the encoding is
+/// [`golden_matrix`] prepared by a fully pinned pipeline (fixed
+/// portfolio, fixed schedule, serial) so the encoding and the plan are
 /// deterministic across feature matrices and host thread counts.
-fn golden_encoded() -> SpasmMatrix {
+fn golden_prepared() -> Prepared {
     Pipeline::with_options(
         PipelineOptions::default()
             .fixed_portfolio(TemplateSet::table_v_set(0))
@@ -41,7 +42,11 @@ fn golden_encoded() -> SpasmMatrix {
     )
     .prepare(&golden_matrix())
     .expect("pipeline prepare")
-    .encoded
+}
+
+/// The encoded form of [`golden_matrix`].
+fn golden_encoded() -> SpasmMatrix {
+    golden_prepared().encoded
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -65,10 +70,13 @@ fn maybe_regen() -> bool {
     if std::env::var_os("SPASM_REGEN_GOLDEN").is_none() {
         return false;
     }
-    let m = golden_encoded();
+    let p = golden_prepared();
+    let m = &p.encoded;
     std::fs::create_dir_all(golden_path("")).expect("mkdir tests/golden");
     std::fs::write(golden_path("compat_v1.bin"), m.to_bytes_v1()).expect("write v1");
     std::fs::write(golden_path("compat_v2.bin"), m.to_bytes()).expect("write v2");
+    let v3 = save_v3(m, &p.plan).expect("save_v3");
+    std::fs::write(golden_path("compat_v3.bin"), v3).expect("write v3");
     true
 }
 
@@ -106,6 +114,36 @@ fn golden_v2_stream_still_decodes_and_serializer_is_stable() {
     let now = golden_encoded();
     assert_eq!(now.to_bytes().as_ref(), &bytes[..]);
     assert_eq!(now.fingerprint().token(), decoded.fingerprint().token());
+}
+
+#[test]
+fn golden_v3_file_thaws_and_writer_is_stable() {
+    if maybe_regen() {
+        return;
+    }
+    let bytes = load_golden("compat_v3.bin");
+    assert!(is_v3(&bytes));
+    let frozen = FrozenPlan::open(PlanBuffer::from_bytes(&bytes)).expect("v3 open");
+    let (encoded, plan) = frozen.thaw().expect("v3 thaw");
+    let mut fresh = golden_prepared();
+    assert_eq!(encoded.to_bytes(), fresh.encoded.to_bytes());
+    assert_eq!(encoded.to_coo(), golden_matrix());
+
+    // The thawed plan answers as the fresh one does, bit for bit.
+    let mut thawed = Prepared::restore(encoded, plan, Parallelism::Serial, IntegrityPolicy::off())
+        .expect("restore");
+    let x: Vec<f32> = (0..96).map(|i| (i % 11) as f32 * 0.5 - 2.0).collect();
+    let (mut want, mut got) = (vec![0.0f32; 96], vec![0.0f32; 96]);
+    fresh.execute(&x, &mut want).expect("fresh execute");
+    thawed.execute(&x, &mut got).expect("thawed execute");
+    assert_eq!(
+        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    );
+
+    // Byte-for-byte writer stability.
+    let now = save_v3(&fresh.encoded, &fresh.plan).expect("save_v3");
+    assert_eq!(now, bytes);
 }
 
 #[test]
