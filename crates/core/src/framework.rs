@@ -378,7 +378,6 @@ impl Pipeline {
             options: self.options.clone(),
             histogram: Some(histogram),
             sample_rows: Vec::new(),
-            scope: Vec::new(),
             lane_scopes: Vec::new(),
             batch_health: Vec::new(),
         })
@@ -524,12 +523,9 @@ pub struct Prepared {
     /// restored plans until first needed (rebuilt from the encoded
     /// stream).
     histogram: Option<PatternHistogram>,
-    /// Scratch: output rows drawn for the sampled cross-checks, one
-    /// sorted run per sampled vector of the last batch.
+    /// Scratch: output rows drawn for the sampled row oracle and
+    /// cross-checks, one sorted run per sampled vector of the last batch.
     sample_rows: Vec<usize>,
-    /// Scratch: worked tile-row indices covering the sampled rows, one
-    /// run per sampled vector.
-    scope: Vec<usize>,
     /// Scratch: each vector's resolved verification scope in the last
     /// verified batch.
     lane_scopes: Vec<LaneScope>,
@@ -595,7 +591,6 @@ impl Prepared {
             options,
             histogram: None,
             sample_rows: Vec::new(),
-            scope: Vec::new(),
             lane_scopes: Vec::new(),
             batch_health: Vec::new(),
         })
@@ -712,9 +707,10 @@ impl Prepared {
     /// When every policy is [`IntegrityMode::Off`] this is the unverified
     /// [`ExecutionPlan::run_batch`] pass. Otherwise one deferred pass
     /// executes the whole batch and verifies vector `j` only on its own
-    /// scope: every worked tile row for [`IntegrityMode::Full`], the tile
-    /// rows of the rows its own seed draws for [`IntegrityMode::Sampled`],
-    /// none for [`IntegrityMode::Off`]. Each vector then finishes the
+    /// scope: every worked tile row for [`IntegrityMode::Full`], the rows
+    /// its own seed draws for [`IntegrityMode::Sampled`] (through the row
+    /// oracle, see [`IntegrityPolicy::sampled`]), none for
+    /// [`IntegrityMode::Off`]. Each vector then finishes the
     /// degradation ladder alone — the residual cross-check against its
     /// own sampled rows and tolerance, and the golden CSR fallback taken
     /// *only for the vectors that fail*, so one corrupted vector does not
@@ -863,7 +859,6 @@ impl Prepared {
         // same rows every call, alone or in any batch.
         let rows = self.plan.rows() as usize;
         self.sample_rows.clear();
-        self.scope.clear();
         self.lane_scopes.clear();
         for j in 0..xs.len() {
             let p = policy(j);
@@ -874,11 +869,11 @@ impl Prepared {
             };
             self.lane_scopes.push(lane);
         }
-        let (lanes, tiles) = (&self.lane_scopes, &self.scope);
+        let (lanes, drawn) = (&self.lane_scopes, &self.sample_rows);
         let scope = |j: usize| match &lanes[j] {
             LaneScope::None => VerifyScope::None,
             LaneScope::All => VerifyScope::All,
-            LaneScope::Sampled { tiles: run, .. } => VerifyScope::TileRows(&tiles[run.clone()]),
+            LaneScope::Sampled(run) => VerifyScope::Rows(&drawn[run.clone()]),
         };
 
         let per_vector = self.plan.run_deferred(xs, scope)?;
@@ -895,7 +890,7 @@ impl Prepared {
             // must agree with the golden CSR dot products to within the
             // policy tolerance (the two datapaths accumulate in different
             // orders).
-            if let LaneScope::Sampled { rows, .. } = &self.lane_scopes[j] {
+            if let LaneScope::Sampled(rows) = &self.lane_scopes[j] {
                 for &r in &self.sample_rows[rows.clone()] {
                     let want = golden_row_dot(self.golden.get(&self.encoded), r, x);
                     let got = self.plan.contribution(j, r);
@@ -932,11 +927,10 @@ impl Prepared {
         failure.map_or(Ok(()), Err)
     }
 
-    /// Draws `k` output rows from `seed` into `sample_rows` and the tile
-    /// rows covering them into `scope`, returning the vector scope that
-    /// names both runs.
+    /// Draws `k` output rows from `seed` into `sample_rows`, returning the
+    /// vector scope that names their sorted, deduplicated run.
     fn draw(&mut self, k: usize, seed: u64, rows: usize) -> LaneScope {
-        let (r0, t0) = (self.sample_rows.len(), self.scope.len());
+        let r0 = self.sample_rows.len();
         let mut state = seed;
         for _ in 0..k.min(rows) {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -945,17 +939,7 @@ impl Prepared {
         }
         self.sample_rows[r0..].sort_unstable();
         let drawn = dedup_tail(&mut self.sample_rows, r0);
-        for i in r0..r0 + drawn {
-            if let Some(t) = self.plan.tile_row_index_containing(self.sample_rows[i]) {
-                self.scope.push(t);
-            }
-        }
-        self.scope[t0..].sort_unstable();
-        let tiles = dedup_tail(&mut self.scope, t0);
-        LaneScope::Sampled {
-            rows: r0..r0 + drawn,
-            tiles: t0..t0 + tiles,
-        }
+        LaneScope::Sampled(r0..r0 + drawn)
     }
 
     /// The cached report of the most recent execution (cycle/stall model,
@@ -1230,16 +1214,13 @@ fn portfolio_from_masks(masks: &[u16]) -> Result<TemplateSet, PipelineError> {
 }
 
 /// One vector's resolved verification scope in a verified batch: a
-/// sampled scope names its drawn output rows (`rows`) and their tile rows
-/// (`tiles`) as runs of the `sample_rows` and `scope` scratch.
+/// sampled scope names its drawn output rows as a run of the
+/// `sample_rows` scratch.
 #[derive(Debug, Clone)]
 enum LaneScope {
     None,
     All,
-    Sampled {
-        rows: std::ops::Range<usize>,
-        tiles: std::ops::Range<usize>,
-    },
+    Sampled(std::ops::Range<usize>),
 }
 
 /// Removes consecutive duplicates from `v[start..]` in place and returns

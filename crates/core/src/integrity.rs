@@ -32,11 +32,14 @@ pub enum IntegrityMode {
     /// No verification: today's production fast path, zero overhead.
     #[default]
     Off,
-    /// Verify the tile rows containing `k` deterministically sampled
-    /// output rows against the pristine stream, and cross-check those
-    /// rows' residuals against the golden CSR reference.
+    /// Recompute `k` deterministically sampled output rows from the
+    /// pristine stream with the row oracle, escalating a mismatch to its
+    /// whole tile row, and cross-check those rows' residuals against the
+    /// golden CSR reference. Faults in rows that were not drawn go
+    /// unseen; see [`IntegrityPolicy::sampled`].
     Sampled(usize),
-    /// Verify every worked tile row against the pristine stream.
+    /// Verify every worked tile row's whole window against the pristine
+    /// stream: no injected fault goes unseen.
     Full,
 }
 
@@ -76,7 +79,22 @@ impl IntegrityPolicy {
     }
 
     /// Sampled verification: `k` output rows per execution, drawn
-    /// deterministically from `seed`.
+    /// deterministically from `seed` (duplicates collapse, so at most `k`
+    /// distinct rows).
+    ///
+    /// Each drawn row is recomputed alone from the pristine stream — only
+    /// the instances whose 4-row window holds it, in stream order, so the
+    /// check is bit-exact — and compared with the executed row; its
+    /// residual is also cross-checked against the golden CSR reference
+    /// within the policy tolerance. A mismatching row escalates to a
+    /// whole-window check of its tile row, which is quarantined and
+    /// re-executed once (transient faults heal) or forces the fallback
+    /// (persistent faults).
+    ///
+    /// The contract covers the drawn rows only: a fault that corrupts
+    /// rows that were not drawn, even in the tile row of a drawn row, is
+    /// not detected. Use [`IntegrityPolicy::full`] where every fault must
+    /// be caught.
     pub fn sampled(k: usize, seed: u64) -> Self {
         IntegrityPolicy {
             mode: IntegrityMode::Sampled(k),

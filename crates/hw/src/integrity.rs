@@ -12,12 +12,13 @@
 //!   [`crate::ExecutionPlan::respliced`] or
 //!   [`crate::ExecutionPlan::from_parts`]), residual checks run per
 //!   execution;
-//! * [`VerifyScope`] selects which tile rows a deferred run re-verifies
-//!   against the pristine stream ([`crate::ExecutionPlan::run_deferred`]);
+//! * [`VerifyScope`] selects which output rows or tile rows a deferred run
+//!   re-verifies against the pristine stream
+//!   ([`crate::ExecutionPlan::run_deferred`]);
 //! * [`HealthReport`] records what one execution observed: faults injected
-//!   (only ever non-zero under the `fault-injection` feature), tile rows
-//!   verified / quarantined / corrected, and whether the caller fell back
-//!   to the golden CSR path.
+//!   (only ever non-zero under the `fault-injection` feature), rows and
+//!   tile rows verified, tile rows quarantined / corrected, and whether the
+//!   caller fell back to the golden CSR path.
 //!
 //! The repair ladder itself (quarantine → re-execute from the pristine
 //! stream → golden fallback) lives in [`crate::ExecutionPlan`] and the
@@ -53,17 +54,22 @@ impl fmt::Display for IntegrityCheck {
     }
 }
 
-/// Which tile rows [`crate::ExecutionPlan::run_deferred`] verifies against
-/// a pristine re-computation before the result may be committed.
+/// What [`crate::ExecutionPlan::run_deferred`] verifies against a
+/// pristine re-computation before the result may be committed.
 #[derive(Debug, Clone, Copy)]
 pub enum VerifyScope<'a> {
     /// Verify nothing (the production fast path).
     None,
-    /// Verify the worked tile rows with these indices (as reported by
-    /// [`crate::ExecutionPlan::tile_row_index_containing`]); out-of-range
-    /// indices are ignored.
-    TileRows(&'a [usize]),
-    /// Verify every worked tile row.
+    /// Verify these output rows (sorted global row indices) with the row
+    /// oracle: each row is recomputed from the pristine stream alone,
+    /// from the instances whose 4-row window holds it, in stream order,
+    /// and compared bit for bit. A mismatching row escalates to a
+    /// whole-window check of its tile row, once per tile row, which then
+    /// quarantines and heals as under [`VerifyScope::All`]. Rows outside
+    /// every worked tile row are ignored. A fault that corrupts only
+    /// rows not named here goes undetected.
+    Rows(&'a [usize]),
+    /// Verify every worked tile row's whole window.
     All,
 }
 
@@ -82,7 +88,12 @@ pub struct HealthReport {
     /// Cycles lost to injected HBM channel stalls (timing-only faults;
     /// they never corrupt data).
     pub stall_cycles: u64,
-    /// Worked tile rows re-verified against the pristine stream.
+    /// Output rows checked by the row oracle ([`VerifyScope::Rows`]),
+    /// including rows whose tile row escalated to a whole-window check.
+    pub rows_verified: u32,
+    /// Whole tile-row windows re-verified against the pristine stream:
+    /// every worked tile row under [`VerifyScope::All`], plus each tile
+    /// row a [`VerifyScope::Rows`] mismatch escalated.
     pub tile_rows_verified: u32,
     /// Tile rows whose output disagreed with the pristine re-computation
     /// (every detected corruption is counted here).
@@ -141,6 +152,7 @@ pub fn merge_health(a: HealthReport, b: HealthReport) -> HealthReport {
     HealthReport {
         faults_injected: a.faults_injected + b.faults_injected,
         stall_cycles: a.stall_cycles + b.stall_cycles,
+        rows_verified: a.rows_verified + b.rows_verified,
         tile_rows_verified: a.tile_rows_verified + b.tile_rows_verified,
         tile_rows_quarantined: a.tile_rows_quarantined + b.tile_rows_quarantined,
         tile_rows_corrected: a.tile_rows_corrected + b.tile_rows_corrected,
@@ -180,6 +192,7 @@ mod tests {
         let a = HealthReport {
             faults_injected: 2,
             stall_cycles: 100,
+            rows_verified: 5,
             tile_rows_verified: 4,
             tile_rows_quarantined: 1,
             tile_rows_corrected: 1,
@@ -189,6 +202,7 @@ mod tests {
         let b = HealthReport {
             faults_injected: 1,
             stall_cycles: 7,
+            rows_verified: 6,
             tile_rows_verified: 3,
             tile_rows_quarantined: 2,
             tile_rows_uncorrected: 2,
@@ -200,6 +214,7 @@ mod tests {
         let m = merge_health(a, b);
         assert_eq!(m.faults_injected, 3);
         assert_eq!(m.stall_cycles, 107);
+        assert_eq!(m.rows_verified, 11);
         assert_eq!(m.tile_rows_verified, 7);
         assert_eq!(m.tile_rows_quarantined, 3);
         assert_eq!(m.tile_rows_corrected, 1);

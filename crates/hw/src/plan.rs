@@ -71,10 +71,11 @@
 //! [`SimError::Integrity`] instead of panicking or mis-executing.
 //!
 //! At run time, [`ExecutionPlan::run_deferred`] executes a batch without
-//! touching any `y`, re-verifies each vector's tile rows under that
-//! vector's own [`VerifyScope`] against the per-instance oracle,
-//! quarantines and re-executes windows that disagree, and returns one
-//! [`HealthReport`] per vector;
+//! touching any `y`, re-verifies each vector under its own
+//! [`VerifyScope`] — whole tile-row windows against the per-instance
+//! oracle, or single output rows against the row oracle, which escalates
+//! a mismatch to its tile row's window — quarantines and re-executes
+//! windows that disagree, and returns one [`HealthReport`] per vector;
 //! [`ExecutionPlan::commit`] then folds a (healed) vector into its `y`.
 //! Under the `fault-injection` cargo feature a seeded
 //! [`crate::fault::FaultPlan`] can be armed on the plan: the executor's
@@ -1037,9 +1038,13 @@ impl ExecutionPlan {
 
     /// Executes `A·xs[j]` for every vector of the batch into the plan's
     /// internal window buffer *without* touching any `y`, then
-    /// re-verifies vector `j` against the per-instance oracle on the tile
-    /// rows `scope(j)` selects, and on no others — so one pass can serve
+    /// re-verifies vector `j` against the pristine stream on what
+    /// `scope(j)` selects, and on nothing else — so one pass can serve
     /// unverified, sampled and fully verified vectors side by side.
+    /// [`VerifyScope::All`] checks every worked tile row's window with the
+    /// per-instance oracle; [`VerifyScope::Rows`] recomputes only the
+    /// named output rows and escalates a mismatching row to a window
+    /// check of its tile row.
     ///
     /// (Tile row, vector) windows that disagree are quarantined and
     /// re-executed once from the pristine stream (persistent lane faults
@@ -1109,9 +1114,9 @@ impl ExecutionPlan {
         })
     }
 
-    /// The index (into the plan's worked tile rows, as accepted by
-    /// [`VerifyScope::TileRows`]) of the tile row whose y window contains
-    /// output row `y_row`, if that row is worked.
+    /// The index (into the plan's worked tile rows) of the tile row whose
+    /// y window contains output row `y_row`, if that row is worked —
+    /// the tile row a [`VerifyScope::Rows`] row escalates to.
     pub fn tile_row_index_containing(&self, y_row: usize) -> Option<usize> {
         let idx = self.window_spans.partition_point(|&(_, end)| end <= y_row);
         (idx < self.window_spans.len() && self.window_spans[idx].0 <= y_row).then_some(idx)
@@ -1377,9 +1382,9 @@ impl ExecutionPlan {
         HealthReport::default()
     }
 
-    /// Re-verifies each loaded vector against the oracle on the tile rows
-    /// of its own scope only, quarantining and re-executing windows that
-    /// disagree; the per-vector outcomes land in `health`.
+    /// Re-verifies each loaded vector against the oracle on its own scope
+    /// only, quarantining and re-executing windows that disagree; the
+    /// per-vector outcomes land in `health`.
     fn verify_and_heal<'s>(&mut self, scope: impl Fn(usize) -> VerifyScope<'s>) {
         self.health.clear();
         for j in 0..self.batch {
@@ -1391,11 +1396,30 @@ impl ExecutionPlan {
             match scope(j) {
                 VerifyScope::None => {}
                 VerifyScope::All => (0..n_rows).for_each(|r| self.verify_window(r, j)),
-                VerifyScope::TileRows(rows) => {
-                    for &r in rows.iter().filter(|&&r| r < n_rows) {
-                        self.verify_window(r, j);
-                    }
-                }
+                VerifyScope::Rows(rows) => self.verify_rows(rows, j),
+            }
+        }
+    }
+
+    /// Verifies output rows `rows` (sorted) of vector `j` bit-for-bit
+    /// against the row oracle. A mismatching row escalates its tile row to
+    /// [`ExecutionPlan::verify_window`], once per tile row: the whole
+    /// window is then checked, quarantined and healed, so later rows of
+    /// that tile row are not checked again.
+    fn verify_rows(&mut self, rows: &[usize], j: usize) {
+        let mut escalated = None;
+        for &row in rows {
+            let Some(r) = self.tile_row_index_containing(row) else {
+                continue;
+            };
+            self.health[j].rows_verified += 1;
+            if escalated == Some(r) {
+                continue;
+            }
+            let (exec, s) = self.split();
+            if !exec.row_matches(s.yb, r, j, row) {
+                escalated = Some(r);
+                self.verify_window(r, j);
             }
         }
     }
@@ -1731,6 +1755,41 @@ impl Exec<'_> {
         &self.xb[lane0 * self.xstride..(lane0 + lanes) * self.xstride]
     }
 
+    /// `true` when global output row `row`, inside tile row `r`'s window,
+    /// holds vector `j`'s row-oracle value in `yb` bit for bit. The oracle
+    /// recomputes that one row from the pristine stream: it walks the tile
+    /// row's instances in stream order, takes only those whose 4-row
+    /// window holds the row, and adds each one's output for it from `0.0`
+    /// through the portfolio LUT. The lane kernel adds every instance into
+    /// all four rows of its window in the same order, so on a clean run
+    /// the two agree exactly.
+    fn row_matches(&self, yb: &[f32], r: usize, j: usize, row: usize) -> bool {
+        let (lane0, lanes) = lane_block(self.batch, j);
+        let xs = &self.x_block(lane0, lanes)[j - lane0..];
+        let local = row - self.window_spans[r].0;
+        let (quad, k) = ((local & !3) as u32, local & 3);
+        let (i0, i1) = self.inst_ranges[r];
+        let mut oracle = 0.0f32;
+        for (i, &y) in (i0..).zip(&self.soa.y_base[i0..i1]) {
+            if y == quad {
+                oracle += self.instance(i, xs, lanes)[k];
+            }
+        }
+        yb[self.pair_window(r, lane0).start + local * lanes + j - lane0].to_bits()
+            == oracle.to_bits()
+    }
+
+    /// Instance `i`'s four VALU outputs through the portfolio LUT, for the
+    /// vector whose lane of the interleaved x block starts `xs` (its
+    /// columns `lanes` apart) — one step of the per-instance oracle.
+    fn instance(&self, i: usize, xs: &[f32], lanes: usize) -> [f32; 4] {
+        let c0 = self.soa.x_base[i] as usize;
+        let x = |c: usize| xs[(c0 + c) * lanes];
+        let v = &self.soa.values[4 * i..4 * i + 4];
+        self.lut[usize::from(self.soa.op_idx[i])]
+            .execute([v[0], v[1], v[2], v[3]], [x(0), x(1), x(2), x(3)])
+    }
+
     /// Tile row `r` for the lane block starting at vector `lane0`, at
     /// padded width `lanes`, into its zeroed row-major window `out` — the
     /// executor's one call into the lane kernel. Under `fault-injection`
@@ -1815,22 +1874,11 @@ fn prefix_sums(lens: impl Iterator<Item = usize>) -> Vec<usize> {
 /// runs the lane kernel in `crate::kernel`, bit-identically.
 fn process_span(v: &Exec<'_>, r: usize, j: usize, window: &mut [f32], stride: usize) {
     let (i0, i1) = v.inst_ranges[r];
-    let (x_base, y_base, values) = (v.soa.x_base, v.soa.y_base, v.soa.values);
     let (lane0, lanes) = lane_block(v.batch, j);
     let xs = &v.x_block(lane0, lanes)[j - lane0..];
-    let x = |c: usize| xs[c * lanes];
     for i in i0..i1 {
-        let c0 = x_base[i] as usize;
-        let x_seg = [x(c0), x(c0 + 1), x(c0 + 2), x(c0 + 3)];
-        let vals = [
-            values[4 * i],
-            values[4 * i + 1],
-            values[4 * i + 2],
-            values[4 * i + 3],
-        ];
-        let out = v.lut[v.soa.op_idx[i] as usize].execute(vals, x_seg);
-        let r0 = y_base[i] as usize;
-        for (k, o) in out.iter().enumerate() {
+        let r0 = v.soa.y_base[i] as usize;
+        for (k, o) in v.instance(i, xs, lanes).iter().enumerate() {
             window[(r0 + k) * stride] += *o;
         }
     }
@@ -2529,11 +2577,18 @@ mod tests {
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
         let x = vec![1.0f32; 100];
         let h = plan
-            .run_deferred(&[&x], |_| VerifyScope::TileRows(&[0, 2, 99]))
+            .run_deferred(&[&x], |_| VerifyScope::Rows(&[0, 70, 71, 10_000]))
             .unwrap()[0];
-        // Row 99 is out of range and ignored; 0 and 2 verify clean.
-        assert_eq!(h.tile_rows_verified, 2);
+        // Row 10 000 is out of range and ignored; 0, 70 and 71 verify
+        // clean, with no whole tile-row window checked.
+        assert_eq!(h.rows_verified, 3);
+        assert_eq!(h.tile_rows_verified, 0);
         assert!(h.is_clean());
+        let mut want = vec![0.0f32; 100];
+        plan.clone().run(&x, &mut want).unwrap();
+        let mut got = vec![0.0f32; 100];
+        plan.commit(0, &mut got).unwrap();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -2545,13 +2600,15 @@ mod tests {
         let scopes = [
             VerifyScope::None,
             VerifyScope::All,
-            VerifyScope::TileRows(&[1]),
+            VerifyScope::Rows(&[33]),
             VerifyScope::None,
-            VerifyScope::TileRows(&[0, 3]),
+            VerifyScope::Rows(&[0, 99]),
         ];
         let h = plan.run_deferred(&xs, |j| scopes[j]).unwrap().to_vec();
-        let verified: Vec<u32> = h.iter().map(|h| h.tile_rows_verified).collect();
-        assert_eq!(verified, vec![0, plan.n_tile_rows() as u32, 1, 0, 2]);
+        let rows: Vec<u32> = h.iter().map(|h| h.rows_verified).collect();
+        assert_eq!(rows, vec![0, 0, 1, 0, 2]);
+        let windows: Vec<u32> = h.iter().map(|h| h.tile_rows_verified).collect();
+        assert_eq!(windows, vec![0, plan.n_tile_rows() as u32, 0, 0, 0]);
         assert!(h.iter().all(|h| h.is_clean()));
         for (j, x) in xs.iter().enumerate() {
             let mut want = vec![0.0f32; 100];
@@ -2559,6 +2616,272 @@ mod tests {
             let mut got = vec![0.0f32; 100];
             plan.commit(j, &mut got).unwrap();
             assert_eq!(bits(&got), bits(&want), "vector {j}");
+        }
+    }
+
+    /// A random `rows × cols` matrix with about `density` of its cells
+    /// set, finite values of both signs (and some `-0.0`).
+    fn random_coo(rng: &mut impl rand::Rng, rows: u32, cols: u32, density: f64) -> Coo {
+        let mut t = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if rng.gen_bool(density) {
+                    let v = match rng.gen_range(0..8) {
+                        0 => -0.0,
+                        _ => rng.gen_range(-4.0f32..4.0),
+                    };
+                    t.push((r, c, v));
+                }
+            }
+        }
+        Coo::from_triplets(rows, cols, t).unwrap()
+    }
+
+    /// The equivalence cases of the row oracle: random matrices at tile
+    /// sizes 4–32 with batches of 1–8 vectors whose x mixes `±0.0` into
+    /// finite values, plus a matrix holding `±inf` (at most one per row)
+    /// against positive x.
+    fn oracle_cases() -> Vec<(SpasmMatrix, Vec<Vec<f32>>)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x00A1_10E5);
+        let mut cases = Vec::new();
+        for case in 0..12u32 {
+            let tile = [4, 8, 16, 32][case as usize % 4];
+            let (rows, cols) = (rng.gen_range(1..80u32), rng.gen_range(1..80u32));
+            let density = rng.gen_range(0.02..0.3);
+            let coo = random_coo(&mut rng, rows, cols, density);
+            let batch = 1 + case as usize % 8;
+            let xs = (0..batch)
+                .map(|_| {
+                    (0..cols)
+                        .map(|_| match rng.gen_range(0..6) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.gen_range(-2.0f32..2.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            cases.push((encode(&coo, tile), xs));
+        }
+        let n = 40u32;
+        let inf = Coo::from_triplets(
+            n,
+            n,
+            (0..n)
+                .flat_map(|i| {
+                    let v = match i % 4 {
+                        0 => f32::INFINITY,
+                        1 => f32::NEG_INFINITY,
+                        _ => 0.25 * i as f32,
+                    };
+                    [(i, i, v), (i, (i * 7 + 3) % n, -0.5)]
+                })
+                .filter(|&(r, c, _)| r != c || r % 4 != 3)
+                .collect(),
+        )
+        .unwrap();
+        for (tile, batch) in [(8u32, 3usize), (16, 8)] {
+            let xs = (0..batch)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| 0.5 + ((i as usize + j) % 5) as f32)
+                        .collect()
+                })
+                .collect();
+            cases.push((encode(&inf, tile), xs));
+        }
+        cases
+    }
+
+    /// Every output row a worked tile row's window holds, pad rows
+    /// included, in ascending order.
+    fn window_rows(plan: &super::ExecutionPlan) -> Vec<usize> {
+        plan.window_spans
+            .iter()
+            .flat_map(|&(w0, w1)| w0..w1)
+            .collect()
+    }
+
+    #[test]
+    fn row_oracle_matches_the_lane_kernel_on_every_row() {
+        let acc = Accelerator::new(HwConfig::spasm_4_1());
+        for (case, (m, xs)) in oracle_cases().into_iter().enumerate() {
+            let mut plan = acc.prepare(&m).unwrap();
+            let rows = window_rows(&plan);
+            let mut all: Vec<usize> = (0..plan.rows() as usize + 8).collect();
+            all.extend(rows.iter().copied());
+            all.sort_unstable();
+            all.dedup();
+            let h = plan
+                .run_deferred(&xs, |_| VerifyScope::Rows(&all))
+                .unwrap()
+                .to_vec();
+            for (j, hj) in h.iter().enumerate() {
+                assert!(hj.is_clean(), "case {case}, vector {j}: {hj:?}");
+                assert_eq!(hj.rows_verified as usize, rows.len(), "case {case}");
+                assert_eq!(hj.tile_rows_verified, 0, "case {case}: escalated");
+            }
+        }
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn row_scope_quarantines_exactly_the_tile_rows_all_does() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let acc = Accelerator::new(HwConfig::spasm_4_1());
+        let specs = [
+            FaultSpec {
+                encoding_flips: 2,
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                value_flips: 2,
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                lane_faults: 1,
+                ..FaultSpec::default()
+            },
+        ];
+        let mut quarantined = 0;
+        for (case, (m, xs)) in oracle_cases().into_iter().enumerate() {
+            let mut plan = acc.prepare(&m).unwrap();
+            let rows = window_rows(&plan);
+            for seed in 0..12u64 {
+                let spec = &specs[seed as usize % specs.len()];
+                plan.arm_faults(FaultPlan::seeded(seed, spec, plan.n_instances()));
+                let by_window = plan
+                    .run_deferred(&xs, |_| VerifyScope::All)
+                    .unwrap()
+                    .to_vec();
+                let mut want = vec![vec![0.0f32; plan.rows() as usize]; xs.len()];
+                for (j, y) in want.iter_mut().enumerate() {
+                    plan.commit(j, y).unwrap();
+                }
+                let by_row = plan
+                    .run_deferred(&xs, |_| VerifyScope::Rows(&rows))
+                    .unwrap()
+                    .to_vec();
+                for (j, (w, r)) in by_window.iter().zip(&by_row).enumerate() {
+                    let label = format!("case {case}, seed {seed}, vector {j}");
+                    assert_eq!(r.tile_rows_quarantined, w.tile_rows_quarantined, "{label}");
+                    assert_eq!(r.tile_rows_corrected, w.tile_rows_corrected, "{label}");
+                    assert_eq!(r.tile_rows_uncorrected, w.tile_rows_uncorrected, "{label}");
+                    assert_eq!(r.first_failed_tile_row, w.first_failed_tile_row, "{label}");
+                    assert_eq!(r.tile_rows_verified, r.tile_rows_quarantined, "{label}");
+                    assert_eq!(r.rows_verified as usize, rows.len(), "{label}");
+                    let mut got = vec![0.0f32; plan.rows() as usize];
+                    plan.commit(j, &mut got).unwrap();
+                    assert_eq!(bits(&got), bits(&want[j]), "{label}");
+                    quarantined += w.tile_rows_quarantined;
+                }
+            }
+        }
+        assert!(quarantined > 0, "no seed corrupted an output");
+    }
+
+    /// Drawn rows of the contract tests on `sample(128)` at 32-row tiles:
+    /// row `DRAWN[l]` sits on VALU lane `l` (its residue mod 4), and each
+    /// lies in its own tile row.
+    #[cfg(feature = "fault-injection")]
+    const DRAWN: [usize; 4] = [4, 37, 70, 103];
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn row_scope_heals_a_transient_fault_on_a_drawn_row_only() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let coo = sample(128);
+        let m = encode(&coo, 32);
+        let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
+        let x: Vec<f32> = (0..128).map(|i| (i as f32) * 0.125 - 4.0).collect();
+        let mut clean = vec![0.0f32; 128];
+        plan.run(&x, &mut clean).unwrap();
+
+        let (mut healed, mut missed) = (0, 0);
+        for seed in 0..64u64 {
+            let spec = if seed % 2 == 0 {
+                FaultSpec {
+                    value_flips: 1,
+                    ..FaultSpec::default()
+                }
+            } else {
+                FaultSpec {
+                    encoding_flips: 1,
+                    ..FaultSpec::default()
+                }
+            };
+            plan.arm_faults(FaultPlan::seeded(seed, &spec, plan.n_instances()));
+            let mut faulted = vec![0.0f32; 128];
+            plan.run(&x, &mut faulted).unwrap();
+            let h = plan
+                .run_deferred(&[&x], |_| VerifyScope::Rows(&DRAWN))
+                .unwrap()[0];
+            assert_eq!(h.rows_verified, 4, "seed {seed}");
+            let mut y = vec![0.0f32; 128];
+            plan.commit(0, &mut y).unwrap();
+            if DRAWN
+                .iter()
+                .any(|&r| faulted[r].to_bits() != clean[r].to_bits())
+            {
+                // The fault feeds a drawn row: its tile row escalates,
+                // is quarantined and heals from the pristine stream.
+                assert_eq!(h.tile_rows_quarantined, 1, "seed {seed}");
+                assert_eq!(h.tile_rows_corrected, 1, "seed {seed}");
+                assert_eq!(h.tile_rows_verified, 1, "seed {seed}");
+                assert_eq!(bits(&y), bits(&clean), "seed {seed}");
+                healed += 1;
+            } else {
+                // The narrowed contract: a fault in undrawn rows only is
+                // not seen, and the faulted output is committed.
+                assert!(h.is_clean(), "seed {seed}");
+                assert_eq!(h.tile_rows_verified, 0, "seed {seed}");
+                assert_eq!(bits(&y), bits(&faulted), "seed {seed}");
+                if bits(&faulted) != bits(&clean) {
+                    missed += 1;
+                }
+            }
+        }
+        assert!(healed > 0, "no seed struck a drawn row");
+        assert!(missed > 0, "no seed struck only undrawn rows");
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn row_scope_leaves_a_persistent_lane_fault_on_a_drawn_row_uncorrected() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let coo = sample(128);
+        let m = encode(&coo, 32);
+        let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
+        let x: Vec<f32> = (0..128).map(|i| (i as f32) * 0.125 - 4.0).collect();
+        let spec = FaultSpec {
+            lane_faults: 1,
+            ..FaultSpec::default()
+        };
+        for seed in 0..8u64 {
+            let faults = FaultPlan::seeded(seed, &spec, plan.n_instances());
+            let Some(crate::fault::Fault::LaneStuckZero { lane }) =
+                faults.faults().first().copied()
+            else {
+                panic!("seed {seed}: no lane fault drawn");
+            };
+            plan.arm_faults(faults);
+            let h = plan
+                .run_deferred(&[&x], |_| VerifyScope::Rows(&DRAWN))
+                .unwrap()[0];
+            // Exactly one drawn row sits on the stuck lane: its tile row
+            // escalates, and the retry, through the same lane, fails too.
+            let row = DRAWN[usize::from(lane)];
+            assert_eq!(row % 4, usize::from(lane));
+            assert_eq!(h.rows_verified, 4, "seed {seed}");
+            assert_eq!(h.tile_rows_quarantined, 1, "seed {seed}");
+            assert_eq!(h.tile_rows_uncorrected, 1, "seed {seed}");
+            assert!(h.needs_fallback(), "seed {seed}");
+            assert_eq!(
+                h.first_failed_tile_row,
+                Some(row as u32 / 32),
+                "seed {seed}"
+            );
         }
     }
 }

@@ -18,7 +18,7 @@
 mod support;
 
 use spasm::hw::HwConfig;
-use spasm::{Parallelism, Pipeline, PipelineOptions};
+use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions};
 use spasm_sparse::SpMv;
 use support::count_allocs;
 
@@ -158,6 +158,70 @@ fn run_batch_is_allocation_free_at_steady_state() {
             );
         });
     }
+}
+
+#[test]
+fn mixed_policy_batches_are_allocation_free_at_steady_state() {
+    // One verified batch mixing every integrity policy: unverified lanes,
+    // two sampled seeds (row oracle plus golden cross-check) and a fully
+    // verified lane. Once the per-batch scratch has grown, the ladder
+    // allocates nothing per call.
+    let n = 256u32;
+    let mut t = Vec::new();
+    for i in 0..n {
+        t.push((i, i, 1.5));
+        t.push((i, (i * 11 + 5) % n, -0.25));
+    }
+    let a = spasm_sparse::Coo::from_triplets(n, n, t).unwrap();
+    let mut prepared = Pipeline::with_options(
+        PipelineOptions::default()
+            .parallelism(Parallelism::Serial)
+            .fixed_schedule(64, HwConfig::spasm_4_1()),
+    )
+    .prepare(&a)
+    .unwrap();
+    let policies = [
+        IntegrityPolicy::off(),
+        IntegrityPolicy::sampled(4, 0xA5),
+        IntegrityPolicy::sampled(4, 0x5A),
+        IntegrityPolicy::full(),
+        IntegrityPolicy::off(),
+    ];
+    let xs: Vec<Vec<f32>> = (0..policies.len())
+        .map(|j| {
+            (0..n as usize)
+                .map(|i| (((i + 5 * j) % 7) as f32) * 0.5 - 1.5)
+                .collect()
+        })
+        .collect();
+    let mut ys = vec![vec![0.0f32; n as usize]; policies.len()];
+
+    for threads in budgets() {
+        with_budget(threads, || {
+            for _ in 0..3 {
+                prepared
+                    .execute_batch_with(&xs, &mut ys, &policies)
+                    .unwrap();
+            }
+            let (allocs, _, ()) = count_allocs(|| {
+                for _ in 0..50 {
+                    prepared
+                        .execute_batch_with(&xs, &mut ys, &policies)
+                        .unwrap();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "Prepared::execute_batch_with allocated {allocs} times over 50 steady-state \
+                 mixed-policy calls at budget {threads}"
+            );
+        });
+    }
+    let health = prepared.batch_health();
+    assert!(health.iter().all(|h| h.is_clean()));
+    assert_eq!(health[1].rows_verified, 4);
+    assert_eq!(health[1].rows_cross_checked, 4);
+    assert!(health[3].tile_rows_verified > 0);
 }
 
 #[test]

@@ -261,7 +261,7 @@ fn campaign_on_a_just_spliced_stream_is_never_silent() {
 
 #[test]
 fn sampled_policy_detects_persistent_corruption_on_checked_rows() {
-    // Sampled mode verifies the tile rows containing the drawn rows; a
+    // Sampled mode verifies the drawn rows with the row oracle; a
     // persistent all-lane fault corrupts every tile row, so any sample
     // must catch it and force the fallback.
     let pristine = prepare(IntegrityPolicy::sampled(8, 0xFEED));
@@ -282,4 +282,72 @@ fn sampled_policy_detects_persistent_corruption_on_checked_rows() {
     let health = p.health();
     assert!(health.fallback, "sampled policy missed an all-lane fault");
     assert_eq!(bits(&y), bits(&y_csr));
+}
+
+#[test]
+fn sampled_policy_heals_or_falls_back_on_drawn_rows() {
+    // The row contract of `sampled`: a transient fault that reaches a drawn
+    // row escalates to its tile row, which is quarantined and heals to the
+    // clean bits; a persistent stuck lane that drawn rows sit on forces
+    // the golden fallback. (`spasm-hw`'s plan tests pin which rows are
+    // drawn; here the draw is the policy's own.)
+    let k = 16;
+    let pristine = prepare(IntegrityPolicy::sampled(k, 0xFEED));
+    let n = pristine.golden().rows() as usize;
+    let x = campaign_vector(n);
+    let mut y_clean = vec![0.0f32; n];
+    let mut base = pristine.clone();
+    base.execute_into(&x, &mut y_clean).unwrap();
+    assert!(base.health().is_clean());
+    // Duplicate draws collapse: every distinct drawn row is verified.
+    let drawn = base.health().rows_verified;
+    assert!(drawn > 0 && drawn as usize <= k);
+    let mut y_csr = vec![0.0f32; n];
+    pristine.golden().spmv(&x, &mut y_csr).unwrap();
+
+    let mut healed = 0;
+    for seed in 0..64u64 {
+        let spec = FaultSpec {
+            encoding_flips: (seed % 2) as u32,
+            value_flips: 1 - (seed % 2) as u32,
+            ..FaultSpec::default()
+        };
+        let mut p = pristine.clone();
+        p.plan
+            .arm_faults(FaultPlan::seeded(seed, &spec, p.plan.n_instances()));
+        let mut y = vec![0.0f32; n];
+        p.execute_into(&x, &mut y).unwrap();
+        let health = p.health();
+        assert_eq!(health.rows_verified, drawn, "seed {seed}");
+        assert!(
+            !health.fallback,
+            "seed {seed}: a transient fault forced the fallback"
+        );
+        if health.tile_rows_quarantined > 0 {
+            assert_eq!(health.tile_rows_quarantined, 1, "seed {seed}");
+            assert_eq!(health.tile_rows_corrected, 1, "seed {seed}");
+            assert_eq!(bits(&y), bits(&y_clean), "seed {seed}: healed bits");
+            healed += 1;
+        }
+    }
+    assert!(healed > 0, "no transient fault reached a drawn row");
+
+    for seed in 0..8u64 {
+        let spec = FaultSpec {
+            lane_faults: 1,
+            ..FaultSpec::default()
+        };
+        let mut p = pristine.clone();
+        p.plan
+            .arm_faults(FaultPlan::seeded(seed, &spec, p.plan.n_instances()));
+        let mut y = vec![0.0f32; n];
+        p.execute_into(&x, &mut y).unwrap();
+        let health = p.health();
+        assert!(health.tile_rows_uncorrected > 0, "seed {seed}");
+        assert!(
+            health.fallback,
+            "seed {seed}: sampled policy missed a stuck lane"
+        );
+        assert_eq!(bits(&y), bits(&y_csr), "seed {seed}: golden bits");
+    }
 }
