@@ -21,22 +21,33 @@
 //!    `p2+p3`, their sum, and one `+=` per output row in stream order.
 //!    No FMA contraction is used anywhere (`a*b` and `+` stay separate
 //!    ops), so the window is **bit-identical** to the reference, signed
-//!    zeros and NaN payloads included; no ULP bound is needed.
+//!    zeros, infinities and subnormals included; no ULP bound is needed.
+//!    The one exception is a NaN's payload: a NaN result is NaN on every
+//!    path, but when an add meets two NaNs, which payload it keeps
+//!    depends on the operand order the compiler picks, which Rust leaves
+//!    unspecified and which differs between the lane widths' bodies.
 //!
 //! 3. **Monomorphised lane loops at power-of-two widths.** A lane block
 //!    of `n` vectors runs at the padded width `P = n.next_power_of_two()`
-//!    (1, 2, 4 or [`LANE_BLOCK`]): the `P - n` pad lanes hold a zeroed x,
-//!    are computed alongside the real ones and are never read back. The
-//!    body is generic over `P`, so every lane loop has a compile-time trip
-//!    count and only four bodies exist, and the opcode is predigested into
-//!    a [`ClassKernel`] of mux indices, so the body is branch-free. At
-//!    `P = 4` and `P = 8` the lane loops compile to packed
-//!    `mulps`/`addps` at the x86_64 SSE2 baseline: the lane loop is the
-//!    SIMD datapath, with no intrinsics and no `unsafe`. An odd width
-//!    such as 3 or 7 would fall back to scalar tails and cost more than
-//!    the next power of two. Lanes never interact, so a pad lane cannot
-//!    change a real lane's bits (not even through a NaN it computes from
-//!    `0·inf`).
+//!    (1, 2, 4, 8 or [`LANE_BLOCK`] = 16): the `P - n` pad lanes hold a
+//!    zeroed x, are computed alongside the real ones and are never read
+//!    back. The body is generic over `P`, so every lane loop has a
+//!    compile-time trip count and only five bodies exist, and the opcode
+//!    is predigested into a [`ClassKernel`] of mux indices, so the body is
+//!    branch-free. The lane loops are the SIMD datapath, with no
+//!    intrinsics: at `P = 1`, `2` and `4` they compile to packed
+//!    `mulps`/`addps` at the x86_64 SSE2 baseline; at `P = 8` and `16`
+//!    [`execute_row`] runs the same body through an
+//!    `#[target_feature(enable = "avx2")]` wrapper when the host has AVX2
+//!    (checked at run time), so each lane loop is one or two 256-bit
+//!    operations. That dispatch is the module's one `unsafe` call; hosts
+//!    without AVX2 run the baseline body. AVX2 does not enable FMA, so
+//!    both bodies perform the same IEEE operations and agree bit for bit
+//!    (NaN payloads aside, as above).
+//!    An odd width such as 3 or 7 would fall back to scalar tails and
+//!    cost more than the next power of two. Lanes never interact, so a
+//!    pad lane cannot change a real lane's bits (not even through a NaN
+//!    it computes from `0·inf`).
 //!
 //! The prepare-time pattern-class bucketing ([`build_buckets`]: each tile
 //! row's span cut into [`EXEC_BLOCK`]-instance blocks whose indices are
@@ -54,10 +65,10 @@ pub const EXEC_BLOCK: usize = 256;
 /// Batch vectors fused per instance walk: the width of one lane block.
 /// Larger batches run in lane blocks of this size; the last may hold
 /// fewer vectors and then runs at its [`padded_width`].
-pub const LANE_BLOCK: usize = 8;
+pub const LANE_BLOCK: usize = 16;
 
 /// The padded width a lane block of `lanes` real vectors runs at: the
-/// next power of two, so every block is one of the four monomorphised
+/// next power of two, so every block is one of the five monomorphised
 /// widths `with_lanes!` dispatches to.
 pub(crate) fn padded_width(lanes: usize) -> usize {
     lanes.next_power_of_two()
@@ -72,13 +83,14 @@ macro_rules! with_lanes {
             2 => $f::<2>($($arg),*),
             4 => $f::<4>($($arg),*),
             8 => $f::<8>($($arg),*),
+            16 => $f::<16>($($arg),*),
             n => unreachable!("lane width {n} is not a power of two up to LANE_BLOCK"),
         }
     };
 }
 const _: () = assert!(
-    LANE_BLOCK == 8,
-    "with_lanes! covers the padded widths 1, 2, 4 and 8"
+    LANE_BLOCK == 16,
+    "with_lanes! covers the padded widths 1, 2, 4, 8 and 16"
 );
 
 /// One class-sorted run inside a bucketing block: instances
@@ -211,7 +223,8 @@ pub(crate) fn build_buckets(
 ///   `k·width + l`.
 ///
 /// Each lane's accumulation into every y element is stream order —
-/// bit-identical to the per-instance reference loop.
+/// bit-identical to the per-instance reference loop. Widths 8 and 16 run
+/// the AVX2 build of the body on hosts that have it.
 pub(crate) fn execute_row(
     soa: &SoaRef<'_>,
     span: (usize, usize),
@@ -219,12 +232,35 @@ pub(crate) fn execute_row(
     width: usize,
     window: &mut [f32],
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if width >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `row_avx2` is safe code that differs from `row` only in
+        // being compiled for AVX2, and the check above has just confirmed
+        // that this CPU executes AVX2 instructions.
+        return unsafe { with_lanes!(width, row_avx2(soa, span, xs, window)) };
+    }
     with_lanes!(width, row(soa, span, xs, window))
+}
+
+/// [`row`] compiled with AVX2 enabled, so its `P`-lane loops use 256-bit
+/// registers. Calling it needs AVX2 on the host: [`execute_row`] checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn row_avx2<const P: usize>(
+    soa: &SoaRef<'_>,
+    span: (usize, usize),
+    xs: &[f32],
+    window: &mut [f32],
+) {
+    row::<P>(soa, span, xs, window)
 }
 
 /// [`execute_row`] at a compile-time width `P`. The x-mux and output-mux
 /// indices are masked to their ranges (a no-op on valid kernels) so the
-/// lane loops carry no bounds checks.
+/// lane loops carry no bounds checks. Always inlined, so each caller —
+/// the baseline dispatch and `row_avx2` — compiles it for its own
+/// target features.
+#[inline(always)]
 fn row<const P: usize>(soa: &SoaRef<'_>, (i0, i1): (usize, usize), xs: &[f32], window: &mut [f32]) {
     let (xcols, _) = xs.as_chunks::<P>();
     let (rows, _) = window.as_chunks_mut::<P>();
@@ -322,6 +358,107 @@ mod tests {
         let op = ValuOpcode::compile(0b0011_0011).unwrap();
         let k = ClassKernel::from_opcode(op);
         assert_eq!(k.sel, [4, 5, 7, 7]);
+    }
+
+    /// A value drawn to hit the IEEE corner cases as often as the plain
+    /// ones: signed zeros, infinities, NaNs with random payloads and
+    /// signs, subnormals, and ordinary magnitudes.
+    fn awkward_f32(rng: &mut impl rand::Rng) -> f32 {
+        let sign = u32::from(rng.gen_range(0..2u8)) << 31;
+        let bits = match rng.gen_range(0..8u32) {
+            0 => 0,
+            1 => 0x7f80_0000,
+            2 => 0x7f80_0000 | rng.gen_range(1..0x80_0000u32),
+            3 => rng.gen_range(1..0x80_0000u32),
+            _ => return rng.gen_range(-4.0f32..4.0),
+        };
+        f32::from_bits(sign | bits)
+    }
+
+    /// `got` equals `want` bit for bit — signed zeros, infinities and
+    /// subnormals included — except that a NaN may carry another NaN's
+    /// payload. When an add meets two NaNs, which payload it returns
+    /// depends on the operand order the compiler picks (Rust leaves it
+    /// unspecified, and the two builds of the body do order them
+    /// differently), so a NaN element only has to be NaN in both.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {k} is {g:?} ({:#x}), want {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn avx2_body_matches_baseline_body_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("host has no AVX2: checking the baseline body alone");
+        }
+        // Every seventh realisable opcode class.
+        let kernels: Vec<ClassKernel> = (0..=u16::MAX)
+            .filter_map(|mask| ValuOpcode::compile(mask).ok())
+            .step_by(7)
+            .map(ClassKernel::from_opcode)
+            .collect();
+        assert!(kernels.len() <= 256);
+        // One random tile row over a 64-column x segment and a 32-row
+        // window, run by each body at width `P`.
+        fn check<const P: usize>(rng: &mut SmallRng, kernels: &[ClassKernel], avx2: bool) {
+            let (cols, wlen) = (64u32, 32u32);
+            let n = rng.gen_range(0..300);
+            let x_base: Vec<u32> = (0..n).map(|_| 4 * rng.gen_range(0..cols / 4)).collect();
+            let y_base: Vec<u32> = (0..n).map(|_| 4 * rng.gen_range(0..wlen / 4)).collect();
+            let op_idx: Vec<u8> = (0..n)
+                .map(|_| rng.gen_range(0..kernels.len()) as u8)
+                .collect();
+            let values: Vec<f32> = (0..4 * n).map(|_| awkward_f32(rng)).collect();
+            let soa = SoaRef {
+                x_base: &x_base,
+                y_base: &y_base,
+                op_idx: &op_idx,
+                values: &values,
+                kernels,
+            };
+            let xs: Vec<f32> = (0..cols as usize * P).map(|_| awkward_f32(rng)).collect();
+            let mut base = vec![0.0f32; wlen as usize * P];
+            row::<P>(&soa, (0, n), &xs, &mut base);
+            // Each lane of the baseline body matches a width-1 run of it.
+            for l in 0..P {
+                let x1: Vec<f32> = xs[l..].iter().step_by(P).copied().collect();
+                let mut w1 = vec![0.0f32; wlen as usize];
+                row::<1>(&soa, (0, n), &x1, &mut w1);
+                let lane: Vec<f32> = base[l..].iter().step_by(P).copied().collect();
+                assert_same(&lane, &w1, &format!("lane {l} of P = {P} against P = 1"));
+            }
+            // The dispatching entry point agrees with the body it picks.
+            let mut dispatched = vec![0.0f32; base.len()];
+            execute_row(&soa, (0, n), &xs, P, &mut dispatched);
+            assert_same(&dispatched, &base, &format!("dispatch at P = {P}"));
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                let mut wide = vec![0.0f32; base.len()];
+                // SAFETY: the caller checked that the host has AVX2.
+                unsafe { row_avx2::<P>(&soa, (0, n), &xs, &mut wide) };
+                assert_same(&wide, &base, &format!("AVX2 body at P = {P}"));
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = avx2;
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5eed_a2c2);
+        for _ in 0..40 {
+            check::<8>(&mut rng, &kernels, avx2);
+            check::<16>(&mut rng, &kernels, avx2);
+        }
     }
 
     #[test]

@@ -41,13 +41,17 @@
 //! stream order, applying every instance to the up to
 //! [`ExecutionPlan::LANE_BLOCK`] vectors of its lane block at once. A
 //! lane block runs at padded width `P`, the next power of two of its
-//! vector count (1, 2, 4 or 8): its pad lanes hold a zeroed x and are
-//! never verified or folded, so a 3- or 7-vector block runs on the packed
-//! 4- or 8-wide datapath instead of scalar tails. The batch scratch is
+//! vector count (1, 2, 4, 8 or 16): its pad lanes hold a zeroed x and are
+//! never verified or folded, so a 3-, 7- or 12-vector block runs on the
+//! packed 4-, 8- or 16-wide datapath instead of scalar tails. The batch scratch is
 //! vector-blocked: inside a lane block, column `c` of the padded x holds
 //! its `P` lanes contiguously, and each pair's window is row-major, row
 //! `k`'s `P` lanes side by side — so one instance's x segment and output
-//! rows are contiguous across lanes. Each lane accumulates in stream
+//! rows are contiguous across lanes. Each pair's window is zeroed just
+//! before its kernel call; the unguarded paths fold it into the caller's
+//! vectors right after, while it is still in cache, and the deferred
+//! path keeps every window for verification and
+//! [`ExecutionPlan::commit`]. Each lane accumulates in stream
 //! order, so the output is bit-identical for every batch size, to looped
 //! single runs, and to the per-instance walk, which survives only as the
 //! verification oracle and as [`ExecutionPlan::run_reference`].
@@ -188,9 +192,9 @@ pub struct ExecutionPlan {
     // l`), so the pairs' windows follow one another in pair order;
     // `batch` is how many vectors they hold and `width` how many lanes,
     // pad lanes included. `vp` (the largest window) holds the
-    // verification oracle, `vq` (the largest window times `LANE_BLOCK`)
-    // the quarantine retry of a whole lane block, `health` the per-vector
-    // outcome of the last deferred run.
+    // verification oracle, `vq` the quarantine retry of a whole lane
+    // block (grown on the first retry, as `xb`/`yb` grow on first use),
+    // `health` the per-vector outcome of the last deferred run.
     xstride: usize,
     xb: Vec<f32>,
     yb: Vec<f32>,
@@ -569,7 +573,7 @@ impl ExecutionPlan {
             batch: 0,
             width: 0,
             vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window * kernel::LANE_BLOCK],
+            vq: Vec::new(),
             health: Vec::new(),
             #[cfg(feature = "fault-injection")]
             armed: None,
@@ -999,14 +1003,12 @@ impl ExecutionPlan {
         self.check_batch(xs, ys)?;
         self.load_batch(xs);
         let (exec, s) = self.split();
-        for r in 0..exec.window_spans.len() {
-            for j in 0..exec.batch {
-                let (lane0, lanes) = lane_block(exec.batch, j);
-                let start = exec.pair_window(r, lane0).start + j - lane0;
-                process_span(&exec, r, j, &mut s.yb[start..], lanes);
+        exec.fold_pairs(s.yb, ys, |exec, r, lane0, lanes, window| {
+            window.fill(0.0);
+            for j in lane0..exec.batch.min(lane0 + kernel::LANE_BLOCK) {
+                process_span(exec, r, j, &mut window[j - lane0..], lanes);
             }
-        }
-        exec.fold(s.yb, ys);
+        });
         self.report.health = HealthReport::default();
         self.stamp_batch(xs.len());
         Ok(&self.report)
@@ -1150,8 +1152,9 @@ impl ExecutionPlan {
     /// a safe upper bound for cache budgeting — evicting the plan may or
     /// may not actually free those bytes depending on other holders.
     /// Buffer lengths (not capacities) are counted, and the batch scratch
-    /// `xb`/`yb` grows with the largest batch seen, so the figure can
-    /// grow across calls.
+    /// `xb`/`yb` grows with the largest batch seen (and the retry scratch
+    /// `vq` on the first quarantine retry), so the figure can grow across
+    /// calls.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         fn owned<T>(s: &Stream<T>) -> usize {
@@ -1305,7 +1308,8 @@ impl ExecutionPlan {
     }
 
     /// Interleaves every x vector into the vector-blocked batch scratch
-    /// and zeroes the active region of the packed window scratch. Both
+    /// and sizes the packed window scratch for the batch; each pair's
+    /// window is zeroed just before its kernel call, not here. Both
     /// buffers grow on first use beyond one vector and are reused
     /// afterwards. Each lane block is written column-outer at its padded
     /// width, pad lanes zeroed, and its pad columns beyond `cols` are
@@ -1331,30 +1335,31 @@ impl ExecutionPlan {
         if self.yb.len() < need_y {
             self.yb.resize(need_y, 0.0);
         }
-        self.yb[..need_y].fill(0.0);
         self.batch = xs.len();
         self.width = width;
     }
 
     /// The unguarded batch execution behind `run` and `run_batch`:
     /// `ys[j] += A·xs[j]` through the executor, with injection-level
-    /// health on the report. Shapes must already be validated.
+    /// health on the report. Shapes must already be validated. Each
+    /// pair's window is folded into its vectors right after the kernel
+    /// fills it, while it is still in cache.
     fn forward<X, Y>(&mut self, xs: &[X], ys: &mut [Y])
     where
         X: AsRef<[f32]>,
         Y: AsMut<[f32]>,
     {
         self.load_batch(xs);
-        self.execute();
         let (exec, s) = self.split();
-        exec.fold(s.yb, ys);
+        exec.fold_pairs(s.yb, ys, Exec::row_lanes);
         self.report.health = (0..xs.len())
             .map(|j| self.armed_health(j))
             .fold(HealthReport::default(), merge_health);
     }
 
-    /// The one forward pass over the loaded batch: every (tile-row ×
-    /// lane-block) pair, each into its window of `yb`.
+    /// The deferred forward pass over the loaded batch: every (tile-row ×
+    /// lane-block) pair, each into its window of `yb`, where verification
+    /// and [`ExecutionPlan::commit`] read them afterwards.
     fn execute(&mut self) {
         let (exec, s) = self.split();
         for r in 0..exec.inst_ranges.len() {
@@ -1459,8 +1464,10 @@ impl ExecutionPlan {
             }),
             ..exec
         };
+        if s.vq.len() < lanes * wlen {
+            s.vq.resize(lanes * wlen, 0.0);
+        }
         let retry = &mut s.vq[..lanes * wlen];
-        retry.fill(0.0);
         exec.row_lanes(r, lane0, lanes, retry);
         let l = j - lane0;
         for (dst, src) in window[l..]
@@ -1677,7 +1684,7 @@ struct Exec<'a> {
 struct Scratch<'a> {
     yb: &'a mut [f32],
     vp: &'a mut [f32],
-    vq: &'a mut [f32],
+    vq: &'a mut Vec<f32>,
     health: &'a mut [HealthReport],
 }
 
@@ -1703,34 +1710,46 @@ impl Exec<'_> {
         start..start + lanes * (w1 - w0)
     }
 
-    /// Folds the loaded batch from `yb` into `ys` (`ys[j] += A·xs[j]`),
-    /// one lane block at a time, window by window, skipping pad lanes and
-    /// including the `+= 0.0` on rows outside every worked window (which
-    /// normalises a caller's `-0.0` to `+0.0`), so every execution path —
-    /// and every batch size — writes `y` identically, even on signed
-    /// zeros.
-    fn fold<Y: AsMut<[f32]>>(&self, yb: &[f32], ys: &mut [Y]) {
+    /// Runs `pair(exec, r, lane0, lanes, window)` on every (tile row ×
+    /// lane block) pair's window of `yb`, which it must overwrite, and
+    /// folds the window into its block of `ys` (`ys[j] += A·xs[j]`) right
+    /// after, while it is still in cache. Each fold is preceded by the
+    /// `+= 0.0` on the rows between the previous worked window and this
+    /// one, and the rows after the last window get theirs at the end: the
+    /// hardware's full-length y write-back, which normalises a caller's
+    /// `-0.0` to `+0.0`. Pad lanes are skipped. Every output row gets
+    /// exactly one add, so every execution path — and every batch size —
+    /// writes `y` identically, even on signed zeros.
+    fn fold_pairs<Y: AsMut<[f32]>>(
+        &self,
+        yb: &mut [f32],
+        ys: &mut [Y],
+        pair: impl Fn(&Self, usize, usize, usize, &mut [f32]),
+    ) {
         let n = self.rows;
-        for (b, block) in ys.chunks_mut(kernel::LANE_BLOCK).enumerate() {
-            let mut cursor = 0usize;
-            for r in 0..self.window_spans.len() {
-                let (w0, w1) = self.window_spans[r];
-                let (lo, hi) = (w0.min(n), w1.min(n));
+        let mut gap = 0;
+        for (r, &(w0, w1)) in self.window_spans.iter().enumerate() {
+            let (lo, hi) = (w0.min(n), w1.min(n));
+            for (b, block) in ys.chunks_mut(kernel::LANE_BLOCK).enumerate() {
+                let lane0 = b * kernel::LANE_BLOCK;
+                let (_, lanes) = lane_block(self.batch, lane0);
+                let window = &mut yb[self.pair_window(r, lane0)];
+                pair(self, r, lane0, lanes, window);
                 for y in block.iter_mut() {
-                    y.as_mut()[cursor..lo].iter_mut().for_each(|v| *v += 0.0);
+                    y.as_mut()[gap..lo].iter_mut().for_each(|v| *v += 0.0);
                 }
-                let window = &yb[self.pair_window(r, b * kernel::LANE_BLOCK)];
                 kernel::fold(window, block, lo..hi);
-                cursor = hi;
             }
-            for y in block.iter_mut() {
-                y.as_mut()[cursor..].iter_mut().for_each(|v| *v += 0.0);
-            }
+            gap = hi;
+        }
+        for y in ys {
+            y.as_mut()[gap..].iter_mut().for_each(|v| *v += 0.0);
         }
     }
 
-    /// [`Exec::fold`] for vector `j` alone: its lane of each window, read
-    /// at the block's padded width.
+    /// The fold of [`Exec::fold_pairs`] for vector `j` alone, from the
+    /// windows a deferred run left in `yb`: its lane of each, read at the
+    /// block's padded width.
     fn fold_one(&self, yb: &[f32], j: usize, y: &mut [f32]) {
         let (lane0, lanes) = lane_block(self.batch, j);
         let mut cursor = 0usize;
@@ -1791,12 +1810,13 @@ impl Exec<'_> {
     }
 
     /// Tile row `r` for the lane block starting at vector `lane0`, at
-    /// padded width `lanes`, into its zeroed row-major window `out` — the
-    /// executor's one call into the lane kernel. Under `fault-injection`
+    /// padded width `lanes`, into its row-major window `out`, which it
+    /// zeroes first — the executor's one call into the lane kernel. Under `fault-injection`
     /// this is also the per-(row, lane) fault hook: real lanes an armed
     /// plan strikes are recomputed through the faulted decoder.
     fn row_lanes(&self, r: usize, lane0: usize, lanes: usize, out: &mut [f32]) {
         let xs = self.x_block(lane0, lanes);
+        out.fill(0.0);
         kernel::execute_row(&self.soa, self.inst_ranges[r], xs, lanes, out);
         #[cfg(feature = "fault-injection")]
         if let Some(hook) = &self.faults {
@@ -2173,7 +2193,7 @@ mod tests {
         for tile in [16u32, 64] {
             let m = encode(&coo, tile);
             let acc = Accelerator::new(HwConfig::spasm_4_1());
-            for batch in [1usize, 2, 3, 4, 5, 6, 7, 8, 11] {
+            for batch in [1usize, 2, 3, 4, 5, 6, 7, 8, 11, 15, 16, 17] {
                 let xs: Vec<Vec<f32>> = (0..batch)
                     .map(|j| {
                         (0..100)
@@ -2248,6 +2268,9 @@ mod tests {
         // At minimum the shared value stream and the padded scratch are in
         // the figure.
         assert!(base >= m.values().len() * 4 + 2 * 64 * 4, "base = {base}");
+        // The quarantine retry scratch grows on the first retry only: a
+        // fresh plan holds none.
+        assert!(plan.vq.is_empty());
         // Batched scratch grows on first use and is then accounted for.
         let xs = vec![vec![1.0f32; 64]; 4];
         let mut ys = vec![vec![0.0f32; 64]; 4];
@@ -2507,9 +2530,12 @@ mod tests {
             value_flips: 3,
             ..FaultSpec::default()
         };
+        assert!(plan.vq.is_empty(), "no retry yet, no retry scratch");
+        let mut quarantined = 0;
         for seed in 0..16u64 {
             plan.arm_faults(FaultPlan::seeded(seed, &spec, plan.n_instances()));
             let h = plan.run_deferred(&[&x], |_| VerifyScope::All).unwrap()[0];
+            quarantined += h.tile_rows_quarantined;
             assert_eq!(h.faults_injected, 6, "seed {seed}");
             // Transient faults always heal: the retry reads the pristine
             // stream. (A fault may have no observable effect — e.g. a
@@ -2524,6 +2550,9 @@ mod tests {
                 "seed {seed}: healed output must be bit-identical to clean"
             );
         }
+        // The first retry grew the retry scratch to one window.
+        assert!(quarantined > 0);
+        assert_eq!(plan.vq.len(), 32);
         plan.disarm_faults();
         assert!(plan.armed_faults().is_none());
     }

@@ -162,10 +162,11 @@ fn run_batch_is_allocation_free_at_steady_state() {
 
 #[test]
 fn mixed_policy_batches_are_allocation_free_at_steady_state() {
-    // One verified batch mixing every integrity policy: unverified lanes,
-    // two sampled seeds (row oracle plus golden cross-check) and a fully
-    // verified lane. Once the per-batch scratch has grown, the ladder
-    // allocates nothing per call.
+    // Verified batches mixing every integrity policy: unverified lanes,
+    // two sampled seeds (row oracle plus golden cross-check) and fully
+    // verified lanes, in one partial lane block, one full 16-vector block,
+    // and 17 vectors across two blocks. Once the per-batch scratch has
+    // grown, the ladder allocates nothing per call.
     let n = 256u32;
     let mut t = Vec::new();
     for i in 0..n {
@@ -180,48 +181,51 @@ fn mixed_policy_batches_are_allocation_free_at_steady_state() {
     )
     .prepare(&a)
     .unwrap();
-    let policies = [
+    let cycle = [
         IntegrityPolicy::off(),
         IntegrityPolicy::sampled(4, 0xA5),
         IntegrityPolicy::sampled(4, 0x5A),
         IntegrityPolicy::full(),
         IntegrityPolicy::off(),
     ];
-    let xs: Vec<Vec<f32>> = (0..policies.len())
-        .map(|j| {
-            (0..n as usize)
-                .map(|i| (((i + 5 * j) % 7) as f32) * 0.5 - 1.5)
-                .collect()
-        })
-        .collect();
-    let mut ys = vec![vec![0.0f32; n as usize]; policies.len()];
+    for batch in [cycle.len(), 16, 17] {
+        let policies: Vec<IntegrityPolicy> = (0..batch).map(|j| cycle[j % cycle.len()]).collect();
+        let xs: Vec<Vec<f32>> = (0..batch)
+            .map(|j| {
+                (0..n as usize)
+                    .map(|i| (((i + 5 * j) % 7) as f32) * 0.5 - 1.5)
+                    .collect()
+            })
+            .collect();
+        let mut ys = vec![vec![0.0f32; n as usize]; batch];
 
-    for threads in budgets() {
-        with_budget(threads, || {
-            for _ in 0..3 {
-                prepared
-                    .execute_batch_with(&xs, &mut ys, &policies)
-                    .unwrap();
-            }
-            let (allocs, _, ()) = count_allocs(|| {
-                for _ in 0..50 {
+        for threads in budgets() {
+            with_budget(threads, || {
+                for _ in 0..3 {
                     prepared
                         .execute_batch_with(&xs, &mut ys, &policies)
                         .unwrap();
                 }
+                let (allocs, _, ()) = count_allocs(|| {
+                    for _ in 0..50 {
+                        prepared
+                            .execute_batch_with(&xs, &mut ys, &policies)
+                            .unwrap();
+                    }
+                });
+                assert_eq!(
+                    allocs, 0,
+                    "Prepared::execute_batch_with allocated {allocs} times over 50 steady-state \
+                     mixed-policy calls of {batch} vectors at budget {threads}"
+                );
             });
-            assert_eq!(
-                allocs, 0,
-                "Prepared::execute_batch_with allocated {allocs} times over 50 steady-state \
-                 mixed-policy calls at budget {threads}"
-            );
-        });
+        }
+        let health = prepared.batch_health();
+        assert!(health.iter().all(|h| h.is_clean()));
+        assert_eq!(health[1].rows_verified, 4);
+        assert_eq!(health[1].rows_cross_checked, 4);
+        assert!(health[3].tile_rows_verified > 0);
     }
-    let health = prepared.batch_health();
-    assert!(health.iter().all(|h| h.is_clean()));
-    assert_eq!(health[1].rows_verified, 4);
-    assert_eq!(health[1].rows_cross_checked, 4);
-    assert!(health[3].tile_rows_verified > 0);
 }
 
 #[test]

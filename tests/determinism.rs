@@ -274,7 +274,7 @@ fn plan_run_batch_is_thread_count_invariant() {
     let prepared = pipeline(Parallelism::Serial).prepare(&m).unwrap();
     let acc = prepared.accelerator();
 
-    for batch in [1usize, 2, 3, 4, 5, 6, 7, 8] {
+    for batch in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 15, 16, 17] {
         let xs: Vec<Vec<f32>> = (0..batch)
             .map(|j| {
                 (0..140)
@@ -314,7 +314,7 @@ fn execute_batch_is_thread_count_invariant() {
     let m = random_coo(0xDE7_000C, 120, 120, 900);
     let mut serial_prepared = pipeline(Parallelism::Serial).prepare(&m).unwrap();
 
-    for batch in [1usize, 2, 3, 4, 5, 6, 7, 8] {
+    for batch in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 15, 16, 17] {
         let xs: Vec<Vec<f32>> = (0..batch)
             .map(|j| {
                 (0..120)

@@ -20,9 +20,10 @@ use spasm_hw::Accelerator;
 use spasm_sparse::{Bsr, Coo, Csc, Csr, Dia, Ell, SpMv};
 
 /// Batch sizes every batched-equivalence assertion sweeps: every lane
-/// count up to one lane block, so each padded width (1, 2, 4, 8) runs
-/// with and without pad lanes.
-const BATCH_SIZES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+/// count up to 8, then 12, 15 and a full 16-vector lane block, so each
+/// padded width (1, 2, 4, 8, 16) runs with and without pad lanes, and 17,
+/// which crosses into a second lane block.
+const BATCH_SIZES: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 15, 16, 17];
 
 /// A family of distinct x vectors derived from the probe (multiples of
 /// 0.25, so partial sums stay exactly representable).
@@ -466,8 +467,8 @@ fn kernel_zoo() -> Vec<Coo> {
 fn classed_dispatch_is_bit_identical_to_per_instance() {
     // The executor's lane kernel must reproduce the scalar per-instance
     // reference (`run_reference`) bit for bit, for every batch size and
-    // thread budget. Batches 9, 13 and 17 end in ragged lane blocks of
-    // 1, 5 and 1 vectors.
+    // thread budget. Batches 9 and 13 fill one lane block partly (padded
+    // to 16), 17 ends in a ragged block of 1 vector.
     for m in kernel_zoo() {
         let n_rows = m.rows() as usize;
         let prepared = Pipeline::new().prepare(&m).unwrap();
@@ -501,7 +502,7 @@ fn classed_dispatch_is_bit_identical_to_per_instance() {
 
 #[test]
 fn reused_plan_across_batch_sizes_matches_fresh_plans() {
-    // One plan runs batches of 16, 3, 1, 9 and 16 vectors. Each batch size
+    // One plan runs batches of 16, 3, 1, 9, 17 and 16 vectors. Each batch size
     // changes the lane-block widths, so the vector-blocked scratch is
     // reused at a different stride; nothing of an earlier batch may leak
     // into a later one. 61 columns leave 3 pad columns per lane. After each
@@ -515,7 +516,7 @@ fn reused_plan_across_batch_sizes_matches_fresh_plans() {
     let prepared = Pipeline::new().prepare(&m).unwrap();
     let acc = prepared.accelerator();
     let mut reused = acc.prepare(&prepared.encoded).unwrap();
-    for batch in [16usize, 3, 1, 9, 16] {
+    for batch in [16usize, 3, 1, 9, 17, 16] {
         let xs = probe_batch(m.cols(), batch);
         let mut want = vec![vec![0.25f32; n_rows]; batch];
         let mut fresh = acc.prepare(&prepared.encoded).unwrap();
@@ -539,8 +540,9 @@ fn reused_plan_across_batch_sizes_matches_fresh_plans() {
 #[test]
 fn batched_fault_degrades_exactly_one_vector_to_csr() {
     // (batch, target) pairs: a small batch, and a target in the second
-    // lane block of a 9-vector batch (crossing `LANE_BLOCK`).
-    let cases = [(3usize, 1usize), (9, 8)];
+    // lane block of a batch one vector wider than `LANE_BLOCK`.
+    let wide = spasm_hw::ExecutionPlan::LANE_BLOCK + 1;
+    let cases = [(3usize, 1usize), (wide, wide - 1)];
     let policies = [
         IntegrityPolicy::full(),
         IntegrityPolicy::sampled(24, 0x5A3D),
