@@ -378,7 +378,9 @@ impl Pipeline {
             options: self.options.clone(),
             histogram: Some(histogram),
             sample_rows: Vec::new(),
+            sample_got: Vec::new(),
             lane_scopes: Vec::new(),
+            y_before: Vec::new(),
             batch_health: Vec::new(),
         })
     }
@@ -526,9 +528,16 @@ pub struct Prepared {
     /// Scratch: output rows drawn for the sampled row oracle and
     /// cross-checks, one sorted run per sampled vector of the last batch.
     sample_rows: Vec<usize>,
+    /// Scratch, parallel to `sample_rows`: each drawn row's verified
+    /// contribution, `None` for a row outside every worked tile row.
+    sample_got: Vec<Option<f32>>,
     /// Scratch: each vector's resolved verification scope in the last
     /// verified batch.
     lane_scopes: Vec<LaneScope>,
+    /// Scratch: the `y` of every verified vector of the last verified
+    /// batch, as it was before the pass, one matrix height each in batch
+    /// order — restored for a vector that fails.
+    y_before: Vec<f32>,
     /// Per-vector health of the most recent batched execution (reused
     /// across batches; empty before the first one).
     batch_health: Vec<HealthReport>,
@@ -591,7 +600,9 @@ impl Prepared {
             options,
             histogram: None,
             sample_rows: Vec::new(),
+            sample_got: Vec::new(),
             lane_scopes: Vec::new(),
+            y_before: Vec::new(),
             batch_health: Vec::new(),
         })
     }
@@ -705,17 +716,21 @@ impl Prepared {
     /// integrity policies. The plan's own policy is not consulted.
     ///
     /// When every policy is [`IntegrityMode::Off`] this is the unverified
-    /// [`ExecutionPlan::run_batch`] pass. Otherwise one deferred pass
-    /// executes the whole batch and verifies vector `j` only on its own
-    /// scope: every worked tile row for [`IntegrityMode::Full`], the rows
-    /// its own seed draws for [`IntegrityMode::Sampled`] (through the row
-    /// oracle, see [`IntegrityPolicy::sampled`]), none for
-    /// [`IntegrityMode::Off`]. Each vector then finishes the
-    /// degradation ladder alone — the residual cross-check against its
-    /// own sampled rows and tolerance, and the golden CSR fallback taken
-    /// *only for the vectors that fail*, so one corrupted vector does not
-    /// degrade its batch siblings. Every output and every verified
-    /// vector's health is bit-identical to a batch-1
+    /// [`ExecutionPlan::run_batch`] pass. Otherwise one
+    /// [`ExecutionPlan::run_verified`] pass executes the whole batch and
+    /// verifies vector `j` only on its own scope, window by window before
+    /// each window is folded: every worked tile row for
+    /// [`IntegrityMode::Full`], the rows its own seed draws for
+    /// [`IntegrityMode::Sampled`] (through the row oracle, see
+    /// [`IntegrityPolicy::sampled`]), none for [`IntegrityMode::Off`].
+    /// Each vector then finishes the degradation ladder alone — the
+    /// residual cross-check against its own sampled rows and tolerance,
+    /// and the golden CSR fallback taken *only for the vectors that
+    /// fail*, so one corrupted vector does not degrade its batch
+    /// siblings. The pass folds every vector, so the `y` of each verified
+    /// vector is copied before it and restored for a vector that fails
+    /// (see the failure contract on [`IntegrityPolicy`]). Every output
+    /// and every verified vector's health is bit-identical to a batch-1
     /// [`Prepared::execute_into`] under that vector's policy.
     ///
     /// Per-vector outcomes are available from [`Prepared::batch_health`];
@@ -733,9 +748,10 @@ impl Prepared {
     /// output has been touched. [`PipelineError::Integrity`] (naming the
     /// first such vector's failing tile row) when a vector whose policy
     /// disables fallback is corrupted beyond repair: that vector's `y` is
-    /// left untouched and its [`Prepared::batch_health`] entry
-    /// [`HealthReport::needs_fallback`] without `fallback`, while every
-    /// other vector is committed as if the batch had succeeded.
+    /// restored to its value before the call and its
+    /// [`Prepared::batch_health`] entry [`HealthReport::needs_fallback`]
+    /// without `fallback`, while every other vector is computed as if the
+    /// batch had succeeded.
     pub fn execute_batch_with<X, Y>(
         &mut self,
         xs: &[X],
@@ -817,15 +833,15 @@ impl Prepared {
     /// of a verified batch reports only what was injected into it.
     /// `health[j].fallback` says vector `j` was recomputed on the golden
     /// CSR path; `needs_fallback()` without `fallback` says vector `j`
-    /// failed with [`PipelineError::Integrity`] and its `y` was left
-    /// untouched.
+    /// failed with [`PipelineError::Integrity`] and its `y` is as it was
+    /// before the call.
     pub fn batch_health(&self) -> &[HealthReport] {
         &self.batch_health
     }
 
     /// The [`PipelineError::Integrity`] vector `j` of the most recent
     /// batched execution failed with, naming its first failing tile row —
-    /// `None` when the vector was committed or fell back. A server that
+    /// `None` when the vector was computed or fell back. A server that
     /// coalesced independent requests fails exactly these requests and
     /// serves the rest.
     pub fn batch_error(&self, j: usize) -> Option<PipelineError> {
@@ -837,13 +853,15 @@ impl Prepared {
     }
 
     /// The verification ladder over a batch of validated shapes, vector
-    /// `j` under `policy(j)`: one deferred run executes every vector and
-    /// verifies each on its own scope; then, vector by vector, the
-    /// sampled cross-check → commit, golden fallback, or failure (that
-    /// vector's `y` untouched, every other vector still committed).
-    /// Per-vector health lands in `batch_health` and their aggregate on
-    /// the report; the error of the first failing vector is returned
-    /// after every vector has been settled.
+    /// `j` under `policy(j)`: one verified pass executes every vector,
+    /// verifies each on its own scope before folding it and hands over
+    /// its sampled rows' contributions; then, vector by vector, the
+    /// sampled cross-check, and for a vector that fails, its `y` restored
+    /// from the snapshot taken before the pass and either recomputed on
+    /// the golden path or left as it was. Per-vector health lands in
+    /// `batch_health` and their aggregate on the report; the error of the
+    /// first failing vector is returned after every vector has been
+    /// settled.
     fn guarded<X, Y>(
         &mut self,
         xs: &[X],
@@ -860,64 +878,85 @@ impl Prepared {
         let rows = self.plan.rows() as usize;
         self.sample_rows.clear();
         self.lane_scopes.clear();
-        for j in 0..xs.len() {
+        self.y_before.clear();
+        for (j, y) in ys.iter_mut().enumerate() {
             let p = policy(j);
             let lane = match p.mode {
                 IntegrityMode::Full => LaneScope::All,
                 IntegrityMode::Sampled(k) => self.draw(k, p.seed, rows),
                 IntegrityMode::Off => LaneScope::None,
             };
+            if !matches!(lane, LaneScope::None) {
+                self.y_before.extend_from_slice(y.as_mut());
+            }
             self.lane_scopes.push(lane);
         }
-        let (lanes, drawn) = (&self.lane_scopes, &self.sample_rows);
+        self.sample_got.clear();
+        self.sample_got.resize(self.sample_rows.len(), None);
+        self.batch_health.clear();
+        self.batch_health.resize(xs.len(), HealthReport::default());
+
+        let (lanes, drawn, got) = (&self.lane_scopes, &self.sample_rows, &mut self.sample_got);
         let scope = |j: usize| match &lanes[j] {
             LaneScope::None => VerifyScope::None,
             LaneScope::All => VerifyScope::All,
             LaneScope::Sampled(run) => VerifyScope::Rows(&drawn[run.clone()]),
         };
+        let on_row = |j: usize, k: usize, value: f32| {
+            if let LaneScope::Sampled(run) = &lanes[j] {
+                got[run.start + k] = Some(value);
+            }
+        };
+        self.plan
+            .run_verified(xs, ys, scope, &mut self.batch_health, on_row)?;
 
-        let per_vector = self.plan.run_deferred(xs, scope)?;
-        self.batch_health.clear();
-        self.batch_health.extend_from_slice(per_vector);
-
+        let tile_size = self.plan.tile_size() as usize;
         let mut aggregate = HealthReport::default();
         let mut failure = None;
+        let mut before = self.y_before.chunks_exact(rows.max(1));
         for (j, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
             let (x, y) = (x.as_ref(), y.as_mut());
             let p = policy(j);
             let mut health = self.batch_health[j];
             // Residual cross-check: the sampled rows' SPASM contributions
-            // must agree with the golden CSR dot products to within the
-            // policy tolerance (the two datapaths accumulate in different
-            // orders).
-            if let LaneScope::Sampled(rows) = &self.lane_scopes[j] {
-                for &r in &self.sample_rows[rows.clone()] {
+            // must agree with the golden CSR dot products (see
+            // `residual_passes`).
+            if let LaneScope::Sampled(run) = &self.lane_scopes[j] {
+                let mut x_non_finite = None;
+                for (&r, &got) in self.sample_rows[run.clone()]
+                    .iter()
+                    .zip(&self.sample_got[run.clone()])
+                {
                     let want = golden_row_dot(self.golden.get(&self.encoded), r, x);
-                    let got = self.plan.contribution(j, r);
                     health.rows_cross_checked += 1;
-                    if (got - want).abs() > p.tolerance * (1.0 + want.abs()) {
+                    let passes = residual_passes(got.unwrap_or(0.0), want, p.tolerance, || {
+                        *x_non_finite.get_or_insert_with(|| x.iter().any(|v| !v.is_finite()))
+                    });
+                    if !passes {
                         health.rows_failed_cross_check += 1;
                         if health.first_failed_tile_row.is_none() {
-                            health.first_failed_tile_row = self
-                                .plan
-                                .tile_row_index_containing(r)
-                                .and_then(|t| self.plan.tile_row_id(t));
+                            health.first_failed_tile_row = got.map(|_| (r / tile_size) as u32);
                         }
                     }
                 }
             }
 
-            if !health.needs_fallback() {
-                self.plan.commit(j, y)?;
-            } else if p.fallback {
-                // Last rung: the accelerator result is unrecoverable, so
-                // the whole product is recomputed on the bit-exact golden
-                // path.
-                health.fallback = true;
-                self.golden
-                    .get(&self.encoded)
-                    .spmv(x, y)
-                    .map_err(map_sparse)?;
+            if !matches!(self.lane_scopes[j], LaneScope::None) {
+                let saved = before.next().unwrap_or_default();
+                if health.needs_fallback() {
+                    // The pass folded the unrepaired result: undo it.
+                    y.copy_from_slice(saved);
+                    if p.fallback {
+                        // Last rung: the accelerator result is
+                        // unrecoverable, so the whole product is
+                        // recomputed on the bit-exact golden path.
+                        health.fallback = true;
+                        self.golden
+                            .get(&self.encoded)
+                            .spmv(x, y)
+                            .map_err(map_sparse)?;
+                    }
+                }
             }
             self.batch_health[j] = health;
             aggregate = merge_health(aggregate, health);
@@ -927,19 +966,23 @@ impl Prepared {
         failure.map_or(Ok(()), Err)
     }
 
-    /// Draws `k` output rows from `seed` into `sample_rows`, returning the
-    /// vector scope that names their sorted, deduplicated run.
+    /// Draws `min(k, rows)` distinct output rows from `seed` into
+    /// `sample_rows` by Floyd's sampling, returning the vector scope that
+    /// names their sorted run.
     fn draw(&mut self, k: usize, seed: u64, rows: usize) -> LaneScope {
         let r0 = self.sample_rows.len();
         let mut state = seed;
-        for _ in 0..k.min(rows) {
+        for top in rows - k.min(rows)..rows {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            self.sample_rows
-                .push((splitmix64(state) % rows as u64) as usize);
+            let t = (splitmix64(state) % (top as u64 + 1)) as usize;
+            let run = &self.sample_rows[r0..];
+            // Every earlier pick is below `top`, so `top` goes last.
+            match run.binary_search(&t) {
+                Ok(_) => self.sample_rows.push(top),
+                Err(at) => self.sample_rows.insert(r0 + at, t),
+            }
         }
-        self.sample_rows[r0..].sort_unstable();
-        let drawn = dedup_tail(&mut self.sample_rows, r0);
-        LaneScope::Sampled(r0..r0 + drawn)
+        LaneScope::Sampled(r0..self.sample_rows.len())
     }
 
     /// The cached report of the most recent execution (cycle/stall model,
@@ -1223,18 +1266,19 @@ enum LaneScope {
     Sampled(std::ops::Range<usize>),
 }
 
-/// Removes consecutive duplicates from `v[start..]` in place and returns
-/// how many elements the deduplicated tail holds.
-fn dedup_tail(v: &mut Vec<usize>, start: usize) -> usize {
-    let mut end = start;
-    for i in start..v.len() {
-        if end == start || v[i] != v[end - 1] {
-            v[end] = v[i];
-            end += 1;
-        }
-    }
-    v.truncate(end);
-    end - start
+/// The sampled residual cross-check of one row: the accelerator's `got`
+/// passes against the golden dot product `want` when they are equal, both
+/// NaN, or within `tol·(1 + |want|)` of each other. The two datapaths
+/// accumulate in different orders, so finite outputs differ by rounding;
+/// a NaN or infinite `got` against a finite `want` is flagged, except
+/// when `x` holds a non-finite entry (`x_non_finite`, asked only then): a
+/// padded slot's `0·inf` makes the accelerator's row NaN where the CSR's,
+/// which has no such product, may be finite.
+fn residual_passes(got: f32, want: f32, tol: f32, x_non_finite: impl FnOnce() -> bool) -> bool {
+    got == want
+        || (got.is_nan() && want.is_nan())
+        || (got - want).abs() <= tol * (1.0 + want.abs())
+        || (!got.is_finite() && x_non_finite())
 }
 
 /// One golden-reference output row: the CSR dot product of row `r` with

@@ -44,6 +44,19 @@ pub enum IntegrityMode {
 }
 
 /// The integrity policy attached to a pipeline / [`crate::Prepared`].
+///
+/// # Failure contract
+///
+/// A verified vector ends in one of three states: its normal bit-exact
+/// result (clean, or healed by the quarantine retry), the golden CSR
+/// product with [`spasm_hw::HealthReport::fallback`] set, or — with
+/// fallback disabled — [`crate::PipelineError::Integrity`] and its `y`
+/// exactly as it was before the call. The executor verifies each window
+/// before folding it into `y`, so it folds a failed vector too; the
+/// front-end therefore copies the `y` of every vector whose policy is not
+/// [`IntegrityMode::Off`] before the pass, one matrix height each, and
+/// restores it for a vector that fails, before the golden recomputation
+/// or the error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntegrityPolicy {
     /// What is verified per execution.
@@ -57,7 +70,9 @@ pub struct IntegrityPolicy {
     pub fallback: bool,
     /// Relative tolerance for the sampled residual cross-check: the
     /// SPASM datapath and the CSR reference accumulate in different
-    /// orders, so their outputs differ by rounding.
+    /// orders, so their outputs differ by rounding. A row passes when
+    /// both values are equal or both NaN, or when they differ by at most
+    /// `tolerance · (1 + |reference|)`.
     pub tolerance: f32,
 }
 
@@ -78,18 +93,20 @@ impl IntegrityPolicy {
         }
     }
 
-    /// Sampled verification: `k` output rows per execution, drawn
-    /// deterministically from `seed` (duplicates collapse, so at most `k`
-    /// distinct rows).
+    /// Sampled verification: `k` distinct output rows per execution (all
+    /// of them when the matrix has fewer), drawn deterministically from
+    /// `seed`.
     ///
     /// Each drawn row is recomputed alone from the pristine stream — only
     /// the instances whose 4-row window holds it, in stream order, so the
-    /// check is bit-exact — and compared with the executed row; its
-    /// residual is also cross-checked against the golden CSR reference
-    /// within the policy tolerance. A mismatching row escalates to a
-    /// whole-window check of its tile row, which is quarantined and
-    /// re-executed once (transient faults heal) or forces the fallback
-    /// (persistent faults).
+    /// check is exact (NaN payloads aside: any NaN matches any NaN) — and
+    /// compared with the executed row; its residual is also cross-checked
+    /// against the golden CSR reference within the policy tolerance. A
+    /// row that is NaN or infinite where the reference is finite fails
+    /// the cross-check, unless `x` holds a NaN or an infinity. A
+    /// mismatching row escalates to a whole-window check of its tile row,
+    /// which is quarantined and re-executed once (transient faults heal)
+    /// or forces the fallback (persistent faults).
     ///
     /// The contract covers the drawn rows only: a fault that corrupts
     /// rows that were not drawn, even in the tile row of a drawn row, is

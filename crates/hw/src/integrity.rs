@@ -12,9 +12,10 @@
 //!   [`crate::ExecutionPlan::respliced`] or
 //!   [`crate::ExecutionPlan::from_parts`]), residual checks run per
 //!   execution;
-//! * [`VerifyScope`] selects which output rows or tile rows a deferred run
-//!   re-verifies against the pristine stream
-//!   ([`crate::ExecutionPlan::run_deferred`]);
+//! * [`VerifyScope`] selects which output rows or tile rows of one vector
+//!   a verified run ([`crate::ExecutionPlan::run_verified`]) checks
+//!   against the pristine stream, window by window, before each window is
+//!   folded into that vector's `y`;
 //! * [`HealthReport`] records what one execution observed: faults injected
 //!   (only ever non-zero under the `fault-injection` feature), rows and
 //!   tile rows verified, tile rows quarantined / corrected, and whether the
@@ -54,8 +55,10 @@ impl fmt::Display for IntegrityCheck {
     }
 }
 
-/// What [`crate::ExecutionPlan::run_deferred`] verifies against a
-/// pristine re-computation before the result may be committed.
+/// What [`crate::ExecutionPlan::run_verified`] verifies of one vector
+/// against a pristine re-computation, in each (tile row × lane block)
+/// window before the window is folded into that vector's `y`. Comparisons
+/// are bit for bit, except that any NaN matches any NaN.
 #[derive(Debug, Clone, Copy)]
 pub enum VerifyScope<'a> {
     /// Verify nothing (the production fast path).
@@ -63,8 +66,8 @@ pub enum VerifyScope<'a> {
     /// Verify these output rows (sorted global row indices) with the row
     /// oracle: each row is recomputed from the pristine stream alone,
     /// from the instances whose 4-row window holds it, in stream order,
-    /// and compared bit for bit. A mismatching row escalates to a
-    /// whole-window check of its tile row, once per tile row, which then
+    /// and compared with the executed row. A mismatching row escalates to
+    /// a whole-window check of its tile row, once per tile row, which then
     /// quarantines and heals as under [`VerifyScope::All`]. Rows outside
     /// every worked tile row are ignored. A fault that corrupts only
     /// rows not named here goes undetected.
@@ -78,8 +81,8 @@ pub enum VerifyScope<'a> {
 ///
 /// A clean run (no faults, no quarantines, no fallback) is all zeros —
 /// the `Default`. The report is attached to [`crate::ExecReport::health`]
-/// by the framework front-end and also returned, one per vector, by
-/// [`crate::ExecutionPlan::run_deferred`].
+/// by the framework front-end and also written, one per vector, by
+/// [`crate::ExecutionPlan::run_verified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthReport {
     /// Faults armed on the plan that applied to this execution (always 0

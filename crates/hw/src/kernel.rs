@@ -145,7 +145,7 @@ impl ClassKernel {
 
 /// Borrowed view of the plan's pre-decoded SoA instance stream, shared by
 /// every kernel call.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SoaRef<'a> {
     pub x_base: &'a [u32],
     pub y_base: &'a [u32],

@@ -35,31 +35,32 @@
 //! # One executor
 //!
 //! Every forward execution — [`ExecutionPlan::run`] (a batch of one),
-//! [`ExecutionPlan::run_batch`] and [`ExecutionPlan::run_deferred`] — goes
-//! through one loop over (tile-row × lane-block) pairs on the caller's
-//! thread, and each pair walks one tile row's span of the SoA stream in
-//! stream order, applying every instance to the up to
-//! [`ExecutionPlan::LANE_BLOCK`] vectors of its lane block at once. A
-//! lane block runs at padded width `P`, the next power of two of its
-//! vector count (1, 2, 4, 8 or 16): its pad lanes hold a zeroed x and are
-//! never verified or folded, so a 3-, 7- or 12-vector block runs on the
-//! packed 4-, 8- or 16-wide datapath instead of scalar tails. The batch scratch is
-//! vector-blocked: inside a lane block, column `c` of the padded x holds
-//! its `P` lanes contiguously, and each pair's window is row-major, row
-//! `k`'s `P` lanes side by side — so one instance's x segment and output
-//! rows are contiguous across lanes. Each pair's window is zeroed just
-//! before its kernel call; the unguarded paths fold it into the caller's
-//! vectors right after, while it is still in cache, and the deferred
-//! path keeps every window for verification and
-//! [`ExecutionPlan::commit`]. Each lane accumulates in stream
-//! order, so the output is bit-identical for every batch size, to looped
-//! single runs, and to the per-instance walk, which survives only as the
-//! verification oracle and as [`ExecutionPlan::run_reference`].
-//! Parallelism is the accelerator's: the PE groups the cycle model
-//! prices. Hosts that serve many requests run plans side by side, one
-//! per thread. The value stream itself is an `Arc<[f32]>` shared with
-//! the owning [`SpasmMatrix`], so preparing several plans — or cloning
-//! one per batch worker — does not duplicate the multi-GB buffer.
+//! [`ExecutionPlan::run_batch`], [`ExecutionPlan::run_reference`] and the
+//! verified [`ExecutionPlan::run_verified`] — goes through one loop over
+//! (tile-row × lane-block) pairs on the caller's thread, and each pair
+//! walks one tile row's span of the SoA stream in stream order, applying
+//! every instance to the up to [`ExecutionPlan::LANE_BLOCK`] vectors of
+//! its lane block at once. A lane block runs at padded width `P`, the
+//! next power of two of its vector count (1, 2, 4, 8 or 16): its pad
+//! lanes hold a zeroed x and are never verified or folded, so a 3-, 7- or
+//! 12-vector block runs on the packed 4-, 8- or 16-wide datapath instead
+//! of scalar tails. The x scratch is vector-blocked: inside a lane block,
+//! column `c` of the padded x holds its `P` lanes contiguously. Every
+//! pair writes into one reused window, row-major, row `k`'s `P` lanes
+//! side by side — so one instance's x segment and output rows are
+//! contiguous across lanes. The window is zeroed just before the kernel
+//! call, verified if the pair's vectors ask for it, and folded into the
+//! caller's vectors right after, while it is still in cache: like the
+//! paper's PE group, the plan keeps only one tile row's partial sums.
+//! Each lane accumulates in stream order, so the output is bit-identical
+//! for every batch size, to looped single runs, and to the per-instance
+//! walk, which survives only as the verification oracle and as
+//! [`ExecutionPlan::run_reference`]. Parallelism is the accelerator's:
+//! the PE groups the cycle model prices. Hosts that serve many requests
+//! run plans side by side, one per thread. The value stream itself is an
+//! `Arc<[f32]>` shared with the owning [`SpasmMatrix`], so preparing
+//! several plans — or cloning one per batch worker — does not duplicate
+//! the multi-GB buffer.
 //!
 //! # Integrity and fault tolerance
 //!
@@ -74,13 +75,14 @@
 //! streams fail `prepare`, `respliced` and `from_parts` alike with
 //! [`SimError::Integrity`] instead of panicking or mis-executing.
 //!
-//! At run time, [`ExecutionPlan::run_deferred`] executes a batch without
-//! touching any `y`, re-verifies each vector under its own
-//! [`VerifyScope`] — whole tile-row windows against the per-instance
-//! oracle, or single output rows against the row oracle, which escalates
-//! a mismatch to its tile row's window — quarantines and re-executes
-//! windows that disagree, and returns one [`HealthReport`] per vector;
-//! [`ExecutionPlan::commit`] then folds a (healed) vector into its `y`.
+//! At run time, [`ExecutionPlan::run_verified`] checks each vector's lane
+//! of every pair window under that vector's own [`VerifyScope`] before the
+//! window is folded — the whole window against the per-instance oracle,
+//! or single output rows against the row oracle, which escalates a
+//! mismatch to the window check — quarantines and re-executes windows
+//! that disagree, and records one [`HealthReport`] per vector. It folds
+//! every vector, healed or not: a caller that must not keep a failed
+//! vector's output snapshots that `y` first.
 //! Under the `fault-injection` cargo feature a seeded
 //! [`crate::fault::FaultPlan`] can be armed on the plan: the executor's
 //! per-(row, lane) hook re-decodes struck lanes from their position
@@ -88,7 +90,6 @@
 //! ([`ExecutionPlan::position_words`]), deterministically; production
 //! builds carry none of that state.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use spasm_format::{PositionEncoding, SpasmMatrix, MAX_TILE_SIZE};
@@ -173,36 +174,29 @@ pub struct ExecutionPlan {
     block_runs: Stream<u32>,
     row_blocks: Stream<u32>,
     // Per worked tile row: instance span in the stream, y window in the
-    // padded output, the tile-row id, and a prefix sum of window lengths
-    // addressing the packed output scratch `yb`.
+    // padded output, and the tile-row id.
     inst_ranges: Vec<(usize, usize)>,
     window_spans: Vec<(usize, usize)>,
     tile_row_ids: Vec<u32>,
-    window_prefix: Vec<usize>,
     // Scheduling state, for introspection and the cached report.
     assignment: Vec<Vec<TileJob>>,
     report: ExecReport,
     // Reusable scratch, sized for one vector at build and grown to the
-    // largest batch seen, vector-blocked per lane block of padded width
-    // `P` (`kernel::padded_width` of its vector count, at most
-    // LANE_BLOCK): `xb` holds block `b`'s padded x interleaved at `b *
-    // LANE_BLOCK * xstride + c * P + l`; `yb` holds pair (tile row `r`,
-    // block `b`) at `window_prefix[r] * width + b * LANE_BLOCK *
-    // window_len(r)`, row-major inside (row `k`, lane `l` at `k * P +
-    // l`), so the pairs' windows follow one another in pair order;
-    // `batch` is how many vectors they hold and `width` how many lanes,
-    // pad lanes included. `vp` (the largest window) holds the
-    // verification oracle, `vq` the quarantine retry of a whole lane
-    // block (grown on the first retry, as `xb`/`yb` grow on first use),
-    // `health` the per-vector outcome of the last deferred run.
+    // widest batch seen. `xb` holds the loaded batch's x, vector-blocked
+    // per lane block of padded width `P` (`kernel::padded_width` of its
+    // vector count, at most LANE_BLOCK): block `b`'s padded x interleaved
+    // at `b * LANE_BLOCK * xstride + c * P + l`; `batch` is how many
+    // vectors it holds. `window` is the one pair window every execution
+    // reuses, row-major (row `k`, lane `l` at `k * P + l`), at most the
+    // largest tile-row window times LANE_BLOCK floats. `vp` (the largest
+    // window) holds the verification oracle, `vq` the quarantine retry of
+    // a whole lane block (grown on the first retry).
     xstride: usize,
     xb: Vec<f32>,
-    yb: Vec<f32>,
+    window: Vec<f32>,
     batch: usize,
-    width: usize,
     vp: Vec<f32>,
     vq: Vec<f32>,
-    health: Vec<HealthReport>,
     // The armed fault plan (see `FaultHook`).
     #[cfg(feature = "fault-injection")]
     armed: Option<ArmedFaults>,
@@ -492,8 +486,7 @@ impl ExecutionPlan {
 
         // Tile-row layout: each run of same-row tiles (contiguous in the
         // stream) is one worked tile row with an instance span and a
-        // disjoint y window over the padded scratch, plus a prefix sum of
-        // window lengths (addressing the packed `yb`).
+        // disjoint y window over the padded output.
         let mut inst_ranges: Vec<(usize, usize)> = Vec::new();
         let mut window_spans = Vec::new();
         let mut tile_row_ids: Vec<u32> = Vec::new();
@@ -509,7 +502,6 @@ impl ExecutionPlan {
                 }
             }
         }
-        let window_prefix = prefix_sums(window_spans.iter().map(|&(w0, w1)| w1 - w0));
         let max_window = window_spans
             .iter()
             .map(|&(w0, w1)| w1 - w0)
@@ -562,19 +554,16 @@ impl ExecutionPlan {
             block_runs,
             row_blocks,
             xb: vec![0.0; xp_len],
-            yb: vec![0.0; window_prefix.last().copied().unwrap_or(0)],
+            window: vec![0.0; max_window],
             inst_ranges,
             window_spans,
             tile_row_ids,
-            window_prefix,
             assignment,
             report,
             xstride: xp_len,
             batch: 0,
-            width: 0,
             vp: vec![0.0; max_window],
             vq: Vec::new(),
-            health: Vec::new(),
             #[cfg(feature = "fault-injection")]
             armed: None,
             config,
@@ -931,8 +920,8 @@ impl ExecutionPlan {
     ///
     /// This is the unguarded path: armed faults (under the
     /// `fault-injection` feature) strike the execution and are *not*
-    /// detected — use [`ExecutionPlan::run_deferred`] +
-    /// [`ExecutionPlan::commit`] for verified execution.
+    /// detected — use [`ExecutionPlan::run_verified`] for verified
+    /// execution.
     ///
     /// # Errors
     ///
@@ -1003,7 +992,7 @@ impl ExecutionPlan {
         self.check_batch(xs, ys)?;
         self.load_batch(xs);
         let (exec, s) = self.split();
-        exec.fold_pairs(s.yb, ys, |exec, r, lane0, lanes, window| {
+        exec.fold_pairs(s.window, ys, |exec, r, lane0, lanes, window| {
             window.fill(0.0);
             for j in lane0..exec.batch.min(lane0 + kernel::LANE_BLOCK) {
                 process_span(exec, r, j, &mut window[j - lane0..], lanes);
@@ -1017,8 +1006,9 @@ impl ExecutionPlan {
     /// Stamps the cached report with amortised pricing for a
     /// `vectors`-sized batch. [`ExecutionPlan::run_batch`] does this
     /// itself; front-ends that drive a batch through the verified ladder
-    /// ([`ExecutionPlan::run_deferred`] + [`ExecutionPlan::commit`]) call
-    /// it once at the end so the report they hand out reflects the batch.
+    /// ([`ExecutionPlan::run_verified`] plus their own cross-checks and
+    /// fallbacks) call it once at the end so the report they hand out
+    /// reflects the batch.
     pub fn stamp_batch(&mut self, vectors: usize) {
         let cycles = timing::batch_cycles(self.report.cycles, vectors);
         let seconds = self.config.cycles_to_seconds(cycles);
@@ -1038,96 +1028,87 @@ impl ExecutionPlan {
         });
     }
 
-    /// Executes `A·xs[j]` for every vector of the batch into the plan's
-    /// internal window buffer *without* touching any `y`, then
-    /// re-verifies vector `j` against the pristine stream on what
-    /// `scope(j)` selects, and on nothing else — so one pass can serve
-    /// unverified, sampled and fully verified vectors side by side.
-    /// [`VerifyScope::All`] checks every worked tile row's window with the
-    /// per-instance oracle; [`VerifyScope::Rows`] recomputes only the
-    /// named output rows and escalates a mismatching row to a window
-    /// check of its tile row.
+    /// Executes `ys[j] += A·xs[j]` for every vector of the batch, vector
+    /// `j` verified against the pristine stream on what `scope(j)` selects
+    /// and on nothing else — so one pass can serve unverified, sampled and
+    /// fully verified vectors side by side. Each (tile row × lane block)
+    /// window is checked right after its kernel call and before it is
+    /// folded: [`VerifyScope::All`] checks vector `j`'s lane of the whole
+    /// window with the per-instance oracle; [`VerifyScope::Rows`]
+    /// recomputes only the named output rows inside the window and
+    /// escalates a mismatch to the whole-window check.
     ///
-    /// (Tile row, vector) windows that disagree are quarantined and
+    /// A window lane that disagrees is quarantined and its lane block
     /// re-executed once from the pristine stream (persistent lane faults
-    /// remain in effect); the outcome is recorded per vector in the
-    /// returned [`HealthReport`]s, whose sum becomes the report's health.
-    /// Call [`ExecutionPlan::commit`] afterwards to fold a (healed) vector
-    /// into its `y`, or discard it — e.g. to fall back to a golden path —
-    /// by simply not committing it.
+    /// remain in effect); the outcome is written to `health[j]`, and their
+    /// sum becomes the report's health. Every vector is folded into its
+    /// `y` whatever its outcome, so a caller that must leave a failed
+    /// vector's `y` untouched — or recompute it on a golden path — keeps a
+    /// copy of that `y` from before the call. After each
+    /// [`VerifyScope::Rows`] window is settled, `on_row(j, k, value)`
+    /// hands over the verified contribution `(A·xs[j])[rows[k]]` of each
+    /// named row `rows[k]` inside it, for cross-checks of the caller's
+    /// own; rows outside every worked tile row are neither verified nor
+    /// handed over. Clears the report's batch stamp.
     ///
     /// # Errors
     ///
-    /// [`SimError::BatchDimensionMismatch`] naming the first `x` with the
-    /// wrong length. Nothing is executed on error.
-    pub fn run_deferred<'s, X: AsRef<[f32]>>(
+    /// As [`ExecutionPlan::run_batch`], and
+    /// [`SimError::DimensionMismatch`] (operand `"health"`) when `health`
+    /// does not hold one report per vector. Nothing is executed on error.
+    pub fn run_verified<'s, X, Y>(
         &mut self,
         xs: &[X],
+        ys: &mut [Y],
         scope: impl Fn(usize) -> VerifyScope<'s>,
-    ) -> Result<&[HealthReport], SimError> {
-        self.check_xs(xs)?;
+        health: &mut [HealthReport],
+        mut on_row: impl FnMut(usize, usize, f32),
+    ) -> Result<&ExecReport, SimError>
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
+        self.check_batch(xs, ys)?;
+        if health.len() != xs.len() {
+            return Err(SimError::DimensionMismatch {
+                expected: xs.len(),
+                actual: health.len(),
+                operand: "health",
+            });
+        }
+        for (j, h) in health.iter_mut().enumerate() {
+            *h = self.armed_health(j);
+        }
         self.load_batch(xs);
-        self.execute();
-        self.verify_and_heal(scope);
-        self.report.health = self
-            .health
+        let (exec, Scratch { window, vp, vq }) = self.split();
+        exec.fold_pairs(window, ys, |exec, r, lane0, lanes, window| {
+            exec.row_lanes(r, lane0, lanes, window);
+            let (w0, w1) = exec.window_spans[r];
+            for j in lane0..exec.batch.min(lane0 + kernel::LANE_BLOCK) {
+                let h = &mut health[j];
+                match scope(j) {
+                    VerifyScope::None => {}
+                    VerifyScope::All => exec.verify_window(r, j, window, vp, vq, h),
+                    VerifyScope::Rows(rows) => {
+                        let lo = rows.partition_point(|&row| row < w0);
+                        let mine = &rows[lo..lo + rows[lo..].partition_point(|&row| row < w1)];
+                        h.rows_verified += mine.len() as u32;
+                        if mine.iter().any(|&row| !exec.row_matches(window, r, j, row)) {
+                            exec.verify_window(r, j, window, vp, vq, h);
+                        }
+                        for (k, &row) in (lo..).zip(mine) {
+                            on_row(j, k, window[(row - w0) * lanes + j - lane0]);
+                        }
+                    }
+                }
+            }
+        });
+        self.report.health = health
             .iter()
             .copied()
             .fold(HealthReport::default(), merge_health);
         self.report.batch = None;
-        Ok(&self.health)
-    }
-
-    /// Folds vector `vector` of the last [`ExecutionPlan::run_deferred`]
-    /// batch into `y` (`y += A·x`) and returns the cached report.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::DimensionMismatch`] if `y` has the wrong length;
-    /// [`SimError::Plan`] if `vector` is outside the last batch.
-    pub fn commit(&mut self, vector: usize, y: &mut [f32]) -> Result<&ExecReport, SimError> {
-        self.check_y(y)?;
-        if vector >= self.batch {
-            return Err(SimError::Plan(
-                "commit names a vector outside the last batch",
-            ));
-        }
-        let (exec, s) = self.split();
-        exec.fold_one(s.yb, vector, y);
         Ok(&self.report)
-    }
-
-    /// The contribution `(A·xs[vector])[row]` computed by the last
-    /// execution (zero for rows outside the matrix or in unworked tile
-    /// rows, and for vectors outside the last batch).
-    ///
-    /// Meaningful between [`ExecutionPlan::run_deferred`] and the next
-    /// execution; used for sampled residual cross-checks against a golden
-    /// reference before committing.
-    pub fn contribution(&self, vector: usize, row: usize) -> f32 {
-        if vector >= self.batch || row >= self.rows as usize {
-            return 0.0;
-        }
-        self.tile_row_index_containing(row).map_or(0.0, |r| {
-            let (w0, w1) = self.window_spans[r];
-            let (lane0, lanes) = lane_block(self.batch, vector);
-            let start = self.window_prefix[r] * self.width + lane0 * (w1 - w0);
-            self.yb[start + (row - w0) * lanes + vector - lane0]
-        })
-    }
-
-    /// The index (into the plan's worked tile rows) of the tile row whose
-    /// y window contains output row `y_row`, if that row is worked —
-    /// the tile row a [`VerifyScope::Rows`] row escalates to.
-    pub fn tile_row_index_containing(&self, y_row: usize) -> Option<usize> {
-        let idx = self.window_spans.partition_point(|&(_, end)| end <= y_row);
-        (idx < self.window_spans.len() && self.window_spans[idx].0 <= y_row).then_some(idx)
-    }
-
-    /// The matrix-level tile-row id of the worked tile row at `index`
-    /// (as returned by [`ExecutionPlan::tile_row_index_containing`]).
-    pub fn tile_row_id(&self, index: usize) -> Option<u32> {
-        self.tile_row_ids.get(index).copied()
     }
 
     /// Overwrites the cached report's [`ExecReport::health`]. For
@@ -1151,10 +1132,14 @@ impl ExecutionPlan {
     /// any sibling plans, but it is counted here in full so the figure is
     /// a safe upper bound for cache budgeting — evicting the plan may or
     /// may not actually free those bytes depending on other holders.
-    /// Buffer lengths (not capacities) are counted, and the batch scratch
-    /// `xb`/`yb` grows with the largest batch seen (and the retry scratch
-    /// `vq` on the first quarantine retry), so the figure can grow across
-    /// calls.
+    /// Buffer lengths (not capacities) are counted. The x scratch grows
+    /// with the widest batch seen (one padded x per vector); the pair
+    /// window, oracle and retry scratch are bounded by the largest tile-row
+    /// window times [`ExecutionPlan::LANE_BLOCK`] whatever the batch (the
+    /// window grows to its lane block's width on first use, the retry
+    /// scratch on the first quarantine retry). No term grows with rows ×
+    /// batch: the outputs are folded pair by pair into the caller's
+    /// vectors.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         fn owned<T>(s: &Stream<T>) -> usize {
@@ -1164,7 +1149,7 @@ impl ExecutionPlan {
                 std::mem::size_of_val(&**s)
             }
         }
-        let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.vq.len();
+        let f32s = self.xb.len() + self.window.len() + self.vp.len() + self.vq.len();
         size_of::<Self>()
             + f32s * size_of::<f32>()
             + owned(&self.values)
@@ -1180,8 +1165,6 @@ impl ExecutionPlan {
             + self.inst_ranges.len() * size_of::<(usize, usize)>()
             + self.window_spans.len() * size_of::<(usize, usize)>()
             + self.tile_row_ids.len() * size_of::<u32>()
-            + self.window_prefix.len() * size_of::<usize>()
-            + self.health.len() * size_of::<HealthReport>()
             + self
                 .assignment
                 .iter()
@@ -1264,21 +1247,6 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Validates every x of a batch, naming the first offender.
-    fn check_xs<X: AsRef<[f32]>>(&self, xs: &[X]) -> Result<(), SimError> {
-        for (j, x) in xs.iter().enumerate() {
-            if x.as_ref().len() != self.cols as usize {
-                return Err(SimError::BatchDimensionMismatch {
-                    vector: j,
-                    expected: self.cols as usize,
-                    actual: x.as_ref().len(),
-                    operand: "x",
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Validates a whole batch's shapes up front, so an error leaves every
     /// output untouched.
     fn check_batch<X, Y>(&self, xs: &[X], ys: &mut [Y]) -> Result<(), SimError>
@@ -1293,7 +1261,16 @@ impl ExecutionPlan {
                 operand: "batch",
             });
         }
-        self.check_xs(xs)?;
+        for (j, x) in xs.iter().enumerate() {
+            if x.as_ref().len() != self.cols as usize {
+                return Err(SimError::BatchDimensionMismatch {
+                    vector: j,
+                    expected: self.cols as usize,
+                    actual: x.as_ref().len(),
+                    operand: "x",
+                });
+            }
+        }
         for (j, y) in ys.iter_mut().enumerate() {
             if y.as_mut().len() != self.rows as usize {
                 return Err(SimError::BatchDimensionMismatch {
@@ -1308,8 +1285,8 @@ impl ExecutionPlan {
     }
 
     /// Interleaves every x vector into the vector-blocked batch scratch
-    /// and sizes the packed window scratch for the batch; each pair's
-    /// window is zeroed just before its kernel call, not here. Both
+    /// and sizes the pair window for the batch's widest lane block; the
+    /// window is zeroed just before each kernel call, not here. Both
     /// buffers grow on first use beyond one vector and are reused
     /// afterwards. Each lane block is written column-outer at its padded
     /// width, pad lanes zeroed, and its pad columns beyond `cols` are
@@ -1318,8 +1295,7 @@ impl ExecutionPlan {
     /// may sit where this batch's padding goes.
     fn load_batch<X: AsRef<[f32]>>(&mut self, xs: &[X]) {
         let (xstride, cols) = (self.xstride, self.cols as usize);
-        let width = padded_batch(xs.len());
-        let need_x = xstride * width;
+        let need_x = xstride * padded_batch(xs.len());
         if self.xb.len() < need_x {
             self.xb.resize(need_x, 0.0);
         }
@@ -1331,19 +1307,17 @@ impl ExecutionPlan {
             kernel::interleave(block, dst);
             dst[lanes * cols..lanes * xstride].fill(0.0);
         }
-        let need_y = self.window_prefix.last().copied().unwrap_or(0) * width;
-        if self.yb.len() < need_y {
-            self.yb.resize(need_y, 0.0);
+        // `vp` holds one largest window.
+        let need_w = self.vp.len() * kernel::padded_width(xs.len().min(kernel::LANE_BLOCK));
+        if self.window.len() < need_w {
+            self.window.resize(need_w, 0.0);
         }
         self.batch = xs.len();
-        self.width = width;
     }
 
     /// The unguarded batch execution behind `run` and `run_batch`:
     /// `ys[j] += A·xs[j]` through the executor, with injection-level
-    /// health on the report. Shapes must already be validated. Each
-    /// pair's window is folded into its vectors right after the kernel
-    /// fills it, while it is still in cache.
+    /// health on the report. Shapes must already be validated.
     fn forward<X, Y>(&mut self, xs: &[X], ys: &mut [Y])
     where
         X: AsRef<[f32]>,
@@ -1351,23 +1325,10 @@ impl ExecutionPlan {
     {
         self.load_batch(xs);
         let (exec, s) = self.split();
-        exec.fold_pairs(s.yb, ys, Exec::row_lanes);
+        exec.fold_pairs(s.window, ys, Exec::row_lanes);
         self.report.health = (0..xs.len())
             .map(|j| self.armed_health(j))
             .fold(HealthReport::default(), merge_health);
-    }
-
-    /// The deferred forward pass over the loaded batch: every (tile-row ×
-    /// lane-block) pair, each into its window of `yb`, where verification
-    /// and [`ExecutionPlan::commit`] read them afterwards.
-    fn execute(&mut self) {
-        let (exec, s) = self.split();
-        for r in 0..exec.inst_ranges.len() {
-            for lane0 in (0..exec.batch).step_by(kernel::LANE_BLOCK) {
-                let (_, lanes) = lane_block(exec.batch, lane0);
-                exec.row_lanes(r, lane0, lanes, &mut s.yb[exec.pair_window(r, lane0)]);
-            }
-        }
     }
 
     /// Injection-level health of vector `lane`: what is armed on the plan
@@ -1387,104 +1348,6 @@ impl ExecutionPlan {
         HealthReport::default()
     }
 
-    /// Re-verifies each loaded vector against the oracle on its own scope
-    /// only, quarantining and re-executing windows that disagree; the
-    /// per-vector outcomes land in `health`.
-    fn verify_and_heal<'s>(&mut self, scope: impl Fn(usize) -> VerifyScope<'s>) {
-        self.health.clear();
-        for j in 0..self.batch {
-            let h = self.armed_health(j);
-            self.health.push(h);
-        }
-        let n_rows = self.inst_ranges.len();
-        for j in 0..self.batch {
-            match scope(j) {
-                VerifyScope::None => {}
-                VerifyScope::All => (0..n_rows).for_each(|r| self.verify_window(r, j)),
-                VerifyScope::Rows(rows) => self.verify_rows(rows, j),
-            }
-        }
-    }
-
-    /// Verifies output rows `rows` (sorted) of vector `j` bit-for-bit
-    /// against the row oracle. A mismatching row escalates its tile row to
-    /// [`ExecutionPlan::verify_window`], once per tile row: the whole
-    /// window is then checked, quarantined and healed, so later rows of
-    /// that tile row are not checked again.
-    fn verify_rows(&mut self, rows: &[usize], j: usize) {
-        let mut escalated = None;
-        for &row in rows {
-            let Some(r) = self.tile_row_index_containing(row) else {
-                continue;
-            };
-            self.health[j].rows_verified += 1;
-            if escalated == Some(r) {
-                continue;
-            }
-            let (exec, s) = self.split();
-            if !exec.row_matches(s.yb, r, j, row) {
-                escalated = Some(r);
-                self.verify_window(r, j);
-            }
-        }
-    }
-
-    /// Verifies tile row `r` of vector `j` bit-for-bit against the
-    /// per-instance oracle — which doubles as a cross-check of the lane
-    /// kernel on every verified window. On mismatch, quarantines the
-    /// window, re-executes its whole lane block once from the pristine
-    /// stream through the executor (transient stream faults heal,
-    /// persistent lane faults do not) and copies back lane `j` only.
-    fn verify_window(&mut self, r: usize, j: usize) {
-        let tile_row_id = self.tile_row_ids[r];
-        let (exec, s) = self.split();
-        let (lane0, lanes) = lane_block(exec.batch, j);
-        let range = exec.pair_window(r, lane0);
-        let wlen = range.len() / lanes;
-        let health = &mut s.health[j];
-        health.tile_rows_verified += 1;
-
-        let oracle = &mut s.vp[..wlen];
-        oracle.fill(0.0);
-        process_span(&exec, r, j, oracle, 1);
-        let window = &mut s.yb[range];
-        if lane_equal(window, lanes, j - lane0, oracle) {
-            return;
-        }
-        health.tile_rows_quarantined += 1;
-
-        // One-shot re-execution from the pristine stream. Transient faults
-        // (in-flight bit flips) do not recur; persistent faults (a stuck
-        // VALU lane) strike the retry too and stay uncorrected.
-        #[cfg(feature = "fault-injection")]
-        let exec = Exec {
-            faults: exec.faults.map(|hook| FaultHook {
-                stream_faults: false,
-                ..hook
-            }),
-            ..exec
-        };
-        if s.vq.len() < lanes * wlen {
-            s.vq.resize(lanes * wlen, 0.0);
-        }
-        let retry = &mut s.vq[..lanes * wlen];
-        exec.row_lanes(r, lane0, lanes, retry);
-        let l = j - lane0;
-        for (dst, src) in window[l..]
-            .iter_mut()
-            .step_by(lanes)
-            .zip(retry[l..].iter().step_by(lanes))
-        {
-            *dst = *src;
-        }
-        if lane_equal(window, lanes, l, oracle) {
-            health.tile_rows_corrected += 1;
-        } else {
-            health.tile_rows_uncorrected += 1;
-            health.first_failed_tile_row.get_or_insert(tile_row_id);
-        }
-    }
-
     /// Splits `self` into the disjoint borrows execution needs: a
     /// shareable [`Exec`] view of the stream, portfolio, layout and loaded
     /// x vectors alongside the mutable scratch — one destructure instead
@@ -1502,15 +1365,13 @@ impl ExecutionPlan {
             values,
             inst_ranges,
             window_spans,
-            window_prefix,
+            tile_row_ids,
             xstride,
             xb,
-            yb,
+            window,
             batch,
-            width,
             vp,
             vq,
-            health,
             #[cfg(feature = "fault-injection")]
             armed,
             ..
@@ -1527,11 +1388,10 @@ impl ExecutionPlan {
             inst_ranges,
             lut,
             window_spans,
-            window_prefix,
+            tile_row_ids,
             xb,
             xstride: *xstride,
             batch: *batch,
-            width: *width,
             #[cfg(feature = "fault-injection")]
             faults: armed.as_ref().map(|armed| FaultHook {
                 armed,
@@ -1539,7 +1399,7 @@ impl ExecutionPlan {
                 stream_faults: true,
             }),
         };
-        let scratch = Scratch { yb, vp, vq, health };
+        let scratch = Scratch { window, vp, vq };
         (exec, scratch)
     }
 }
@@ -1556,7 +1416,7 @@ impl ExecutionPlan {
 
     /// Arms a seeded fault plan that strikes only batch vector `vector`:
     /// in every batched execution — [`ExecutionPlan::run_batch`] and
-    /// [`ExecutionPlan::run_deferred`] — exactly that vector is struck and
+    /// [`ExecutionPlan::run_verified`] — exactly that vector is struck and
     /// the rest execute pristine (single-vector runs are vector 0).
     /// Replaces any previously armed plan.
     pub fn arm_faults_for_vector(&mut self, plan: FaultPlan, vector: usize) {
@@ -1665,27 +1525,27 @@ impl ArmedFaults {
 /// Shared, read-only view of one [`ExecutionPlan`] for the executor (see
 /// [`ExecutionPlan::split`]): the pre-decoded stream, portfolio tables,
 /// tile-row and window layout and the loaded x vectors.
+#[derive(Clone)]
 struct Exec<'a> {
     rows: usize,
     soa: SoaRef<'a>,
     inst_ranges: &'a [(usize, usize)],
     lut: &'a [ValuOpcode],
     window_spans: &'a [(usize, usize)],
-    window_prefix: &'a [usize],
+    tile_row_ids: &'a [u32],
     xb: &'a [f32],
     xstride: usize,
     batch: usize,
-    width: usize,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultHook<'a>>,
 }
 
-/// The plan's mutable scratch, borrowed alongside an [`Exec`].
+/// The plan's mutable scratch, borrowed alongside an [`Exec`]: the pair
+/// window, the verification oracle and the quarantine retry.
 struct Scratch<'a> {
-    yb: &'a mut [f32],
+    window: &'a mut [f32],
     vp: &'a mut [f32],
     vq: &'a mut Vec<f32>,
-    health: &'a mut [HealthReport],
 }
 
 /// An armed fault plan plus the tile size the faulted decoder needs to
@@ -1693,6 +1553,7 @@ struct Scratch<'a> {
 /// for the quarantine retry, which re-reads the pristine stream, so only
 /// persistent lane faults strike it.
 #[cfg(feature = "fault-injection")]
+#[derive(Clone)]
 struct FaultHook<'a> {
     armed: &'a ArmedFaults,
     tile_size: u32,
@@ -1700,31 +1561,22 @@ struct FaultHook<'a> {
 }
 
 impl Exec<'_> {
-    /// The `yb` range of the pair (tile row `r`, the lane block starting
-    /// at vector `lane0`): the block's row-major window, pad lanes
-    /// included.
-    fn pair_window(&self, r: usize, lane0: usize) -> Range<usize> {
-        let (w0, w1) = self.window_spans[r];
-        let (_, lanes) = lane_block(self.batch, lane0);
-        let start = self.window_prefix[r] * self.width + lane0 * (w1 - w0);
-        start..start + lanes * (w1 - w0)
-    }
-
     /// Runs `pair(exec, r, lane0, lanes, window)` on every (tile row ×
-    /// lane block) pair's window of `yb`, which it must overwrite, and
-    /// folds the window into its block of `ys` (`ys[j] += A·xs[j]`) right
-    /// after, while it is still in cache. Each fold is preceded by the
-    /// `+= 0.0` on the rows between the previous worked window and this
-    /// one, and the rows after the last window get theirs at the end: the
-    /// hardware's full-length y write-back, which normalises a caller's
-    /// `-0.0` to `+0.0`. Pad lanes are skipped. Every output row gets
-    /// exactly one add, so every execution path — and every batch size —
-    /// writes `y` identically, even on signed zeros.
+    /// lane block) pair — `window` is the pair's slice of the one reused
+    /// window, which `pair` must overwrite — and folds the window into
+    /// its block of `ys` (`ys[j] += A·xs[j]`) right after, while it is
+    /// still in cache. Each fold is preceded by the `+= 0.0` on the rows
+    /// between the previous worked window and this one, and the rows after
+    /// the last window get theirs at the end: the hardware's full-length y
+    /// write-back, which normalises a caller's `-0.0` to `+0.0`. Pad lanes
+    /// are skipped. Every output row gets exactly one add, so every
+    /// execution path — and every batch size — writes `y` identically,
+    /// even on signed zeros.
     fn fold_pairs<Y: AsMut<[f32]>>(
         &self,
-        yb: &mut [f32],
+        window: &mut [f32],
         ys: &mut [Y],
-        pair: impl Fn(&Self, usize, usize, usize, &mut [f32]),
+        mut pair: impl FnMut(&Self, usize, usize, usize, &mut [f32]),
     ) {
         let n = self.rows;
         let mut gap = 0;
@@ -1733,7 +1585,7 @@ impl Exec<'_> {
             for (b, block) in ys.chunks_mut(kernel::LANE_BLOCK).enumerate() {
                 let lane0 = b * kernel::LANE_BLOCK;
                 let (_, lanes) = lane_block(self.batch, lane0);
-                let window = &mut yb[self.pair_window(r, lane0)];
+                let window = &mut window[..lanes * (w1 - w0)];
                 pair(self, r, lane0, lanes, window);
                 for y in block.iter_mut() {
                     y.as_mut()[gap..lo].iter_mut().for_each(|v| *v += 0.0);
@@ -1747,27 +1599,6 @@ impl Exec<'_> {
         }
     }
 
-    /// The fold of [`Exec::fold_pairs`] for vector `j` alone, from the
-    /// windows a deferred run left in `yb`: its lane of each, read at the
-    /// block's padded width.
-    fn fold_one(&self, yb: &[f32], j: usize, y: &mut [f32]) {
-        let (lane0, lanes) = lane_block(self.batch, j);
-        let mut cursor = 0usize;
-        for r in 0..self.window_spans.len() {
-            let (w0, w1) = self.window_spans[r];
-            let (lo, hi) = (w0.min(self.rows), w1.min(self.rows));
-            y[cursor..lo].iter_mut().for_each(|v| *v += 0.0);
-            let lane = yb[self.pair_window(r, lane0)][j - lane0..]
-                .iter()
-                .step_by(lanes);
-            for (d, s) in y[lo..hi].iter_mut().zip(lane) {
-                *d += *s;
-            }
-            cursor = hi;
-        }
-        y[cursor..].iter_mut().for_each(|v| *v += 0.0);
-    }
-
     /// The interleaved padded x of the `lanes`-wide lane block starting at
     /// vector `lane0`.
     fn x_block(&self, lane0: usize, lanes: usize) -> &[f32] {
@@ -1775,14 +1606,15 @@ impl Exec<'_> {
     }
 
     /// `true` when global output row `row`, inside tile row `r`'s window,
-    /// holds vector `j`'s row-oracle value in `yb` bit for bit. The oracle
+    /// holds vector `j`'s row-oracle value in the pair's `window` (see
+    /// [`same_value`]). The oracle
     /// recomputes that one row from the pristine stream: it walks the tile
     /// row's instances in stream order, takes only those whose 4-row
     /// window holds the row, and adds each one's output for it from `0.0`
     /// through the portfolio LUT. The lane kernel adds every instance into
     /// all four rows of its window in the same order, so on a clean run
     /// the two agree exactly.
-    fn row_matches(&self, yb: &[f32], r: usize, j: usize, row: usize) -> bool {
+    fn row_matches(&self, window: &[f32], r: usize, j: usize, row: usize) -> bool {
         let (lane0, lanes) = lane_block(self.batch, j);
         let xs = &self.x_block(lane0, lanes)[j - lane0..];
         let local = row - self.window_spans[r].0;
@@ -1794,8 +1626,71 @@ impl Exec<'_> {
                 oracle += self.instance(i, xs, lanes)[k];
             }
         }
-        yb[self.pair_window(r, lane0).start + local * lanes + j - lane0].to_bits()
-            == oracle.to_bits()
+        same_value(window[local * lanes + j - lane0], oracle)
+    }
+
+    /// Verifies vector `j`'s lane of tile row `r`'s pair `window` against
+    /// the per-instance oracle (see [`same_value`]) — which doubles as a
+    /// cross-check of the lane kernel on every verified window. On
+    /// mismatch, quarantines the window, re-executes its whole lane block
+    /// once from the pristine stream through the executor into `retry`
+    /// (transient stream faults heal, persistent lane faults do not) and
+    /// copies back lane `j` only. `oracle` holds one largest window.
+    fn verify_window(
+        &self,
+        r: usize,
+        j: usize,
+        window: &mut [f32],
+        oracle: &mut [f32],
+        retry: &mut Vec<f32>,
+        health: &mut HealthReport,
+    ) {
+        let (lane0, lanes) = lane_block(self.batch, j);
+        let wlen = window.len() / lanes;
+        health.tile_rows_verified += 1;
+
+        let oracle = &mut oracle[..wlen];
+        oracle.fill(0.0);
+        process_span(self, r, j, oracle, 1);
+        if lane_equal(window, lanes, j - lane0, oracle) {
+            return;
+        }
+        health.tile_rows_quarantined += 1;
+
+        // One-shot re-execution from the pristine stream. Transient faults
+        // (in-flight bit flips) do not recur; persistent faults (a stuck
+        // VALU lane) strike the retry too and stay uncorrected.
+        #[cfg(feature = "fault-injection")]
+        let exec = &Exec {
+            faults: self.faults.as_ref().map(|hook| FaultHook {
+                stream_faults: false,
+                ..*hook
+            }),
+            ..self.clone()
+        };
+        #[cfg(not(feature = "fault-injection"))]
+        let exec = self;
+        if retry.len() < window.len() {
+            retry.resize(window.len(), 0.0);
+        }
+        let retry = &mut retry[..window.len()];
+        exec.row_lanes(r, lane0, lanes, retry);
+        let l = j - lane0;
+        for (dst, src) in window[l..]
+            .iter_mut()
+            .step_by(lanes)
+            .zip(retry[l..].iter().step_by(lanes))
+        {
+            *dst = *src;
+        }
+        if lane_equal(window, lanes, l, oracle) {
+            health.tile_rows_corrected += 1;
+        } else {
+            health.tile_rows_uncorrected += 1;
+            health
+                .first_failed_tile_row
+                .get_or_insert(self.tile_row_ids[r]);
+        }
     }
 
     /// Instance `i`'s four VALU outputs through the portfolio LUT, for the
@@ -1841,7 +1736,7 @@ fn lane_block(batch: usize, j: usize) -> (usize, usize) {
     )
 }
 
-/// The lanes a `batch`-vector batch occupies in the scratch: every lane
+/// The lanes a `batch`-vector batch occupies in the x scratch: every lane
 /// block at its padded width.
 fn padded_batch(batch: usize) -> usize {
     let full = batch - batch % kernel::LANE_BLOCK;
@@ -1851,15 +1746,24 @@ fn padded_batch(batch: usize) -> usize {
     }
 }
 
-/// `true` when lane `l` of the `lanes`-wide row-major `window` is
-/// bit-for-bit identical to `column` (NaN-safe, unlike `==` on floats).
+/// `true` when lane `l` of the `lanes`-wide row-major `window` holds
+/// `column`, value for value (see [`same_value`]).
 fn lane_equal(window: &[f32], lanes: usize, l: usize, column: &[f32]) -> bool {
     window.len() == lanes * column.len()
         && window[l..]
             .iter()
             .step_by(lanes)
             .zip(column)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
+            .all(|(&x, &y)| same_value(x, y))
+}
+
+/// The oracles' comparison: equal bits, or both NaN. Which payload an add
+/// of two NaNs keeps depends on the operand order the compiler picks (see
+/// the `kernel` module), so the lane kernel and the per-instance walk may
+/// disagree on a NaN's bits, never on its being NaN; every other value,
+/// signed zeros included, must match bit for bit.
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 /// A matrix's tile directory in the plan's terms.
@@ -1874,16 +1778,6 @@ fn directory(matrix: &SpasmMatrix) -> Vec<FrozenTile> {
             n_instances: t.n_instances,
         })
         .collect()
-}
-
-/// `[0, l0, l0 + l1, …]`: the running sums of `lens`, led by zero.
-fn prefix_sums(lens: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut sums = vec![0usize];
-    sums.extend(lens.scan(0, |acc, len| {
-        *acc += len;
-        Some(*acc)
-    }));
-    sums
 }
 
 /// The per-instance reference walk: tile row `r`'s instances applied to
@@ -1975,7 +1869,7 @@ fn process_span_faulted(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Accelerator, HwConfig, SimError, VerifyScope};
+    use crate::{Accelerator, HealthReport, HwConfig, SimError, VerifyScope};
     use spasm_format::{SpasmMatrix, SubmatrixMap};
     use spasm_patterns::{DecompositionTable, TemplateSet};
     use spasm_sparse::Coo;
@@ -2276,6 +2170,23 @@ mod tests {
         let mut ys = vec![vec![0.0f32; 64]; 4];
         plan.run_batch(&xs, &mut ys).unwrap();
         assert!(plan.memory_bytes() > base);
+        // A 128-vector unverified batch and a 128-vector verified one grow
+        // the x scratch to one padded x per vector and the pair window to
+        // one full lane block; nothing else grows, so no term holds rows ×
+        // batch.
+        let xs = vec![vec![1.0f32; 64]; 128];
+        let mut ys = vec![vec![0.0f32; 64]; 128];
+        plan.run_batch(&xs, &mut ys).unwrap();
+        let (health, _) = verified(&mut plan, &xs, |_| VerifyScope::All);
+        assert!(health.iter().all(|h| h.is_clean()));
+        assert_eq!(plan.xb.len(), 128 * 64);
+        assert_eq!(
+            plan.window.len(),
+            plan.vp.len() * super::ExecutionPlan::LANE_BLOCK
+        );
+        assert!(plan.vq.is_empty(), "a clean batch retries nothing");
+        let grown = plan.xb.len() - 64 + plan.window.len() - plan.vp.len();
+        assert_eq!(plan.memory_bytes(), base + 4 * grown);
     }
 
     #[test]
@@ -2423,39 +2334,49 @@ mod tests {
             .collect()
     }
 
+    /// `run_verified` into zeroed outputs: the per-vector health and the
+    /// outputs.
+    fn verified<'s, X: AsRef<[f32]>>(
+        plan: &mut super::ExecutionPlan,
+        xs: &[X],
+        scope: impl Fn(usize) -> VerifyScope<'s>,
+    ) -> (Vec<HealthReport>, Vec<Vec<f32>>) {
+        let mut ys = vec![vec![0.0f32; plan.rows() as usize]; xs.len()];
+        let mut health = vec![HealthReport::default(); xs.len()];
+        plan.run_verified(xs, &mut ys, scope, &mut health, |_, _, _| {})
+            .unwrap();
+        (health, ys)
+    }
+
     #[test]
-    fn deferred_run_and_commit_match_run() {
+    fn verified_run_matches_run() {
         let coo = sample(100);
         let m = encode(&coo, 32);
         let acc = Accelerator::new(HwConfig::spasm_4_1());
         let mut plan = acc.prepare(&m).unwrap();
-        // A 3-vector batch, and a 9-vector batch whose second lane block
-        // holds only vector 8.
-        for (batch, order) in [(3usize, vec![2, 0, 1]), (9, vec![8, 2, 0, 7, 1])] {
+        // A 3-vector batch, and a 17-vector batch whose second lane block
+        // holds only vector 16.
+        for batch in [3usize, 17] {
             let xs = batch_xs(batch, 100);
             let mut want = vec![vec![0.5f32; 100]; batch];
             for (x, y) in xs.iter().zip(want.iter_mut()) {
                 plan.run(x, y).unwrap();
             }
             for scope in [VerifyScope::None, VerifyScope::All] {
-                let health = plan.run_deferred(&xs, |_| scope).unwrap().to_vec();
-                assert_eq!(health.len(), batch);
+                let mut got = vec![vec![0.5f32; 100]; batch];
+                let mut health = vec![HealthReport::default(); batch];
+                plan.run_verified(&xs, &mut got, |_| scope, &mut health, |_, _, _| {})
+                    .unwrap();
                 assert!(health.iter().all(|h| h.is_clean()));
-                // Commit out of order: each vector folds only its own lane.
-                for &j in &order {
-                    let mut got = vec![0.5f32; 100];
-                    plan.commit(j, &mut got).unwrap();
-                    assert_eq!(bits(&got), bits(&want[j]), "vector {j} of {batch}");
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(bits(g), bits(w), "vector {j} of {batch}");
                 }
             }
         }
         // Pristine executions verify all rows of every vector, quarantine
         // none; the report sums the per-vector health.
         let xs = batch_xs(3, 100);
-        let h = plan
-            .run_deferred(&xs, |_| VerifyScope::All)
-            .unwrap()
-            .to_vec();
+        let (h, _) = verified(&mut plan, &xs, |_| VerifyScope::All);
         for hj in &h {
             assert_eq!(hj.tile_rows_verified as usize, plan.n_tile_rows());
         }
@@ -2464,52 +2385,63 @@ mod tests {
             3 * plan.n_tile_rows()
         );
         assert!(plan.report().batch.is_none());
+        let mut ys = vec![vec![0.5f32; 100]; 2];
+        let mut health = vec![HealthReport::default(); 2];
         assert!(matches!(
-            plan.commit(3, &mut [0.0f32; 100]),
-            Err(SimError::Plan(_))
-        ));
-        assert!(matches!(
-            plan.run_deferred(&[vec![1.0f32; 100], vec![1.0f32; 7]], |_| {
-                VerifyScope::All
-            }),
+            plan.run_verified(
+                &[vec![1.0f32; 100], vec![1.0f32; 7]],
+                &mut ys,
+                |_| VerifyScope::All,
+                &mut health,
+                |_, _, _| {}
+            ),
             Err(SimError::BatchDimensionMismatch { vector: 1, .. })
         ));
+        assert!(matches!(
+            plan.run_verified(
+                &vec![vec![1.0f32; 100]; 2],
+                &mut ys,
+                |_| VerifyScope::All,
+                &mut health[..1],
+                |_, _, _| {}
+            ),
+            Err(SimError::DimensionMismatch {
+                operand: "health",
+                ..
+            })
+        ));
+        assert!(ys.iter().all(|y| y.iter().all(|&v| v == 0.5)));
     }
 
     #[test]
-    fn contribution_reads_last_deferred_result() {
+    fn verified_rows_hand_over_their_contribution() {
         let coo = sample(64);
         let m = encode(&coo, 16);
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
-        // Batches of 2 and 9: vector 8 is alone in the second lane block.
-        for batch in [2usize, 9] {
+        let all: Vec<usize> = (0..64).chain([10_000]).collect();
+        // Batches of 2 and 17: vector 16 is alone in the second lane block.
+        for batch in [2usize, 17] {
             let xs = batch_xs(batch, 64);
             let mut want = vec![vec![0.0f32; 64]; batch];
             plan.run_batch(&xs, &mut want).unwrap();
-            plan.run_deferred(&xs, |_| VerifyScope::None).unwrap();
-            for (j, w) in want.iter().enumerate() {
-                for (r, w) in w.iter().enumerate() {
-                    assert_eq!(plan.contribution(j, r).to_bits(), w.to_bits());
-                }
+            let mut got = vec![vec![f32::NAN; 64]; batch];
+            let mut ys = vec![vec![0.0f32; 64]; batch];
+            let mut health = vec![HealthReport::default(); batch];
+            plan.run_verified(
+                &xs,
+                &mut ys,
+                |_| VerifyScope::Rows(&all),
+                &mut health,
+                |j, k, v| got[j][all[k]] = v,
+            )
+            .unwrap();
+            // Every row is handed over once, row 10 000 (outside the
+            // matrix) never.
+            assert!(health.iter().all(|h| h.rows_verified == 64));
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(bits(g), bits(w));
             }
-            assert_eq!(plan.contribution(0, 10_000), 0.0);
-            assert_eq!(plan.contribution(batch, 0), 0.0);
         }
-    }
-
-    #[test]
-    fn tile_row_lookup_covers_windows() {
-        let coo = sample(100);
-        let m = encode(&coo, 32);
-        let plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
-        // Every matrix row with work maps to a tile-row index, and the
-        // sample matrix works every tile row.
-        for y_row in 0..100usize {
-            let idx = plan.tile_row_index_containing(y_row).unwrap();
-            assert!(idx < plan.n_tile_rows());
-            assert_eq!(idx, y_row / 32);
-        }
-        assert_eq!(plan.tile_row_index_containing(10_000), None);
     }
 
     #[cfg(feature = "fault-injection")]
@@ -2534,7 +2466,8 @@ mod tests {
         let mut quarantined = 0;
         for seed in 0..16u64 {
             plan.arm_faults(FaultPlan::seeded(seed, &spec, plan.n_instances()));
-            let h = plan.run_deferred(&[&x], |_| VerifyScope::All).unwrap()[0];
+            let (h, y) = verified(&mut plan, &[&x], |_| VerifyScope::All);
+            let (h, y) = (h[0], &y[0]);
             quarantined += h.tile_rows_quarantined;
             assert_eq!(h.faults_injected, 6, "seed {seed}");
             // Transient faults always heal: the retry reads the pristine
@@ -2542,8 +2475,6 @@ mod tests {
             // CE/RE-bit flip — in which case nothing is quarantined.)
             assert_eq!(h.tile_rows_uncorrected, 0, "seed {seed}");
             assert_eq!(h.tile_rows_corrected, h.tile_rows_quarantined);
-            let mut y = vec![0.0f32; 128];
-            plan.commit(0, &mut y).unwrap();
             assert_eq!(
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 clean.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -2570,7 +2501,7 @@ mod tests {
             ..FaultSpec::default()
         };
         plan.arm_faults(FaultPlan::seeded(9, &spec, plan.n_instances()));
-        let h = plan.run_deferred(&[&x], |_| VerifyScope::All).unwrap()[0];
+        let h = verified(&mut plan, &[&x], |_| VerifyScope::All).0[0];
         assert!(h.tile_rows_quarantined > 0);
         assert_eq!(h.tile_rows_corrected, 0);
         assert_eq!(h.tile_rows_uncorrected, h.tile_rows_quarantined);
@@ -2605,9 +2536,10 @@ mod tests {
         let m = encode(&coo, 32);
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
         let x = vec![1.0f32; 100];
-        let h = plan
-            .run_deferred(&[&x], |_| VerifyScope::Rows(&[0, 70, 71, 10_000]))
-            .unwrap()[0];
+        let (h, got) = verified(&mut plan, &[&x], |_| {
+            VerifyScope::Rows(&[0, 70, 71, 10_000])
+        });
+        let h = h[0];
         // Row 10 000 is out of range and ignored; 0, 70 and 71 verify
         // clean, with no whole tile-row window checked.
         assert_eq!(h.rows_verified, 3);
@@ -2615,9 +2547,7 @@ mod tests {
         assert!(h.is_clean());
         let mut want = vec![0.0f32; 100];
         plan.clone().run(&x, &mut want).unwrap();
-        let mut got = vec![0.0f32; 100];
-        plan.commit(0, &mut got).unwrap();
-        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(bits(&got[0]), bits(&want));
     }
 
     #[test]
@@ -2633,7 +2563,7 @@ mod tests {
             VerifyScope::None,
             VerifyScope::Rows(&[0, 99]),
         ];
-        let h = plan.run_deferred(&xs, |j| scopes[j]).unwrap().to_vec();
+        let (h, got) = verified(&mut plan, &xs, |j| scopes[j]);
         let rows: Vec<u32> = h.iter().map(|h| h.rows_verified).collect();
         assert_eq!(rows, vec![0, 0, 1, 0, 2]);
         let windows: Vec<u32> = h.iter().map(|h| h.tile_rows_verified).collect();
@@ -2642,9 +2572,7 @@ mod tests {
         for (j, x) in xs.iter().enumerate() {
             let mut want = vec![0.0f32; 100];
             plan.clone().run(x, &mut want).unwrap();
-            let mut got = vec![0.0f32; 100];
-            plan.commit(j, &mut got).unwrap();
-            assert_eq!(bits(&got), bits(&want), "vector {j}");
+            assert_eq!(bits(&got[j]), bits(&want), "vector {j}");
         }
     }
 
@@ -2742,10 +2670,7 @@ mod tests {
             all.extend(rows.iter().copied());
             all.sort_unstable();
             all.dedup();
-            let h = plan
-                .run_deferred(&xs, |_| VerifyScope::Rows(&all))
-                .unwrap()
-                .to_vec();
+            let (h, _) = verified(&mut plan, &xs, |_| VerifyScope::Rows(&all));
             for (j, hj) in h.iter().enumerate() {
                 assert!(hj.is_clean(), "case {case}, vector {j}: {hj:?}");
                 assert_eq!(hj.rows_verified as usize, rows.len(), "case {case}");
@@ -2780,18 +2705,8 @@ mod tests {
             for seed in 0..12u64 {
                 let spec = &specs[seed as usize % specs.len()];
                 plan.arm_faults(FaultPlan::seeded(seed, spec, plan.n_instances()));
-                let by_window = plan
-                    .run_deferred(&xs, |_| VerifyScope::All)
-                    .unwrap()
-                    .to_vec();
-                let mut want = vec![vec![0.0f32; plan.rows() as usize]; xs.len()];
-                for (j, y) in want.iter_mut().enumerate() {
-                    plan.commit(j, y).unwrap();
-                }
-                let by_row = plan
-                    .run_deferred(&xs, |_| VerifyScope::Rows(&rows))
-                    .unwrap()
-                    .to_vec();
+                let (by_window, want) = verified(&mut plan, &xs, |_| VerifyScope::All);
+                let (by_row, got) = verified(&mut plan, &xs, |_| VerifyScope::Rows(&rows));
                 for (j, (w, r)) in by_window.iter().zip(&by_row).enumerate() {
                     let label = format!("case {case}, seed {seed}, vector {j}");
                     assert_eq!(r.tile_rows_quarantined, w.tile_rows_quarantined, "{label}");
@@ -2800,9 +2715,7 @@ mod tests {
                     assert_eq!(r.first_failed_tile_row, w.first_failed_tile_row, "{label}");
                     assert_eq!(r.tile_rows_verified, r.tile_rows_quarantined, "{label}");
                     assert_eq!(r.rows_verified as usize, rows.len(), "{label}");
-                    let mut got = vec![0.0f32; plan.rows() as usize];
-                    plan.commit(j, &mut got).unwrap();
-                    assert_eq!(bits(&got), bits(&want[j]), "{label}");
+                    assert_eq!(bits(&got[j]), bits(&want[j]), "{label}");
                     quarantined += w.tile_rows_quarantined;
                 }
             }
@@ -2843,12 +2756,9 @@ mod tests {
             plan.arm_faults(FaultPlan::seeded(seed, &spec, plan.n_instances()));
             let mut faulted = vec![0.0f32; 128];
             plan.run(&x, &mut faulted).unwrap();
-            let h = plan
-                .run_deferred(&[&x], |_| VerifyScope::Rows(&DRAWN))
-                .unwrap()[0];
+            let (h, y) = verified(&mut plan, &[&x], |_| VerifyScope::Rows(&DRAWN));
+            let (h, y) = (h[0], &y[0]);
             assert_eq!(h.rows_verified, 4, "seed {seed}");
-            let mut y = vec![0.0f32; 128];
-            plan.commit(0, &mut y).unwrap();
             if DRAWN
                 .iter()
                 .any(|&r| faulted[r].to_bits() != clean[r].to_bits())
@@ -2858,14 +2768,14 @@ mod tests {
                 assert_eq!(h.tile_rows_quarantined, 1, "seed {seed}");
                 assert_eq!(h.tile_rows_corrected, 1, "seed {seed}");
                 assert_eq!(h.tile_rows_verified, 1, "seed {seed}");
-                assert_eq!(bits(&y), bits(&clean), "seed {seed}");
+                assert_eq!(bits(y), bits(&clean), "seed {seed}");
                 healed += 1;
             } else {
                 // The narrowed contract: a fault in undrawn rows only is
-                // not seen, and the faulted output is committed.
+                // not seen, and the faulted output is folded.
                 assert!(h.is_clean(), "seed {seed}");
                 assert_eq!(h.tile_rows_verified, 0, "seed {seed}");
-                assert_eq!(bits(&y), bits(&faulted), "seed {seed}");
+                assert_eq!(bits(y), bits(&faulted), "seed {seed}");
                 if bits(&faulted) != bits(&clean) {
                     missed += 1;
                 }
@@ -2895,9 +2805,7 @@ mod tests {
                 panic!("seed {seed}: no lane fault drawn");
             };
             plan.arm_faults(faults);
-            let h = plan
-                .run_deferred(&[&x], |_| VerifyScope::Rows(&DRAWN))
-                .unwrap()[0];
+            let h = verified(&mut plan, &[&x], |_| VerifyScope::Rows(&DRAWN)).0[0];
             // Exactly one drawn row sits on the stuck lane: its tile row
             // escalates, and the retry, through the same lane, fails too.
             let row = DRAWN[usize::from(lane)];

@@ -787,7 +787,7 @@ impl SpmvServer {
             let mut prepared = lease.prepared();
             match prepared.execute_batch_with(&xs, &mut ys, &policies) {
                 // An integrity error fails only the lanes it names; the
-                // rest of the batch was committed.
+                // rest of the batch was computed.
                 Ok(_) | Err(PipelineError::Integrity { .. }) => {
                     let report = prepared.report();
                     let exec_seconds = report.batch.as_ref().map_or(report.seconds, |b| b.seconds);

@@ -127,7 +127,7 @@ fn run_batch_is_allocation_free_at_steady_state() {
 
     for threads in budgets() {
         with_budget(threads, || {
-            // First call grows xb/yb; from then on the batch path must be
+            // First call grows the scratch; from then on the batch path must be
             // allocation-free.
             for _ in 0..3 {
                 plan.run_batch(&xs, &mut ys).unwrap();

@@ -18,6 +18,7 @@ use spasm::{IntegrityPolicy, Pipeline, PipelineOptions};
 use spasm_format::SpasmMatrix;
 use spasm_hw::Accelerator;
 use spasm_sparse::{Bsr, Coo, Csc, Csr, Dia, Ell, SpMv};
+use spasm_workloads::{Scale, Workload};
 
 /// Batch sizes every batched-equivalence assertion sweeps: every lane
 /// count up to 8, then 12, 15 and a full 16-vector lane block, so each
@@ -533,6 +534,95 @@ fn reused_plan_across_batch_sizes_matches_fresh_plans() {
         let poison = vec![vec![f32::INFINITY; m.cols() as usize]; batch];
         let mut sink = vec![vec![0.0f32; n_rows]; batch];
         reused.run_batch(&poison, &mut sink).unwrap();
+    }
+}
+
+/// An x holding the values that defeat a bitwise comparison, among
+/// finite ones: vector `j % 3` puts quiet NaNs of varied payloads and
+/// signs in every third column, scatters ±inf, or keeps to signed zeros
+/// and subnormals.
+fn special_x(rng: &mut SmallRng, cols: u32, j: usize) -> Vec<f32> {
+    (0..cols as usize)
+        .map(|c| {
+            let sign = if rng.gen_bool(0.5) { 0x8000_0000 } else { 0 };
+            let kind = match (j % 3, c % 3) {
+                (0, 0) => 0,
+                (1, _) if rng.gen_range(0..16) == 0 => 1,
+                _ => rng.gen_range(2..6),
+            };
+            match kind {
+                0 => f32::from_bits(sign | 0x7FC0_0000 | rng.gen_range(0..0x0040_0000)),
+                1 => f32::from_bits(sign | 0x7F80_0000),
+                2 => f32::from_bits(sign),
+                3 => f32::from_bits(sign | rng.gen_range(1..0x0080_0000)),
+                _ => rng.gen_range(-2.0f32..2.0),
+            }
+        })
+        .collect()
+}
+
+/// Equal bits, or both NaN, element by element.
+fn nan_equivalent(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+#[test]
+fn clean_runs_never_quarantine_or_fall_back() {
+    // On fault-free plans no policy may quarantine, fail a cross-check or
+    // fall back, whatever x holds, and every batch width 1–17 must give
+    // each vector its batch-1 output. Which payload an add of two NaNs
+    // keeps is the compiler's choice, and differs between the lane
+    // kernel's bodies and the oracles in optimised builds, so outputs are
+    // compared NaN-equivalently. CI runs this suite in release mode too.
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_0026);
+    let mut zoo: Vec<Coo> = [
+        Workload::Raefsky3,
+        Workload::C73,
+        Workload::TmtSym,
+        Workload::Cfd2,
+    ]
+    .into_iter()
+    .map(|w| w.generate(Scale::Small))
+    .collect();
+    zoo.extend(kernel_zoo());
+    let policies = [
+        IntegrityPolicy::off(),
+        IntegrityPolicy::sampled(16, 0xC1EA),
+        IntegrityPolicy::full(),
+    ];
+    for m in zoo {
+        let n = m.rows() as usize;
+        let xs: Vec<Vec<f32>> = (0..17).map(|j| special_x(&mut rng, m.cols(), j)).collect();
+        let mut prepared = Pipeline::new().prepare(&m).unwrap();
+        for policy in policies {
+            prepared.set_integrity(policy);
+            let shape = format!(
+                "{}x{} nnz {}, {:?}",
+                m.rows(),
+                m.cols(),
+                m.nnz(),
+                policy.mode
+            );
+            let mut single = vec![vec![0.0f32; n]; xs.len()];
+            for (j, (x, y)) in xs.iter().zip(single.iter_mut()).enumerate() {
+                let h = prepared.execute_into(x, y).unwrap().health;
+                assert!(h.is_clean(), "{shape}, vector {j} alone: {h:?}");
+            }
+            for width in 1..=xs.len() {
+                let mut got = vec![vec![0.0f32; n]; width];
+                prepared.execute_batch_into(&xs[..width], &mut got).unwrap();
+                for (j, h) in prepared.batch_health().iter().enumerate() {
+                    assert!(h.is_clean(), "{shape}, vector {j} of {width}: {h:?}");
+                    assert!(
+                        nan_equivalent(&got[j], &single[j]),
+                        "{shape}, vector {j} of {width}: output differs from batch 1"
+                    );
+                }
+            }
+        }
     }
 }
 
