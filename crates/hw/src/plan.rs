@@ -2349,7 +2349,7 @@ mod tests {
     }
 
     #[test]
-    fn verified_run_matches_run() {
+    fn deferred_run_and_commit_match_run() {
         let coo = sample(100);
         let m = encode(&coo, 32);
         let acc = Accelerator::new(HwConfig::spasm_4_1());
@@ -2414,7 +2414,7 @@ mod tests {
     }
 
     #[test]
-    fn verified_rows_hand_over_their_contribution() {
+    fn contribution_reads_last_deferred_result() {
         let coo = sample(64);
         let m = encode(&coo, 16);
         let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
@@ -2440,6 +2440,45 @@ mod tests {
             assert!(health.iter().all(|h| h.rows_verified == 64));
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(bits(g), bits(w));
+            }
+        }
+    }
+
+    #[test]
+    fn tile_row_lookup_covers_windows() {
+        let coo = sample(100);
+        let m = encode(&coo, 32);
+        let mut plan = Accelerator::new(HwConfig::spasm_4_1()).prepare(&m).unwrap();
+        // Every matrix row lies in exactly one window, that of its tile
+        // row (the sample matrix works every tile row); row 10 000 in none.
+        for y_row in 0..100usize {
+            let hits: Vec<usize> = (0..plan.window_spans.len())
+                .filter(|&r| (plan.window_spans[r].0..plan.window_spans[r].1).contains(&y_row))
+                .collect();
+            assert_eq!(hits, vec![y_row / 32], "row {y_row}");
+        }
+        assert!(plan.window_spans.iter().all(|&(_, w1)| w1 <= 10_000));
+        // The verified pass finds each named row in its window: every row
+        // is verified and handed over once, row 10 000 never.
+        let xs = batch_xs(1, 100);
+        for y_row in [0usize, 31, 32, 63, 64, 99, 10_000] {
+            let rows = [y_row];
+            let mut handed = Vec::new();
+            let mut ys = vec![vec![0.0f32; 100]];
+            let mut health = vec![HealthReport::default()];
+            plan.run_verified(
+                &xs,
+                &mut ys,
+                |_| VerifyScope::Rows(&rows),
+                &mut health,
+                |j, k, v| handed.push((j, k, v.to_bits())),
+            )
+            .unwrap();
+            let inside = usize::from(y_row < 100);
+            assert_eq!(health[0].rows_verified as usize, inside, "row {y_row}");
+            assert_eq!(handed.len(), inside, "row {y_row}");
+            if inside == 1 {
+                assert_eq!(handed[0], (0, 0, ys[0][y_row].to_bits()));
             }
         }
     }
