@@ -6,7 +6,7 @@
 //! The comparison isolates what the executor's hot loop buys: the
 //! vector-blocked batch scratch, where one instance's x segment and
 //! output rows are contiguous across the `LANE_BLOCK` vectors of a lane
-//! block, and the branch-free lane kernel monomorphised per lane count,
+//! block, and the lane kernel monomorphised per lane count,
 //! whose lane loops compile to packed SIMD arithmetic (the SIMD in the
 //! bench's name).
 //!
